@@ -1,0 +1,67 @@
+"""Byte-for-byte CLI outputs, pinned against a recorded golden file.
+
+``test_outputs_are_deterministic`` compares two runs of the same code;
+these cases compare the current code with outputs recorded earlier, so
+a refactor that changes any printed digit or exit code shows up here.
+Re-record (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from specpair.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+CASES = {
+    "validate-scale4": ["validate", "--spec", "scale4"],
+    "validate-scale4x2": ["validate", "--spec", "scale4x2"],
+    "validate-middlethird": ["validate", "--spec", "middlethird"],
+    "pair-scale4": ["pair", "--spec", "scale4", "--box", "8"],
+    "pair-scale4x2": ["pair", "--spec", "scale4x2", "--box", "6"],
+    "measure-scale4": ["measure", "--spec", "scale4", "--quadrature-depth", "6"],
+    "transform-rational": ["transform", "--spec", "scale4", "--s", "1/3"],
+    "transform-2d": ["transform", "--spec", "scale4x2", "--s", "1/2,3/4"],
+    "transform-grid-both": ["transform", "--spec", "scale4", "--grid=-8:8:65",
+                            "--backend", "both"],
+    "spectrum-table": ["spectrum", "--spec", "scale4", "--s", "2",
+                       "--enum-depth", "10"],
+    "spectrum-frequencies": ["spectrum", "--spec", "scale4", "--frequencies",
+                             "--format", "json"],
+    "cuntz-scale4": ["cuntz", "--spec", "scale4"],
+    "cuntz-scale4x2": ["cuntz", "--spec", "scale4x2", "--box", "8"],
+    "cuntz-middlethird": ["cuntz", "--spec", "middlethird"],
+}
+
+
+def run(argv) -> dict:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(list(argv))
+    return {"exit": code, "stdout": buffer.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(golden, name):
+    expected = golden[name]
+    assert expected["argv"] == CASES[name]
+    assert run(CASES[name]) == {"exit": expected["exit"],
+                                "stdout": expected["stdout"]}
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(
+        {name: {"argv": argv, **run(argv)} for name, argv in sorted(CASES.items())},
+        indent=1, sort_keys=True,
+    ) + "\n", encoding="utf-8")
