@@ -32,7 +32,6 @@ from .lattice import (
     ValidationReport,
     coset_representatives,
     dual_lattice,
-    expansion_map,
     frequency_map,
     inclusion_matrix,
     same_lattice,
@@ -117,7 +116,7 @@ __all__ = [
     "build_ifs", "builtin_names", "classify_measure",
     "completeness_partial_sum", "completeness_table",
     "coset_representatives", "document_from", "dual_lattice", "dumps_spec",
-    "emit_table", "enumerate_spectrum", "expansion_map", "frequency_map",
+    "emit_table", "enumerate_spectrum", "frequency_map",
     "functional_equation_residual", "inclusion_matrix",
     "indicator_transform", "integrate_exponential", "mask",
     "maximality_probe", "mu_hat", "mu_hat_value", "orthogonality_matrix",

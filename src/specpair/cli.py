@@ -87,7 +87,10 @@ def cmd_pair(args) -> int:
     off = gram - np.eye(len(spectrum))
     worst = float(np.abs(off).max())
     exact_zeros = int((off == 0).sum()) - len(spectrum)  # diagonal is exact
-    omega_reduced = reduce_mod_lattice(loaded.omega, loaded.system.K)
+    try:
+        omega_reduced = reduce_mod_lattice(loaded.omega, loaded.system.K)
+    except ValueError as exc:
+        raise ParseError(f"spec {loaded.name!r}: {exc}") from exc
     tiling = tiling_check(
         loaded.d_prime, loaded.system.Gamma, loaded.system.digits,
         omega_prime=omega_reduced, seed=args.seed,
@@ -233,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--product-depth", type=int, default=30)
         p.add_argument("--quadrature-depth", type=int, default=12)
 
@@ -244,6 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pair", help="orthogonality and tiling checks (JSON)")
     add_common(p)
     p.add_argument("--box", type=int, default=8, help="spectrum truncation radius")
+    p.add_argument("--seed", type=int, default=0,
+                   help="sampling seed for tilings on non-rectangular lattices")
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("measure", help="refine the invariant measure and export atoms")

@@ -9,23 +9,28 @@ only where floats are the point (eigenvalues, measure atoms).
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 
+# concrete types ahead of the ABC, whose isinstance check is several times slower
+_EXACT = (int, Fraction, str, numbers.Integral)
+
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, Fractions and strings like '3/4' or '0.25' to Fraction.
+    """Coerce integers (numpy ones included), Fractions and strings like
+    '3/4' or '0.25' to Fraction.
 
     Floats are rejected: an exact input written as a float is almost always
     a bug (0.1 is not 1/10), and the inexact code paths take floats directly.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, numbers.Integral):
+        return Fraction(int(value))
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
@@ -41,12 +46,29 @@ def format_rational(x: Fraction) -> str:
 
 
 def as_vector(values, dim: int | None = None) -> Vector:
-    if isinstance(values, (int, Fraction, str)):
+    """A scalar or a sequence as an exact vector; a float entry raises TypeError."""
+    if isinstance(values, (numbers.Number, str)):
         values = (values,)
     vec = tuple(as_rational(v) for v in values)
     if dim is not None and len(vec) != dim:
         raise ValueError(f"expected a vector of length {dim}, got {len(vec)}")
     return vec
+
+
+def as_point(t, dim: int | None = None) -> tuple[tuple, bool]:
+    """A scalar or a sequence as a point, exact when it can be.
+
+    The point is exact -- Fractions, flagged True -- when every entry is
+    an integer (numpy integers included), a Fraction or a string like
+    '3/4'; otherwise it is floats, flagged False.
+    """
+    if isinstance(t, (numbers.Number, str)):
+        t = (t,)
+    if all(isinstance(v, _EXACT) for v in t):
+        return as_vector(t, dim), True
+    if dim is not None and len(t) != dim:
+        raise ValueError(f"expected a vector of length {dim}, got {len(t)}")
+    return tuple(float(v) for v in t), False
 
 
 def as_matrix(rows) -> Matrix:

@@ -161,6 +161,11 @@ def coset_representatives(sub: Lattice, sup: Lattice, given=None) -> tuple[Vecto
     return reps
 
 
+def _map_point(m: Matrix, m_float, s) -> tuple:
+    """m s, through the float copy of m when s is a float point."""
+    return exact.mat_vec(m_float if isinstance(s[0], float) else m, s)
+
+
 @dataclass(frozen=True)
 class SimpleFactor:
     """The full datum behind a lattice spectral pair.
@@ -223,6 +228,20 @@ class SimpleFactor:
         return exact.inverse(self.E_transpose)
 
     @cached_property
+    def _float_maps(self) -> tuple:
+        return (exact.matrix_to_floats(self.E_transpose),
+                exact.matrix_to_floats(self.E_transpose_inverse))
+
+    def push(self, s) -> tuple:
+        """E^T s for a point from exact.as_point, keeping its kind: exact
+        stays exact, floats stay floats."""
+        return _map_point(self.E_transpose, self._float_maps[0], s)
+
+    def pull(self, s) -> tuple:
+        """(E^T)^{-1} s, the inverse of push, keeping the point's kind."""
+        return _map_point(self.E_transpose_inverse, self._float_maps[1], s)
+
+    @cached_property
     def K_dual(self) -> Lattice:
         return dual_lattice(self.K)
 
@@ -242,11 +261,6 @@ class SimpleFactor:
         return vec
 
 
-def expansion_map(system: SimpleFactor) -> Matrix:
-    """The expansion map E = U V^{-1}; E(Gamma) = K and E^T(K dual) = Gamma dual."""
-    return system.E
-
-
 def frequency_map(system: SimpleFactor, ell, s) -> tuple:
     """The affine frequency-side map s -> E^T s + ell for a digit ell.
 
@@ -254,15 +268,26 @@ def frequency_map(system: SimpleFactor, ell, s) -> tuple:
     floats); the digit must belong to freq_digits.
     """
     vec = system.freq_digit(ell)
-    if isinstance(s, (int, float, Fraction)):
-        s = (s,)
-    if len(s) != system.dim:
-        raise ValueError(f"expected a vector of length {system.dim}")
-    et = system.E_transpose
-    return tuple(
-        sum(et[i][j] * s[j] for j in range(system.dim)) + vec[i]
-        for i in range(system.dim)
-    )
+    point, _ = exact.as_point(s, system.dim)
+    return exact.vec_add(system.push(point), vec)
+
+
+def lattice_points_in_box(lat: Lattice, radius) -> list[Vector]:
+    """Lattice points with sup-norm <= radius, nearest first, positive first.
+
+    Ties in norm go in decreasing lexicographic order, so +1 comes ahead
+    of -1.
+    """
+    # z = basis^{-1} x, so |z|_inf is at most the largest row sum of the
+    # inverse times the sup-norm bound on x.
+    bound = max(int(sum(abs(c) for c in row) * radius) + 1 for row in lat.inverse)
+    points = []
+    for z in itertools.product(range(-bound, bound + 1), repeat=lat.dim):
+        x = exact.mat_vec(lat.basis, tuple(Fraction(c) for c in z))
+        if all(abs(c) <= radius for c in x):
+            points.append(x)
+    points.sort(key=lambda x: (sum(c * c for c in x), tuple(-c for c in x)))
+    return points
 
 
 def is_expansive(e: Matrix) -> tuple[bool, float]:
@@ -309,6 +334,30 @@ class ValidationReport:
 
 
 HADAMARD_TOLERANCE = 1e-12
+
+
+def frequency_digit_check(
+    freq_digits, k_dual: Lattice, gamma_dual: Lattice
+) -> CheckResult:
+    """Frequency digits contain 0, lie in the dual of K and are distinct
+    mod the dual of Gamma."""
+    problems = []
+    if exact.zero_vector(k_dual.dim) not in freq_digits:
+        problems.append("0 missing from frequency digits")
+    for l in freq_digits:
+        if not k_dual.contains(l):
+            problems.append(f"frequency digit {l} not in dual of K")
+    for a, b in itertools.combinations(freq_digits, 2):
+        if gamma_dual.contains(exact.vec_sub(a, b)):
+            problems.append(f"frequency digits {a} and {b} collide mod dual of Gamma")
+    return CheckResult("frequency_digits", not problems, "; ".join(problems))
+
+
+def expansive_check(e: Matrix) -> CheckResult:
+    expansive, smallest = is_expansive(e)
+    return CheckResult(
+        "expansive", expansive, f"smallest eigenvalue modulus {smallest:.6g}"
+    )
 
 
 def validate_simple_factor(system: SimpleFactor) -> ValidationReport:
@@ -361,20 +410,8 @@ def validate_simple_factor(system: SimpleFactor) -> ValidationReport:
         "digit_section", not section_problems, "; ".join(section_problems)
     ))
 
-    freq_problems = []
-    if zero not in system.freq_digits:
-        freq_problems.append("0 missing from frequency digits")
-    for l in system.freq_digits:
-        if not system.K_dual.contains(l):
-            freq_problems.append(f"frequency digit {l} not in dual of K")
-    for a, b in itertools.combinations(system.freq_digits, 2):
-        if system.Gamma_dual.contains(exact.vec_sub(a, b)):
-            freq_problems.append(
-                f"frequency digits {a} and {b} collide mod dual of Gamma"
-            )
-    checks.append(CheckResult(
-        "frequency_digits", not freq_problems, "; ".join(freq_problems)
-    ))
+    checks.append(frequency_digit_check(
+        system.freq_digits, system.K_dual, system.Gamma_dual))
 
     cardinality_ok = index is not None and system.N == index
     checks.append(CheckResult(
@@ -407,10 +444,7 @@ def validate_simple_factor(system: SimpleFactor) -> ValidationReport:
         f"residual {residual:.3e}",
     ))
 
-    expansive, smallest = is_expansive(system.E)
-    checks.append(CheckResult(
-        "expansive", expansive, f"smallest eigenvalue modulus {smallest:.6g}"
-    ))
+    checks.append(expansive_check(system.E))
 
     return ValidationReport(
         checks=tuple(checks), degenerate=same_lattice(system.K, system.A)

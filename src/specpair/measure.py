@@ -9,7 +9,6 @@ with a million atoms stay cheap.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -19,7 +18,7 @@ import numpy as np
 from . import exact
 from .errors import DepthTooLarge, IdenticalPoints, NotExpansive
 from .exact import Matrix, Vector
-from .lattice import SimpleFactor, is_expansive
+from .lattice import SimpleFactor, is_expansive, lattice_points_in_box
 
 ATOM_BUDGET = 1 << 24
 
@@ -105,13 +104,19 @@ class DiscreteMeasure:
 
     def word(self, index: int) -> tuple[int, ...]:
         """The digit-index word generating atom ``index``."""
-        if not 0 <= index < self.count:
-            raise IndexError(index)
-        letters = []
-        for _ in range(self.depth):
-            letters.append(index % self.base)
-            index //= self.base
-        return tuple(reversed(letters))
+        return word_at(index, self.base, self.depth)
+
+
+def word_at(index: int, base: int, depth: int) -> tuple[int, ...]:
+    """The length-``depth`` word of ``index`` in base ``base``, most
+    significant letter first; the index order of atoms and frequencies."""
+    if not 0 <= index < base**depth:
+        raise IndexError(index)
+    letters = []
+    for _ in range(depth):
+        index, letter = divmod(index, base)
+        letters.append(letter)
+    return tuple(reversed(letters))
 
 
 def refine_measure(
@@ -143,12 +148,8 @@ def refine_measure(
 
 def integrate_exponential(measure: DiscreteMeasure, t) -> complex:
     """The quadrature value of the transform: mean of e^{i 2 pi t.x}."""
-    if isinstance(t, (int, float, Fraction)):
-        t = (t,)
-    tf = np.array([float(v) for v in t])
-    if tf.shape != (measure.dim,):
-        raise ValueError(f"expected a frequency of length {measure.dim}")
-    phases = measure.points @ tf
+    t, _ = exact.as_point(t, measure.dim)
+    phases = measure.points @ np.array(t, dtype=float)
     return complex(np.exp(2j * np.pi * phases).mean())
 
 
@@ -163,17 +164,11 @@ class NoWitness:
 def _dual_candidates(
     system: SimpleFactor, radius: int
 ) -> tuple[tuple[Vector, tuple[float, ...]], ...]:
-    """Dual-lattice points with sup-norm <= radius, nearest and positive first."""
-    basis = system.K_dual.basis
-    inv = system.K_dual.inverse
-    bound = max(int(sum(abs(c) for c in row) * radius) + 1 for row in inv)
-    points = []
-    for z in itertools.product(range(-bound, bound + 1), repeat=system.dim):
-        s = exact.mat_vec(basis, tuple(Fraction(c) for c in z))
-        if all(abs(c) <= radius for c in s):
-            points.append(s)
-    points.sort(key=lambda s: (sum(c * c for c in s), tuple(-c for c in s)))
-    return tuple((s, exact.to_floats(s)) for s in points)
+    """Dual-lattice points with sup-norm <= radius, nearest and positive
+    first, each with its floats."""
+    return tuple(
+        (s, exact.to_floats(s)) for s in lattice_points_in_box(system.K_dual, radius)
+    )
 
 
 def separation_witness(

@@ -21,9 +21,9 @@ delta, which the property tests pin down.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -33,8 +33,12 @@ from .lattice import (
     CheckResult,
     Lattice,
     SimpleFactor,
+    dual_lattice,
+    expansive_check,
+    frequency_digit_check,
+    frequency_map,
     inclusion_matrix,
-    is_expansive,
+    lattice_points_in_box,
     same_lattice,
 )
 from .measure import DiscreteMeasure, integrate_exponential
@@ -60,7 +64,7 @@ class ExponentialVector:
 
     def __post_init__(self):
         coeff = complex(self.coeff)
-        freq = tuple(self.freq)
+        freq, _ = exact.as_point(self.freq)
         if coeff == 0:
             freq = (Fraction(0),) * len(freq)
         object.__setattr__(self, "coeff", coeff)
@@ -72,9 +76,7 @@ class ExponentialVector:
 
     @classmethod
     def basis(cls, freq) -> "ExponentialVector":
-        if isinstance(freq, (int, float, Fraction)):
-            freq = (freq,)
-        return cls(coeff=1.0, freq=tuple(freq))
+        return cls(coeff=1.0, freq=freq)
 
 
 @dataclass(frozen=True)
@@ -98,15 +100,8 @@ def apply_generator(
     system: SimpleFactor, ell, v: ExponentialVector
 ) -> ExponentialVector:
     """T_l: coeff unchanged, frequency mapped through s -> E^T s + l."""
-    digit = system.freq_digit(ell)
-    if v.is_zero:
-        return v
-    et = system.E_transpose
-    freq = tuple(
-        sum(et[i][j] * v.freq[j] for j in range(system.dim)) + digit[i]
-        for i in range(system.dim)
-    )
-    return ExponentialVector(coeff=v.coeff, freq=freq)
+    freq = frequency_map(system, ell, v.freq)
+    return v if v.is_zero else ExponentialVector(coeff=v.coeff, freq=freq)
 
 
 def apply_adjoint(
@@ -116,16 +111,11 @@ def apply_adjoint(
     digit = system.freq_digit(ell)
     if v.is_zero:
         return v
-    shifted = tuple(f - d for f, d in zip(v.freq, digit))
+    shifted = exact.vec_sub(v.freq, digit)
     factor = mask(system, shifted)
     if factor == 0:
         return ExponentialVector(coeff=0j, freq=v.freq)
-    inv = system.E_transpose_inverse
-    freq = tuple(
-        sum(inv[i][j] * shifted[j] for j in range(system.dim))
-        for i in range(system.dim)
-    )
-    return ExponentialVector(coeff=v.coeff * factor, freq=freq)
+    return ExponentialVector(coeff=v.coeff * factor, freq=system.pull(shifted))
 
 
 def word_frequency(system: SimpleFactor, word) -> Vector:
@@ -133,7 +123,7 @@ def word_frequency(system: SimpleFactor, word) -> Vector:
     word = as_word(system, word)
     freq = exact.zero_vector(system.dim)
     for letter in reversed(word.letters):
-        freq = exact.vec_add(exact.mat_vec(system.E_transpose, freq), letter)
+        freq = frequency_map(system, letter, freq)
     return freq
 
 
@@ -175,19 +165,6 @@ def state_eval(
     return v.coeff * mu_hat_value(system, v.freq, settings)
 
 
-def _dual_box(lat_dual: Lattice, radius: int) -> list[Vector]:
-    basis = lat_dual.basis
-    inv = lat_dual.inverse
-    bound = max(int(sum(abs(c) for c in row) * radius) + 1 for row in inv)
-    points = []
-    for z in itertools.product(range(-bound, bound + 1), repeat=lat_dual.dim):
-        s = exact.mat_vec(basis, tuple(Fraction(c) for c in z))
-        if all(abs(c) <= radius for c in s):
-            points.append(s)
-    points.sort(key=lambda s: (sum(c * c for c in s), s))
-    return points
-
-
 @dataclass(frozen=True)
 class RelationReport:
     """Worst-case residuals of the three relation checks over a sample box."""
@@ -226,6 +203,25 @@ class RelationReport:
         }
 
 
+def _relation_maxima(samples, push, freq_digits, transform, mask_at):
+    """Worst isometry, range-overlap and completeness residuals over the
+    exact samples; completeness is None when ``mask_at`` is None."""
+    isometry = 0.0
+    range_orth = 0.0
+    completeness = None if mask_at is None else 0.0
+    pairs = [(la, lb) for la in freq_digits for lb in freq_digits if la != lb]
+    for u in samples:
+        pushed = push(u)
+        isometry = max(isometry, abs(transform(pushed) - transform(u)))
+        for la, lb in pairs:
+            arg = exact.vec_add(pushed, exact.vec_sub(lb, la))
+            range_orth = max(range_orth, abs(transform(arg)))
+        if mask_at is not None:
+            total = sum(mask_at(exact.vec_sub(u, l)) for l in freq_digits)
+            completeness = max(completeness, abs(total - 1))
+    return isometry, range_orth, completeness
+
+
 def relation_residuals(
     system: SimpleFactor,
     box_radius: int = 32,
@@ -237,31 +233,11 @@ def relation_residuals(
     range-overlap terms are exact zeros whenever the leading mask factor
     vanishes exactly, so on a valid system that residual is literally 0.
     """
-    samples = _dual_box(system.K_dual, box_radius)
-    et = system.E_transpose
-    isometry = 0.0
-    range_orth = 0.0
-    completeness = 0.0
-    digit_pairs = [
-        (la, lb)
-        for la in system.freq_digits
-        for lb in system.freq_digits
-        if la != lb
-    ]
-    for u in samples:
-        pushed = exact.mat_vec(et, u)
-        isometry = max(
-            isometry,
-            abs(mu_hat_value(system, pushed, settings)
-                - mu_hat_value(system, u, settings)),
-        )
-        for la, lb in digit_pairs:
-            arg = exact.vec_add(pushed, exact.vec_sub(lb, la))
-            range_orth = max(range_orth, abs(mu_hat_value(system, arg, settings)))
-        total = sum(
-            mask(system, exact.vec_sub(u, l)) for l in system.freq_digits
-        )
-        completeness = max(completeness, abs(total - 1))
+    samples = lattice_points_in_box(system.K_dual, box_radius)
+    isometry, range_orth, completeness = _relation_maxima(
+        samples, system.push, system.freq_digits,
+        partial(mu_hat_value, system, settings=settings), partial(mask, system),
+    )
     return RelationReport(
         isometry=isometry,
         range_orthogonality=range_orth,
@@ -350,59 +326,25 @@ def classify_measure(
         digits = tuple(exact.as_vector(b, K.dim) for b in digits)
 
     freq_digits = tuple(exact.as_vector(l, K.dim) for l in freq_digits)
-    k_dual = Lattice(exact.transpose(K.inverse))
-    gamma_dual = Lattice(exact.transpose(gamma.inverse))
-
-    structure: list[CheckResult] = []
-    zero = exact.zero_vector(K.dim)
-    problems = []
-    if zero not in freq_digits:
-        problems.append("0 missing")
-    for l in freq_digits:
-        if not k_dual.contains(l):
-            problems.append(f"{l} not in dual of K")
-    for a, b in itertools.combinations(freq_digits, 2):
-        if gamma_dual.contains(exact.vec_sub(a, b)):
-            problems.append(f"{a} and {b} collide mod dual of gamma")
-    structure.append(CheckResult("frequency_digits", not problems, "; ".join(problems)))
-
+    k_dual = dual_lattice(K)
     e = exact.mat_mul(K.basis, gamma.inverse)
-    expansive, smallest = is_expansive(e)
-    structure.append(CheckResult(
-        "expansive", expansive, f"smallest eigenvalue modulus {smallest:.6g}"
-    ))
+    structure = [
+        frequency_digit_check(freq_digits, k_dual, dual_lattice(gamma)),
+        expansive_check(e),
+    ]
 
-    et = exact.transpose(e)
-    samples = _dual_box(k_dual, box_radius)
-    isometry = 0.0
-    range_orth = 0.0
-    pairs = [(la, lb) for la in freq_digits for lb in freq_digits if la != lb]
-    for u in samples:
-        pushed = exact.mat_vec(et, u)
-        isometry = max(
-            isometry,
-            abs(integrate_exponential(measure, exact.to_floats(pushed))
-                - integrate_exponential(measure, exact.to_floats(u))),
-        )
-        for la, lb in pairs:
-            arg = exact.vec_add(pushed, exact.vec_sub(lb, la))
-            range_orth = max(
-                range_orth,
-                abs(integrate_exponential(measure, exact.to_floats(arg))),
-            )
+    def digit_mask(s):
+        return sum(
+            np.exp(2j * np.pi * float(exact.dot(b, s))) for b in digits
+        ) / len(digits)
 
-    completeness: float | None = None
-    if digits is not None:
-        n = len(digits)
-        completeness = 0.0
-        for s in samples:
-            total = 0j
-            for l in freq_digits:
-                arg = exact.vec_sub(s, l)
-                total += sum(
-                    np.exp(2j * np.pi * float(exact.dot(b, arg))) for b in digits
-                ) / n
-            completeness = max(completeness, abs(total - 1))
+    isometry, range_orth, completeness = _relation_maxima(
+        lattice_points_in_box(k_dual, box_radius),
+        partial(exact.mat_vec, exact.transpose(e)),
+        freq_digits,
+        partial(integrate_exponential, measure),
+        None if digits is None else digit_mask,
+    )
 
     residuals_ok = isometry <= tolerance and range_orth <= tolerance and (
         completeness is None or completeness <= tolerance

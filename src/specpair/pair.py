@@ -27,7 +27,7 @@ from .boxes import Box, BoxUnion, difference_measure, equal_almost_everywhere
 from .cyclotomic import exp_sum_is_zero
 from .errors import NotEmbeddable
 from .exact import Vector
-from .lattice import Lattice, SimpleFactor
+from .lattice import Lattice, SimpleFactor, lattice_points_in_box
 
 MONTE_CARLO_SAMPLES = 100_000
 MONTE_CARLO_DEFECT = 1e-3  # smallest relative defect the bound speaks about
@@ -74,21 +74,12 @@ def indicator_transform(omega: BoxUnion, t) -> complex:
     Evaluates the per-axis closed form; at exact rational ``t`` a vanishing
     value is detected exactly and returned as literal complex zero.
     """
-    if isinstance(t, (int, float, Fraction)):
-        t = (t,)
-    if len(t) != omega.dim:
-        raise ValueError(f"expected a frequency of length {omega.dim}")
-    exact_t: tuple[Fraction, ...] | None
-    try:
-        exact_t = tuple(exact.as_rational(v) for v in t)
-    except TypeError:
-        exact_t = None
-    if exact_t is not None:
-        if all(v == 0 for v in exact_t):
+    t, is_exact = exact.as_point(t, omega.dim)
+    if is_exact:
+        if all(v == 0 for v in t):
             return complex(float(omega.measure))
-        if _exact_zero(omega, exact_t):
+        if _exact_zero(omega, t):
             return 0j
-        t = exact.to_floats(exact_t)
     total = 0j
     for box in omega.boxes:
         factor = 1 + 0j
@@ -119,26 +110,18 @@ class TruncatedSpectrum:
 def truncate_spectrum(system: SimpleFactor, radius) -> TruncatedSpectrum:
     """All points of L + dual(Gamma) with sup-norm at most ``radius``."""
     radius = exact.as_rational(radius)
-    basis = system.Gamma_dual.basis
-    # Coefficient bound: z = (basis)^{-1} xi, so |z|_inf is controlled by
-    # the row sums of the inverse times the sup-norm bound on xi.
-    inv = system.Gamma_dual.inverse
     max_digit = max(
         (abs(c) for l in system.freq_digits for c in l), default=Fraction(0)
     )
-    reach = radius + max_digit
-    bound = max(
-        int(sum(abs(c) for c in row) * reach) + 1 for row in inv
-    )
-    points: list[Vector] = []
-    for z in itertools.product(range(-bound, bound + 1), repeat=system.dim):
-        gamma_point = exact.mat_vec(basis, tuple(Fraction(c) for c in z))
+    points: set[Vector] = set()
+    for gamma_point in lattice_points_in_box(system.Gamma_dual, radius + max_digit):
         for l in system.freq_digits:
             p = exact.vec_add(gamma_point, l)
             if all(abs(c) <= radius for c in p):
-                points.append(p)
-    points = sorted(set(points), key=lambda p: (sum(c * c for c in p), p))
-    return TruncatedSpectrum(tuple(points))
+                points.add(p)
+    return TruncatedSpectrum(
+        tuple(sorted(points, key=lambda p: (sum(c * c for c in p), p)))
+    )
 
 
 def orthogonality_matrix(omega: BoxUnion, spectrum: TruncatedSpectrum) -> np.ndarray:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +27,7 @@ from . import exact
 from .errors import BudgetExceeded, CollisionDetected, MemberOfSpectrum
 from .exact import Vector
 from .lattice import SimpleFactor
-from .measure import ATOM_BUDGET
+from .measure import ATOM_BUDGET, word_at
 from .transform import DEFAULT_SETTINGS, TransformSettings, mu_hat_value
 
 WITNESS_THRESHOLD = 1e-6
@@ -56,19 +55,11 @@ class SpectrumEnumeration:
         return len(self.elements)
 
     def word(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < len(self.elements):
-            raise IndexError(index)
-        letters = []
-        for _ in range(self.depth):
-            letters.append(index % self.base)
-            index //= self.base
-        return tuple(reversed(letters))
+        return word_at(index, self.base, self.depth)
 
     def index_of(self, xi) -> int | None:
-        try:
-            return self._index.get(exact.as_vector(xi, len(self.elements[0])))
-        except TypeError:
-            return None
+        point, is_exact = exact.as_point(xi, len(self.elements[0]))
+        return self._index.get(point) if is_exact else None
 
     def depth_slice(self, depth: int) -> range:
         """Indices of the sub-enumeration at a smaller depth."""
@@ -97,27 +88,9 @@ def enumerate_spectrum(system: SimpleFactor, depth: int) -> SpectrumEnumeration:
     for rank, xi in enumerate(elements):
         other = seen.setdefault(xi, rank)
         if other != rank:
-            enum = SpectrumEnumeration(depth=depth, base=system.N,
-                                       elements=tuple(elements))
-            raise CollisionDetected(
-                f"words {enum.word(other)} and {enum.word(rank)} both map to {xi}"
-            )
+            words = [word_at(i, system.N, depth) for i in (other, rank)]
+            raise CollisionDetected(f"words {words[0]} and {words[1]} both map to {xi}")
     return SpectrumEnumeration(depth=depth, base=system.N, elements=tuple(elements))
-
-
-def _term_values(
-    system: SimpleFactor,
-    s,
-    enum: SpectrumEnumeration,
-    settings: TransformSettings,
-) -> list[float]:
-    if isinstance(s, (int, float, Fraction)):
-        s = (s,)
-    values = []
-    for xi in enum.elements:
-        shifted = tuple(sv - xv for sv, xv in zip(s, xi))
-        values.append(abs(mu_hat_value(system, shifted, settings)) ** 2)
-    return values
 
 
 def _compensated(values: list[float], norms: list[float]) -> float:
@@ -138,10 +111,7 @@ def completeness_partial_sum(
     A Bessel partial sum: nonnegative terms, monotone in depth, at most
     one (plus rounding) for every s.
     """
-    enum = enumerate_spectrum(system, enum_depth)
-    values = _term_values(system, s, enum, settings)
-    norms = [float(np.linalg.norm(f)) for f in enum.floats]
-    return _compensated(values, norms)
+    return completeness_table(system, s, (enum_depth,), settings)[0].sigma
 
 
 @dataclass(frozen=True)
@@ -161,8 +131,10 @@ def completeness_table(
     depths = sorted(set(int(d) for d in depths))
     if not depths or depths[0] < 0:
         raise ValueError("depths must be nonnegative")
+    s, _ = exact.as_point(s, system.dim)
     deepest = enumerate_spectrum(system, depths[-1])
-    values = _term_values(system, s, deepest, settings)
+    values = [abs(mu_hat_value(system, exact.vec_sub(s, xi), settings)) ** 2
+              for xi in deepest.elements]
     norms = [float(np.linalg.norm(f)) for f in deepest.floats]
     rows = []
     previous = 0.0
@@ -205,26 +177,21 @@ def maximality_probe(
     family); AllOrthogonal only reports that this truncation found none.
     Raises MemberOfSpectrum when s is already enumerated.
     """
-    if isinstance(s, (int, float, Fraction)):
-        s = (s,)
+    point, is_exact = exact.as_point(s, system.dim)
     enum = enumerate_spectrum(system, enum_depth)
-    try:
-        exact_s: tuple | None = tuple(exact.as_rational(v) for v in s)
-    except TypeError:
-        exact_s = None
-    if exact_s is not None and enum.index_of(exact_s) is not None:
+    if is_exact:
+        member = enum.index_of(point) is not None
+    else:
+        member = any(tuple(row) == point for row in enum.floats)
+    if member:
         raise MemberOfSpectrum(f"{s!r} is in the depth-{enum_depth} enumeration")
-    if exact_s is None:
-        floats = tuple(float(v) for v in s)
-        if any(tuple(row) == floats for row in enum.floats):
-            raise MemberOfSpectrum(f"{s!r} is in the depth-{enum_depth} enumeration")
     order = sorted(
         range(len(enum)),
         key=lambda i: (float(np.linalg.norm(enum.floats[i])), i),
     )
     for i in order:
         xi = enum.elements[i]
-        shifted = tuple(sv - xv for sv, xv in zip(s, xi))
+        shifted = exact.vec_sub(point, xi)
         value = mu_hat_value(system, shifted, settings)
         if abs(value) > threshold:
             return Witness(xi=xi, value=value)

@@ -68,17 +68,6 @@ class BothResult(NamedTuple):
     discrepancy: float
 
 
-def _normalize_frequency(system: SimpleFactor, t):
-    if isinstance(t, (int, float, Fraction)):
-        t = (t,)
-    if len(t) != system.dim:
-        raise ValueError(f"expected a frequency of length {system.dim}")
-    try:
-        return tuple(exact.as_rational(v) for v in t), True
-    except TypeError:
-        return tuple(float(v) for v in t), False
-
-
 def mask(system: SimpleFactor, t) -> complex:
     """The digit mask (1/N) sum_b e^{i 2 pi b.t}.
 
@@ -86,7 +75,10 @@ def mask(system: SimpleFactor, t) -> complex:
     is a structural 1 (all phases integral) or a structural 0 (the root
     of unity sum vanishes in its cyclotomic field).
     """
-    freq, is_exact = _normalize_frequency(system, t)
+    return _mask(system, *exact.as_point(t, system.dim))
+
+
+def _mask(system: SimpleFactor, freq: tuple, is_exact: bool) -> complex:
     n = system.N
     if is_exact:
         phases = [exact.dot(b, freq) for b in system.digits]
@@ -104,38 +96,25 @@ def mask(system: SimpleFactor, t) -> complex:
     ) / n
 
 
-def _pull_back(system: SimpleFactor, freq, is_exact: bool):
-    """One application of (E^T)^{-1} on the frequency side."""
-    m = system.E_transpose_inverse
-    if is_exact:
-        return exact.mat_vec(m, freq)
-    mf = exact.matrix_to_floats(m)
-    return tuple(
-        sum(mf[i][j] * freq[j] for j in range(system.dim))
-        for i in range(system.dim)
-    )
-
-
 @lru_cache(maxsize=8)
 def _cached_measure(system: SimpleFactor, depth: int) -> DiscreteMeasure:
     return refine_measure(build_ifs(system), depth)
 
 
 def _mu_hat_product(system: SimpleFactor, t, depth: int) -> complex:
-    freq, is_exact = _normalize_frequency(system, t)
+    freq, is_exact = exact.as_point(t, system.dim)
     value = complex(1.0)
     for _ in range(depth):
-        factor = mask(system, freq)
+        factor = _mask(system, freq, is_exact)
         if factor == 0:
             return 0j
         value *= factor
-        freq = _pull_back(system, freq, is_exact)
+        freq = system.pull(freq)
     return value
 
 
 def _mu_hat_quadrature(system: SimpleFactor, t, depth: int) -> complex:
-    freq, _ = _normalize_frequency(system, t)
-    return integrate_exponential(_cached_measure(system, depth), freq)
+    return integrate_exponential(_cached_measure(system, depth), t)
 
 
 def mu_hat(system: SimpleFactor, t, settings: TransformSettings = DEFAULT_SETTINGS):
@@ -179,12 +158,8 @@ def functional_equation_residual(
     """
     if settings is None:
         settings = TransformSettings(backend="quadrature")
-    freq, is_exact = _normalize_frequency(system, t)
-    et = system.E_transpose if is_exact else exact.matrix_to_floats(system.E_transpose)
-    pushed = tuple(
-        sum(et[i][j] * freq[j] for j in range(system.dim))
-        for i in range(system.dim)
-    )
+    freq, _ = exact.as_point(t, system.dim)
+    pushed = system.push(freq)
     left = mu_hat_value(system, pushed, settings)
     right = mask(system, pushed) * mu_hat_value(system, freq, settings)
     return abs(left - right)

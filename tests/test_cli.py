@@ -2,6 +2,9 @@ import csv
 import io
 import json
 
+import pytest
+
+from specpair import dumps_spec, parse_spec
 from specpair.cli import main
 
 
@@ -111,6 +114,24 @@ def test_unknown_spec_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "--spec", "nonexistent")
     assert code == 2
     assert "error" in err
+
+
+def test_pair_on_sheared_k_basis_is_usage_error(tmp_path, capsys):
+    loaded = parse_spec("scale4x2")
+    document = json.loads(dumps_spec(loaded.system, loaded.omega, loaded.d_prime))
+    document["K_basis"] = [["1", "1"], ["0", "1"]]  # the same lattice Z^2
+    path = tmp_path / "sheared.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(capsys, "pair", "--spec", str(path), "--box", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_seed_belongs_to_pair_alone(capsys):
+    assert run(capsys, "pair", "--spec", "scale4", "--box", "2", "--seed", "3")[0] == 0
+    with pytest.raises(SystemExit):
+        main(["validate", "--spec", "scale4", "--seed", "3"])
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import specpair as sp
 from specpair import exact
-from specpair.lattice import is_expansive
+from specpair.lattice import is_expansive, lattice_points_in_box
 
 
 def test_dual_of_integers_is_integers():
@@ -93,13 +93,13 @@ def test_coset_representatives_2d_count():
 
 
 def test_expansion_map_examples(scale4, scale4x2):
-    assert sp.expansion_map(scale4.system) == ((F(4),),)
+    assert scale4.system.E == ((F(4),),)
     same = sp.SimpleFactor(
         K=sp.Lattice([[1]]), A=sp.Lattice([[1]]), Gamma=sp.Lattice([[1]]),
         digits=[(0,)], freq_digits=[(0,)],
     )
-    assert sp.expansion_map(same) == exact.identity(1)
-    assert sp.expansion_map(scale4x2.system) == ((F(4), F(0)), (F(0), F(4)))
+    assert same.E == exact.identity(1)
+    assert scale4x2.system.E == ((F(4), F(0)), (F(0), F(4)))
 
 
 def test_expansion_carries_lattices(scale4x2):
@@ -116,6 +116,27 @@ def test_frequency_map_examples(scale4, scale4x2):
     assert sp.frequency_map(scale4x2.system, (1, 1), (F(1), F(0))) == (F(5), F(1))
     with pytest.raises(sp.UnknownDigit):
         sp.frequency_map(scale4.system, 2, (F(0),))
+
+
+def test_lattice_points_in_box_sheared_basis():
+    lat = sp.Lattice([[1, F(1, 2)], [0, F(1, 2)]])  # columns (1, 0), (1/2, 1/2)
+    points = lattice_points_in_box(lat, 2)
+    span = {exact.mat_vec(lat.basis, (F(a), F(b)))
+            for a in range(-9, 10) for b in range(-9, 10)}
+    assert sorted(points) == sorted(x for x in span if max(map(abs, x)) <= 2)
+    half = F(1, 2)
+    assert points[:5] == [(0, 0), (half, half), (half, -half), (-half, half),
+                          (-half, -half)]  # nearest first, positive side first
+
+
+def test_push_and_pull_keep_the_point_kind(scale4x2):
+    system = scale4x2.system
+    pushed = system.push((F(1, 3), F(-2)))
+    assert pushed == (F(4, 3), F(-8)) and all(type(c) is F for c in pushed)
+    assert system.pull(pushed) == (F(1, 3), F(-2))
+    pulled = system.pull((1.0, -3.0))
+    assert pulled == (0.25, -0.75) and all(type(c) is float for c in pulled)
+    assert system.push(pulled) == (1.0, -3.0)
 
 
 def test_frequency_map_accepts_floats(scale4):

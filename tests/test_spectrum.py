@@ -73,6 +73,11 @@ def test_completeness_table_matches_partial_sums(scale4):
         assert row.sigma == direct
 
 
+def test_completeness_accepts_rational_strings(scale4):
+    rows = sp.completeness_table(scale4.system, ("1/2",), [3])
+    assert rows == sp.completeness_table(scale4.system, (F(1, 2),), [3])
+
+
 def test_maximality_probe_witnesses(scale4):
     system = scale4.system
     probe = sp.maximality_probe(system, 2, 6)

@@ -24,6 +24,14 @@ def test_mask_2d(scale4x2):
     assert sp.mask(system, (4, 4)) == 1.0
 
 
+def test_mask_takes_numpy_integers_exactly(scale4):
+    assert sp.mask(scale4.system, np.int64(1)) == 0j
+
+
+def test_mu_hat_takes_numpy_integers_exactly(scale4):
+    assert sp.mu_hat_value(scale4.system, (np.int64(1),)) == 0j
+
+
 def test_mask_float_frequency(scale4):
     system = scale4.system
     value = sp.mask(system, 0.5)
