@@ -11,12 +11,13 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 
 from . import acceptance, exact
-from .errors import ParseError, SpectralPairError
+from .errors import BudgetExceeded, ParseError, SpectralPairError
 from .operators import relation_residuals, state_eval
 from .pair import orthogonality_matrix, reduce_mod_lattice, tiling_check, truncate_spectrum
 from .measure import build_ifs, refine_measure
@@ -27,13 +28,18 @@ from .transform import TransformSettings, mu_hat, BothResult
 
 RELATION_TOLERANCE = 1e-6
 ORTHOGONALITY_TOLERANCE = 1e-12
+# points in one transform grid, checked before any is allocated
+GRID_BUDGET = 2**20
 
 
-def _parse_vector(text: str) -> tuple[Fraction, ...]:
+def _parse_vector(text: str, dim: int) -> tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
+        vector = tuple(Fraction(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"invalid vector {text!r}: {exc}") from exc
+    if len(vector) != dim:
+        raise ParseError(f"vector {text!r} has {len(vector)} entries, expected {dim}")
+    return vector
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -49,8 +55,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-def _emit(args, rows, fieldnames=None) -> None:
-    text = emit_table(rows, args.format, args.out, fieldnames=fieldnames)
+def _emit(args, rows) -> None:
+    text = emit_table(rows, args.format, args.out)
     if args.out is None:
         sys.stdout.write(text)
 
@@ -62,14 +68,6 @@ def _emit_json(args, payload: dict) -> None:
     else:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _settings(args) -> TransformSettings:
-    return TransformSettings(
-        product_depth=args.product_depth,
-        quadrature_depth=args.quadrature_depth,
-        backend=getattr(args, "backend", "product"),
-    )
 
 
 def cmd_validate(args) -> int:
@@ -122,28 +120,28 @@ def cmd_measure(args) -> int:
 def cmd_transform(args) -> int:
     loaded = parse_spec(args.spec, require_valid=False)
     system = loaded.system
-    settings = _settings(args)
+    settings = TransformSettings(args.product_depth, args.quadrature_depth, args.backend)
     if args.s is not None:
-        points = [_parse_vector(args.s)]
+        points = [_parse_vector(args.s, system.dim)]
     elif args.grid is not None:
         lo, hi, count = _parse_grid(args.grid)
-        axis = np.linspace(lo, hi, count)
-        points = [p for p in itertools.product(axis, repeat=system.dim)]
+        if count**system.dim > GRID_BUDGET:
+            raise BudgetExceeded(
+                f"{count}^{system.dim} grid points exceed the budget {GRID_BUDGET}"
+            )
+        points = itertools.product(np.linspace(lo, hi, count), repeat=system.dim)
     else:
         raise ParseError("transform needs --s or --grid")
-    depth = (settings.quadrature_depth if settings.backend == "quadrature"
-             else settings.product_depth)
+    depth = args.quadrature_depth if args.backend == "quadrature" else args.product_depth
     rows = []
     for point in points:
-        value = mu_hat(system, tuple(point), settings)
+        value = mu_hat(system, point, settings)
+        both = isinstance(value, BothResult)
+        z = value.value if both else value
         row = {f"t{i}": float(c) for i, c in enumerate(point)}
-        if isinstance(value, BothResult):
-            row.update(re=value.value.real, im=value.value.imag,
-                       abs=abs(value.value), backend="both", depth=depth,
-                       discrepancy=value.discrepancy)
-        else:
-            row.update(re=value.real, im=value.imag, abs=abs(value),
-                       backend=settings.backend, depth=depth)
+        row.update(re=z.real, im=z.imag, abs=abs(z), backend=args.backend, depth=depth)
+        if both:
+            row["discrepancy"] = value.discrepancy
         rows.append(row)
     _emit(args, rows)
     return 0
@@ -152,7 +150,7 @@ def cmd_transform(args) -> int:
 def cmd_spectrum(args) -> int:
     loaded = parse_spec(args.spec, require_valid=False)
     system = loaded.system
-    settings = _settings(args)
+    settings = TransformSettings(product_depth=args.product_depth)
     if args.frequencies:
         enum = enumerate_spectrum(system, args.enum_depth)
         rows = [
@@ -165,19 +163,16 @@ def cmd_spectrum(args) -> int:
         return 0
     if args.s is None:
         raise ParseError("spectrum needs --s (or --frequencies)")
-    s = _parse_vector(args.s)
+    s = _parse_vector(args.s, system.dim)
     rows = completeness_table(system, s, range(0, args.enum_depth + 1), settings)
-    _emit(args, [
-        {"depth": r.depth, "sigma": r.sigma, "increment": r.increment}
-        for r in rows
-    ])
+    _emit(args, [asdict(r) for r in rows])
     return 0 if all(r.sigma <= 1 + 1e-9 for r in rows) else 1
 
 
 def cmd_cuntz(args) -> int:
     loaded = parse_spec(args.spec, require_valid=False)
     system = loaded.system
-    settings = _settings(args)
+    settings = TransformSettings(product_depth=args.product_depth)
     report = relation_residuals(system, box_radius=args.box, settings=settings)
     state_rows = []
     for index, digit in enumerate(system.freq_digits):
@@ -210,14 +205,17 @@ def cmd_accept(args) -> int:
         print(result.line())
     if args.out is not None:
         _emit_json(args, {
-            "results": [
-                {"number": r.number, "title": r.title, "passed": r.passed,
-                 "detail": r.detail}
-                for r in results
-            ],
+            "results": [asdict(r) for r in results],
             "passed": all(r.passed for r in results),
         })
     return 0 if all(r.passed for r in results) else 1
+
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,59 +225,55 @@ def build_parser() -> argparse.ArgumentParser:
                     "induced self-similar measures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--spec": dict(required=True,
+                       help=f"path to a spec JSON file or one of {builtin_names()}"),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--out": dict(default=None, help="write output to this path"),
+        "--product-depth": dict(type=int, default=30),
+        "--quadrature-depth": dict(type=_nonnegative, default=12),
+    }
 
-    def add_common(p, spec=True):
-        if spec:
-            p.add_argument(
-                "--spec", required=True,
-                help=f"path to a spec JSON file or one of {builtin_names()}",
-            )
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--product-depth", type=int, default=30)
-        p.add_argument("--quadrature-depth", type=int, default=12)
+    def add(name, func, help, *options):
+        p = sub.add_parser(name, help=help)
+        for option in options:
+            p.add_argument(option, **shared[option])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="structural validation report (JSON)")
-    add_common(p)
-    p.set_defaults(func=cmd_validate)
+    add("validate", cmd_validate, "structural validation report (JSON)",
+        "--spec", "--out")
 
-    p = sub.add_parser("pair", help="orthogonality and tiling checks (JSON)")
-    add_common(p)
-    p.add_argument("--box", type=int, default=8, help="spectrum truncation radius")
+    p = add("pair", cmd_pair, "orthogonality and tiling checks (JSON)",
+            "--spec", "--out")
+    p.add_argument("--box", type=_nonnegative, default=8,
+                   help="spectrum truncation radius")
     p.add_argument("--seed", type=int, default=0,
                    help="sampling seed for tilings on non-rectangular lattices")
-    p.set_defaults(func=cmd_pair)
 
-    p = sub.add_parser("measure", help="refine the invariant measure and export atoms")
-    add_common(p)
-    p.set_defaults(func=cmd_measure)
+    add("measure", cmd_measure, "refine the invariant measure and export atoms",
+        "--spec", "--format", "--out", "--quadrature-depth")
 
-    p = sub.add_parser("transform", help="evaluate the measure transform on a grid")
-    add_common(p)
+    p = add("transform", cmd_transform, "evaluate the measure transform on a grid",
+            "--spec", "--format", "--out", "--product-depth", "--quadrature-depth")
     p.add_argument("--grid", default=None, help="lo:hi:count per axis")
     p.add_argument("--s", default=None, help="single frequency, comma separated")
     p.add_argument("--backend", choices=("product", "quadrature", "both"),
                    default="product")
-    p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("spectrum", help="completeness table or frequency list")
-    add_common(p)
+    p = add("spectrum", cmd_spectrum, "completeness table or frequency list",
+            "--spec", "--format", "--out", "--product-depth")
     p.add_argument("--s", default=None, help="probe frequency, comma separated")
-    p.add_argument("--enum-depth", type=int, default=8)
+    p.add_argument("--enum-depth", type=_nonnegative, default=8)
     p.add_argument("--frequencies", action="store_true",
                    help="emit the enumerated frequencies instead of the table")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("cuntz", help="relation residuals and state table (JSON)")
-    add_common(p)
-    p.add_argument("--box", type=int, default=32, help="dual sample box radius")
-    p.set_defaults(func=cmd_cuntz)
+    p = add("cuntz", cmd_cuntz, "relation residuals and state table (JSON)",
+            "--spec", "--out", "--product-depth")
+    p.add_argument("--box", type=_nonnegative, default=32,
+                   help="dual sample box radius")
 
-    p = sub.add_parser("accept", help="run the full acceptance suite")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_accept)
-
+    add("accept", cmd_accept, "run the full acceptance suite", "--out")
     return parser
 
 

@@ -111,10 +111,6 @@ def vec_sub(u: Sequence, v: Sequence) -> tuple:
     return tuple(x - y for x, y in zip(u, v))
 
 
-def vec_scale(c, v: Sequence) -> tuple:
-    return tuple(c * x for x in v)
-
-
 def dot(u: Sequence, v: Sequence):
     return sum(x * y for x, y in zip(u, v))
 

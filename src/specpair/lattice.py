@@ -20,7 +20,7 @@ controls) can be constructed, probed and reported on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -278,6 +278,8 @@ def lattice_points_in_box(lat: Lattice, radius) -> list[Vector]:
     Ties in norm go in decreasing lexicographic order, so +1 comes ahead
     of -1.
     """
+    if radius < 0:
+        raise ValueError(f"box radius {radius} is negative")
     # z = basis^{-1} x, so |z|_inf is at most the largest row sum of the
     # inverse times the sup-norm bound on x.
     bound = max(int(sum(abs(c) for c in row) * radius) + 1 for row in lat.inverse)
@@ -323,14 +325,7 @@ class ValidationReport:
         raise KeyError(name)
 
     def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "degenerate": self.degenerate,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 HADAMARD_TOLERANCE = 1e-12

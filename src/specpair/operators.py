@@ -21,7 +21,7 @@ delta, which the property tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -193,14 +193,7 @@ class RelationReport:
         return tuple(out)
 
     def as_dict(self) -> dict:
-        return {
-            "isometry": self.isometry,
-            "range_orthogonality": self.range_orthogonality,
-            "completeness": self.completeness,
-            "box_radius": self.box_radius,
-            "sample_count": self.sample_count,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def _relation_maxima(samples, push, freq_digits, transform, mask_at):
@@ -269,20 +262,6 @@ class ConsistencyReport:
         if self.completeness is not None and self.completeness > self.tolerance:
             out.append(f"completeness residual {self.completeness:.3e}")
         return tuple(out)
-
-    def as_dict(self) -> dict:
-        return {
-            "consistent": self.consistent,
-            "structure": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.structure
-            ],
-            "isometry": self.isometry,
-            "range_orthogonality": self.range_orthogonality,
-            "completeness": self.completeness,
-            "tolerance": self.tolerance,
-            "failures": list(self.failures()),
-        }
 
 
 def classify_measure(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +110,8 @@ class TruncatedSpectrum:
 def truncate_spectrum(system: SimpleFactor, radius) -> TruncatedSpectrum:
     """All points of L + dual(Gamma) with sup-norm at most ``radius``."""
     radius = exact.as_rational(radius)
+    if radius < 0:
+        raise ValueError(f"spectrum radius {radius} is negative")
     max_digit = max(
         (abs(c) for l in system.freq_digits for c in l), default=Fraction(0)
     )
@@ -251,14 +253,9 @@ class TilingReport:
 
     def as_dict(self) -> dict:
         return {
-            "fundamental_domain": self.fundamental_domain,
-            "translates_disjoint": self.translates_disjoint,
-            "union_matches": self.union_matches,
-            "method": self.method,
+            **asdict(self),
             "measure_domain": exact.format_rational(self.measure_domain),
             "measure_cell": exact.format_rational(self.measure_cell),
-            "failure_probability": self.failure_probability,
-            "detail": self.detail,
             "ok": self.ok,
         }
 

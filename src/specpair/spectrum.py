@@ -93,13 +93,6 @@ def enumerate_spectrum(system: SimpleFactor, depth: int) -> SpectrumEnumeration:
     return SpectrumEnumeration(depth=depth, base=system.N, elements=tuple(elements))
 
 
-def _compensated(values: list[float], norms: list[float]) -> float:
-    # accumulate far-out (tiny) terms first; fsum is exact regardless,
-    # the ordering keeps partial results reproducible
-    ordered = sorted(zip(norms, values), key=lambda p: (-p[0], p[1]))
-    return math.fsum(v for _, v in ordered)
-
-
 def completeness_partial_sum(
     system: SimpleFactor,
     s,
@@ -135,13 +128,11 @@ def completeness_table(
     deepest = enumerate_spectrum(system, depths[-1])
     values = [abs(mu_hat_value(system, exact.vec_sub(s, xi), settings)) ** 2
               for xi in deepest.elements]
-    norms = [float(np.linalg.norm(f)) for f in deepest.floats]
     rows = []
     previous = 0.0
     for depth in depths:
-        indices = deepest.depth_slice(depth)
-        sigma = _compensated([values[i] for i in indices],
-                             [norms[i] for i in indices])
+        # fsum is correctly rounded, so the order of the terms cannot matter
+        sigma = math.fsum(values[i] for i in deepest.depth_slice(depth))
         rows.append(CompletenessRow(depth=depth, sigma=sigma,
                                     increment=sigma - previous))
         previous = sigma

@@ -1,11 +1,16 @@
+import argparse
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specpair import dumps_spec, parse_spec
-from specpair.cli import main
+from specpair.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -162,3 +167,87 @@ def test_vector_flag_parses_rationals(capsys):
     assert code == 0
     row = next(csv.DictReader(io.StringIO(out)))
     assert float(row["t0"]) == 0.5 and float(row["t1"]) == 0.75
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _registered_options():
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_each_subcommand_registers_only_the_options_it_reads():
+    assert _registered_options() == {
+        "validate": {"--spec", "--out"},
+        "pair": {"--spec", "--out", "--box", "--seed"},
+        "measure": {"--spec", "--format", "--out", "--quadrature-depth"},
+        "transform": {"--spec", "--format", "--out", "--product-depth",
+                      "--quadrature-depth", "--grid", "--s", "--backend"},
+        "spectrum": {"--spec", "--format", "--out", "--product-depth", "--s",
+                     "--enum-depth", "--frequencies"},
+        "cuntz": {"--spec", "--out", "--product-depth", "--box"},
+        "accept": {"--out"},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    # options that subcommand no longer registers
+    ["validate", "--spec", "scale4", "--format", "csv"],
+    ["pair", "--spec", "scale4", "--product-depth", "30"],
+    ["measure", "--spec", "scale4", "--product-depth", "30"],
+    ["spectrum", "--spec", "scale4", "--s", "2", "--quadrature-depth", "12"],
+    ["cuntz", "--spec", "scale4", "--format", "csv"],
+    ["accept", "--format", "json"],
+    # bad values
+    ["transform", "--spec", "scale4", "--s", "1", "--quadrature-depth", "-1"],
+    ["measure", "--spec", "scale4", "--quadrature-depth", "-1"],
+    ["spectrum", "--spec", "scale4", "--s", "2", "--enum-depth", "-1"],
+    ["pair", "--spec", "scale4", "--box", "-1"],
+    ["cuntz", "--spec", "scale4", "--box", "-1"],
+    ["transform", "--spec", "scale4", "--s", "1,2"],
+    ["spectrum", "--spec", "scale4x2", "--s", "2"],
+])
+def test_bad_flags_are_usage_errors(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_transform_grid_is_budgeted_before_allocation(capsys, monkeypatch):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("grid allocated before the budget check")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    code, out, err = run(capsys, "transform", "--spec", "scale4x2",
+                         "--grid=-8:8:100000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: BudgetExceeded") and err.count("\n") == 1
+
+
+def test_readme_lists_each_subcommands_options():
+    text = README.read_text(encoding="utf-8")
+    listed = {
+        name: set(re.findall(r"--[a-z-]+", usage))
+        for name, usage in re.findall(r"^- `([a-z]+)\b(.*)`$", text, re.M)
+    }
+    assert listed == _registered_options()
+
+
+def test_readme_commands_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in blocks for line in block.splitlines()
+                if line.startswith("specpair ")]
+    assert len(commands) >= 7
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

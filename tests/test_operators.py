@@ -122,6 +122,11 @@ def test_relation_residuals_degenerate():
     assert report.completeness == 0.0
 
 
+def test_relation_residuals_rejects_an_empty_sample_box(scale4):
+    with pytest.raises(ValueError, match="negative"):
+        sp.relation_residuals(scale4.system, box_radius=-1)
+
+
 def test_gram_of_short_words_is_identity(scale4):
     system = scale4.system
     settings = TransformSettings(product_depth=30)

@@ -65,6 +65,12 @@ def test_truncate_spectrum(scale4):
     assert (F(0),) in spectrum.points
 
 
+@pytest.mark.parametrize("radius", [-1, "-1/2"])
+def test_truncate_spectrum_rejects_negative_radius(scale4, radius):
+    with pytest.raises(ValueError, match="negative"):
+        sp.truncate_spectrum(scale4.system, radius)
+
+
 def test_truncated_spectrum_invariants():
     with pytest.raises(ValueError):
         sp.TruncatedSpectrum(((F(1),), (F(2),)))  # zero missing
