@@ -30,13 +30,21 @@ CASES = {
     "transform-2d": ["transform", "--spec", "scale4x2", "--s", "1/2,3/4"],
     "transform-grid-both": ["transform", "--spec", "scale4", "--grid=-8:8:65",
                             "--backend", "both"],
+    "transform-grid-quadrature": ["transform", "--spec", "scale4", "--grid=-4:4:17",
+                                  "--backend", "quadrature", "--quadrature-depth", "8"],
+    "transform-2d-grid-both": ["transform", "--spec", "scale4x2", "--grid=-2:2:5",
+                               "--backend", "both"],
     "spectrum-table": ["spectrum", "--spec", "scale4", "--s", "2",
                        "--enum-depth", "10"],
     "spectrum-frequencies": ["spectrum", "--spec", "scale4", "--frequencies",
                              "--format", "json"],
+    "spectrum-table-depth12": ["spectrum", "--spec", "scale4", "--s", "2",
+                               "--enum-depth", "8", "--product-depth", "12"],
     "cuntz-scale4": ["cuntz", "--spec", "scale4"],
     "cuntz-scale4x2": ["cuntz", "--spec", "scale4x2", "--box", "8"],
     "cuntz-middlethird": ["cuntz", "--spec", "middlethird"],
+    "cuntz-scale4-depth12": ["cuntz", "--spec", "scale4", "--box", "8",
+                             "--product-depth", "12"],
 }
 
 
