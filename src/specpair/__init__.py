@@ -84,25 +84,22 @@ from .spectrum import (
     CompletenessRow,
     SpectrumEnumeration,
     Witness,
-    completeness_partial_sum,
     completeness_table,
     enumerate_spectrum,
     maximality_probe,
 )
 from .tables import emit_table, render_table
 from .transform import (
-    BothResult,
     TransformSettings,
     functional_equation_residual,
     mask,
-    mu_hat,
     mu_hat_value,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineIFS", "AllOrthogonal", "BadSection", "BothResult", "Box",
+    "AffineIFS", "AllOrthogonal", "BadSection", "Box",
     "BoxUnion", "BudgetExceeded", "CheckResult", "CollisionDetected",
     "CompletenessRow", "ConsistencyReport", "DepthTooLarge",
     "DiscreteMeasure", "ExponentialVector", "IdenticalPoints", "Lattice",
@@ -114,12 +111,12 @@ __all__ = [
     "ValidationReport", "Witness", "Word", "apply_adjoint",
     "apply_generator", "apply_word", "apply_word_adjoint", "as_word",
     "build_ifs", "builtin_names", "classify_measure",
-    "completeness_partial_sum", "completeness_table",
+    "completeness_table",
     "coset_representatives", "document_from", "dual_lattice", "dumps_spec",
     "emit_table", "enumerate_spectrum", "frequency_map",
     "functional_equation_residual", "inclusion_matrix",
     "indicator_transform", "integrate_exponential", "mask",
-    "maximality_probe", "mu_hat", "mu_hat_value", "orthogonality_matrix",
+    "maximality_probe", "mu_hat_value", "orthogonality_matrix",
     "parse_document", "parse_spec", "reduce_mod_lattice", "refine_measure",
     "relation_residuals", "render_table", "same_lattice",
     "separation_witness", "state_eval", "tiling_check",

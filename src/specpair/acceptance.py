@@ -75,8 +75,7 @@ def criterion_1_sigma_reproduction() -> CriterionResult:
     """Completeness sums at s=2: monotone, Bessel-bounded, near 1, calibrated."""
     system = _scale4().system
     depths = range(4, 13)
-    settings = TransformSettings(product_depth=30)
-    rows = completeness_table(system, 2, depths, settings)
+    rows = completeness_table(system, 2, depths, product_depth=30)
 
     # re-run the quadrature oracle and hold it to the frozen golden data
     measure = refine_measure(build_ifs(system), 12)
@@ -175,9 +174,7 @@ def criterion_3_functional_equation() -> CriterionResult:
 def criterion_4_relations() -> CriterionResult:
     """Isometry relations on the sample box."""
     system = _scale4().system
-    report = relation_residuals(
-        system, box_radius=32, settings=TransformSettings(product_depth=40)
-    )
+    report = relation_residuals(system, box_radius=32, product_depth=40)
     passed = (
         report.isometry < 1e-9
         and report.range_orthogonality == 0.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -18,18 +19,28 @@ import numpy as np
 
 from . import acceptance, exact
 from .errors import BudgetExceeded, ParseError, SpectralPairError
+from .lattice import box_candidates
 from .operators import relation_residuals, state_eval
-from .pair import orthogonality_matrix, reduce_mod_lattice, tiling_check, truncate_spectrum
+from .pair import (
+    orthogonality_matrix, reduce_mod_lattice, spectrum_candidates, tiling_check,
+    truncate_spectrum,
+)
 from .measure import build_ifs, refine_measure
 from .specfile import builtin_names, parse_spec
 from .spectrum import completeness_table, enumerate_spectrum
 from .tables import emit_table
-from .transform import TransformSettings, mu_hat, BothResult
+from .transform import TransformSettings, check_product_depth, mu_hat_value
 
 RELATION_TOLERANCE = 1e-6
 ORTHOGONALITY_TOLERANCE = 1e-12
-# points in one transform grid, checked before any is allocated
-GRID_BUDGET = 2**20
+# transform grid points (transform) or transform evaluations (pair, cuntz)
+# one request may make, checked before anything is enumerated or allocated
+EVALUATION_BUDGET = 2**20
+
+
+def _check_budget(evaluations: int, what: str) -> None:
+    if evaluations > EVALUATION_BUDGET:
+        raise BudgetExceeded(f"{what} exceed the budget {EVALUATION_BUDGET}")
 
 
 def _parse_vector(text: str, dim: int) -> tuple[Fraction, ...]:
@@ -52,6 +63,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise ParseError(f"invalid grid {text!r}: {exc}") from exc
     if count < 1:
         raise ParseError("grid count must be positive")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParseError(f"grid bounds must be finite, got {text!r}")
     return lo, hi, count
 
 
@@ -80,6 +93,8 @@ def cmd_pair(args) -> int:
     loaded = parse_spec(args.spec, require_valid=False)
     if loaded.omega is None or loaded.d_prime is None:
         raise ParseError(f"spec {loaded.name!r} carries no domain geometry")
+    candidates = spectrum_candidates(loaded.system, args.box)
+    _check_budget(candidates**2 // 2, f"{candidates}^2/2 Gram entries")
     spectrum = truncate_spectrum(loaded.system, args.box)
     gram = orthogonality_matrix(loaded.omega, spectrum)
     off = gram - np.eye(len(spectrum))
@@ -120,28 +135,26 @@ def cmd_measure(args) -> int:
 def cmd_transform(args) -> int:
     loaded = parse_spec(args.spec, require_valid=False)
     system = loaded.system
-    settings = TransformSettings(args.product_depth, args.quadrature_depth, args.backend)
+    backends = ("product", "quadrature") if args.backend == "both" else (args.backend,)
+    settings = [TransformSettings(args.product_depth, args.quadrature_depth, backend)
+                for backend in backends]
     if args.s is not None:
         points = [_parse_vector(args.s, system.dim)]
     elif args.grid is not None:
         lo, hi, count = _parse_grid(args.grid)
-        if count**system.dim > GRID_BUDGET:
-            raise BudgetExceeded(
-                f"{count}^{system.dim} grid points exceed the budget {GRID_BUDGET}"
-            )
+        _check_budget(count**system.dim, f"{count}^{system.dim} grid points")
         points = itertools.product(np.linspace(lo, hi, count), repeat=system.dim)
     else:
         raise ParseError("transform needs --s or --grid")
     depth = args.quadrature_depth if args.backend == "quadrature" else args.product_depth
     rows = []
     for point in points:
-        value = mu_hat(system, point, settings)
-        both = isinstance(value, BothResult)
-        z = value.value if both else value
+        values = [mu_hat_value(system, point, s) for s in settings]
+        z = values[0]
         row = {f"t{i}": float(c) for i, c in enumerate(point)}
         row.update(re=z.real, im=z.imag, abs=abs(z), backend=args.backend, depth=depth)
-        if both:
-            row["discrepancy"] = value.discrepancy
+        if args.backend == "both":
+            row["discrepancy"] = abs(values[0] - values[1])
         rows.append(row)
     _emit(args, rows)
     return 0
@@ -150,7 +163,7 @@ def cmd_transform(args) -> int:
 def cmd_spectrum(args) -> int:
     loaded = parse_spec(args.spec, require_valid=False)
     system = loaded.system
-    settings = TransformSettings(product_depth=args.product_depth)
+    check_product_depth(args.product_depth)
     if args.frequencies:
         enum = enumerate_spectrum(system, args.enum_depth)
         rows = [
@@ -164,7 +177,8 @@ def cmd_spectrum(args) -> int:
     if args.s is None:
         raise ParseError("spectrum needs --s (or --frequencies)")
     s = _parse_vector(args.s, system.dim)
-    rows = completeness_table(system, s, range(0, args.enum_depth + 1), settings)
+    rows = completeness_table(system, s, range(0, args.enum_depth + 1),
+                              args.product_depth)
     _emit(args, [asdict(r) for r in rows])
     return 0 if all(r.sigma <= 1 + 1e-9 for r in rows) else 1
 
@@ -172,12 +186,14 @@ def cmd_spectrum(args) -> int:
 def cmd_cuntz(args) -> int:
     loaded = parse_spec(args.spec, require_valid=False)
     system = loaded.system
-    settings = TransformSettings(product_depth=args.product_depth)
-    report = relation_residuals(system, box_radius=args.box, settings=settings)
+    candidates = box_candidates(system.K_dual, args.box)
+    per_sample = 2 + len(system.freq_digits) * (len(system.freq_digits) - 1)
+    _check_budget(candidates * per_sample, f"{candidates}*{per_sample} transform values")
+    report = relation_residuals(system, args.box, args.product_depth)
     state_rows = []
     for index, digit in enumerate(system.freq_digits):
-        value = state_eval(system, (digit,), (), settings)
-        projected = state_eval(system, (digit,), (digit,), settings)
+        value = state_eval(system, (digit,), (), args.product_depth)
+        projected = state_eval(system, (digit,), (digit,), args.product_depth)
         state_rows.append({
             "digit_index": index,
             "digit": [exact.format_rational(c) for c in digit],

@@ -272,6 +272,17 @@ def frequency_map(system: SimpleFactor, ell, s) -> tuple:
     return exact.vec_add(system.push(point), vec)
 
 
+def _coefficient_bound(lat: Lattice, radius) -> int:
+    # z = basis^{-1} x, so |z|_inf is at most the largest row sum of the
+    # inverse times the sup-norm bound on x.
+    return max(int(sum(abs(c) for c in row) * radius) + 1 for row in lat.inverse)
+
+
+def box_candidates(lat: Lattice, radius) -> int:
+    """How many coefficient vectors ``lattice_points_in_box`` tries: (2b+1)^d."""
+    return (2 * _coefficient_bound(lat, radius) + 1) ** lat.dim
+
+
 def lattice_points_in_box(lat: Lattice, radius) -> list[Vector]:
     """Lattice points with sup-norm <= radius, nearest first, positive first.
 
@@ -280,9 +291,7 @@ def lattice_points_in_box(lat: Lattice, radius) -> list[Vector]:
     """
     if radius < 0:
         raise ValueError(f"box radius {radius} is negative")
-    # z = basis^{-1} x, so |z|_inf is at most the largest row sum of the
-    # inverse times the sup-norm bound on x.
-    bound = max(int(sum(abs(c) for c in row) * radius) + 1 for row in lat.inverse)
+    bound = _coefficient_bound(lat, radius)
     points = []
     for z in itertools.product(range(-bound, bound + 1), repeat=lat.dim):
         x = exact.mat_vec(lat.basis, tuple(Fraction(c) for c in z))

@@ -42,13 +42,7 @@ from .lattice import (
     same_lattice,
 )
 from .measure import DiscreteMeasure, integrate_exponential
-from .transform import (
-    DEFAULT_SETTINGS,
-    TransformSettings,
-    _cached_measure,
-    mask,
-    mu_hat_value,
-)
+from .transform import TransformSettings, _cached_measure, mask, mu_hat_value
 
 
 @dataclass(frozen=True)
@@ -151,13 +145,14 @@ def state_eval(
     system: SimpleFactor,
     alpha,
     beta,
-    settings: TransformSettings = DEFAULT_SETTINGS,
+    product_depth: int = 30,
 ) -> complex:
     """The vacuum state  <e_0, T_alpha T_beta* e_0>.
 
     Digit arithmetic on frequencies is exact; the final pairing goes
-    through the transform with the chosen settings.
+    through the product transform at ``product_depth``.
     """
+    settings = TransformSettings(product_depth=product_depth)
     v = apply_word_adjoint(system, beta, ExponentialVector.basis(exact.zero_vector(system.dim)))
     v = apply_word(system, alpha, v)
     if v.is_zero:
@@ -218,14 +213,16 @@ def _relation_maxima(samples, push, freq_digits, transform, mask_at):
 def relation_residuals(
     system: SimpleFactor,
     box_radius: int = 32,
-    settings: TransformSettings = DEFAULT_SETTINGS,
+    product_depth: int = 30,
 ) -> RelationReport:
     """Residuals of the isometry relations over dual points in a box.
 
-    Transform values come from the product backend in ``settings``; the
-    range-overlap terms are exact zeros whenever the leading mask factor
-    vanishes exactly, so on a valid system that residual is literally 0.
+    Transform values come from the product backend at ``product_depth``;
+    the range-overlap terms are exact zeros whenever the leading mask
+    factor vanishes exactly, so on a valid system that residual is
+    literally 0.
     """
+    settings = TransformSettings(product_depth=product_depth)
     samples = lattice_points_in_box(system.K_dual, box_radius)
     isometry, range_orth, completeness = _relation_maxima(
         samples, system.push, system.freq_digits,
@@ -269,16 +266,17 @@ def classify_measure(
     K: Lattice,
     gamma: Lattice,
     freq_digits,
-    settings: TransformSettings | None = None,
+    quadrature_depth: int = 12,
     digits=None,
     box_radius: int = 4,
     tolerance: float = 1e-6,
 ) -> ConsistencyReport:
     """Decide whether a measure is consistent with a lattice datum.
 
-    ``measure_source`` is a SimpleFactor (its refinement and digit set are
-    used) or a DiscreteMeasure (optionally with explicit ``digits`` for the
-    completeness check; without them that check is skipped).  The isometry
+    ``measure_source`` is a SimpleFactor (its depth-``quadrature_depth``
+    refinement and digit set are used) or a DiscreteMeasure (optionally
+    with explicit ``digits`` for the completeness check; without them that
+    check is skipped).  The isometry
     and range-overlap residuals are evaluated against the *empirical*
     transform of the measure, with the expansion derived from K inside
     ``gamma`` -- nothing is taken from the measure's own provenance.
@@ -289,14 +287,12 @@ def classify_measure(
     so the default box keeps that error under the tolerance at the default
     quadrature depth; enlarge the box and the depth together.
     """
-    if settings is None:
-        settings = DEFAULT_SETTINGS
     inclusion_matrix(K, gamma)  # raises NotASublattice
 
     if isinstance(measure_source, SimpleFactor):
         if digits is None:
             digits = measure_source.digits
-        measure = _cached_measure(measure_source, settings.quadrature_depth)
+        measure = _cached_measure(measure_source, quadrature_depth)
     elif isinstance(measure_source, DiscreteMeasure):
         measure = measure_source
     else:

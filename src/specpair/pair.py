@@ -27,7 +27,7 @@ from .boxes import Box, BoxUnion, difference_measure, equal_almost_everywhere
 from .cyclotomic import exp_sum_is_zero
 from .errors import NotEmbeddable
 from .exact import Vector
-from .lattice import Lattice, SimpleFactor, lattice_points_in_box
+from .lattice import Lattice, SimpleFactor, box_candidates, lattice_points_in_box
 
 MONTE_CARLO_SAMPLES = 100_000
 MONTE_CARLO_DEFECT = 1e-3  # smallest relative defect the bound speaks about
@@ -100,23 +100,35 @@ class TruncatedSpectrum:
         object.__setattr__(self, "points", points)
         if len(set(points)) != len(points):
             raise ValueError("spectrum points must be pairwise distinct")
-        if exact.zero_vector(len(points[0])) not in points:
+        if not points or exact.zero_vector(len(points[0])) not in points:
             raise ValueError("a truncated spectrum must contain 0")
 
     def __len__(self) -> int:
         return len(self.points)
 
 
+def _search_radius(system: SimpleFactor, radius: Fraction) -> Fraction:
+    """Sup-norm radius of the dual(Gamma) points a digit shift can bring
+    within ``radius``."""
+    if radius < 0:
+        raise ValueError(f"spectrum radius {radius} is negative")
+    return radius + max(
+        (abs(c) for l in system.freq_digits for c in l), default=Fraction(0)
+    )
+
+
+def spectrum_candidates(system: SimpleFactor, radius) -> int:
+    """How many points ``truncate_spectrum`` tries: |L| per dual(Gamma) candidate."""
+    search = _search_radius(system, exact.as_rational(radius))
+    return len(system.freq_digits) * box_candidates(system.Gamma_dual, search)
+
+
 def truncate_spectrum(system: SimpleFactor, radius) -> TruncatedSpectrum:
     """All points of L + dual(Gamma) with sup-norm at most ``radius``."""
     radius = exact.as_rational(radius)
-    if radius < 0:
-        raise ValueError(f"spectrum radius {radius} is negative")
-    max_digit = max(
-        (abs(c) for l in system.freq_digits for c in l), default=Fraction(0)
-    )
+    search = _search_radius(system, radius)
     points: set[Vector] = set()
-    for gamma_point in lattice_points_in_box(system.Gamma_dual, radius + max_digit):
+    for gamma_point in lattice_points_in_box(system.Gamma_dual, search):
         for l in system.freq_digits:
             p = exact.vec_add(gamma_point, l)
             if all(abs(c) <= radius for c in p):

@@ -28,7 +28,7 @@ from .errors import BudgetExceeded, CollisionDetected, MemberOfSpectrum
 from .exact import Vector
 from .lattice import SimpleFactor
 from .measure import ATOM_BUDGET, word_at
-from .transform import DEFAULT_SETTINGS, TransformSettings, mu_hat_value
+from .transform import TransformSettings, mu_hat_value
 
 WITNESS_THRESHOLD = 1e-6
 
@@ -93,20 +93,6 @@ def enumerate_spectrum(system: SimpleFactor, depth: int) -> SpectrumEnumeration:
     return SpectrumEnumeration(depth=depth, base=system.N, elements=tuple(elements))
 
 
-def completeness_partial_sum(
-    system: SimpleFactor,
-    s,
-    enum_depth: int,
-    settings: TransformSettings = DEFAULT_SETTINGS,
-) -> float:
-    """sum |transform(s - xi)|^2 over the depth-n enumeration.
-
-    A Bessel partial sum: nonnegative terms, monotone in depth, at most
-    one (plus rounding) for every s.
-    """
-    return completeness_table(system, s, (enum_depth,), settings)[0].sigma
-
-
 @dataclass(frozen=True)
 class CompletenessRow:
     depth: int
@@ -118,9 +104,15 @@ def completeness_table(
     system: SimpleFactor,
     s,
     depths,
-    settings: TransformSettings = DEFAULT_SETTINGS,
+    product_depth: int = 30,
 ) -> list[CompletenessRow]:
-    """Per-depth partial sums, sharing one evaluation per frequency."""
+    """Per-depth Bessel partial sums  sum |transform(s - xi)|^2  over the
+    depth-n enumerations, sharing one product evaluation per frequency.
+
+    Nonnegative terms, monotone in depth, at most one (plus rounding) for
+    every s.
+    """
+    settings = TransformSettings(product_depth=product_depth)
     depths = sorted(set(int(d) for d in depths))
     if not depths or depths[0] < 0:
         raise ValueError("depths must be nonnegative")
@@ -159,7 +151,7 @@ def maximality_probe(
     system: SimpleFactor,
     s,
     enum_depth: int,
-    settings: TransformSettings = DEFAULT_SETTINGS,
+    product_depth: int = 30,
     threshold: float = WITNESS_THRESHOLD,
 ):
     """Search for a frequency the probe point is *not* orthogonal to.
@@ -168,6 +160,7 @@ def maximality_probe(
     family); AllOrthogonal only reports that this truncation found none.
     Raises MemberOfSpectrum when s is already enumerated.
     """
+    settings = TransformSettings(product_depth=product_depth)
     point, is_exact = exact.as_point(s, system.dim)
     enum = enumerate_spectrum(system, enum_depth)
     if is_exact:

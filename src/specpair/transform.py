@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import exact
 from .cyclotomic import exp_sum_is_zero
@@ -46,26 +45,17 @@ class TransformSettings:
     backend: str = "product"
 
     def __post_init__(self):
-        if self.backend not in ("product", "quadrature", "both"):
+        if self.backend not in ("product", "quadrature"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if not 1 <= self.product_depth <= MAX_PRODUCT_DEPTH:
-            raise BudgetExceeded(
-                f"product depth {self.product_depth} outside [1, {MAX_PRODUCT_DEPTH}]"
-            )
+        check_product_depth(self.product_depth)
         if self.quadrature_depth < 0:
             raise ValueError("quadrature depth must be nonnegative")
 
 
-DEFAULT_SETTINGS = TransformSettings()
-
-
-class BothResult(NamedTuple):
-    """Product value together with the cross-backend discrepancy."""
-
-    value: complex
-    product: complex
-    quadrature: complex
-    discrepancy: float
+def check_product_depth(depth: int) -> None:
+    """Raise BudgetExceeded when ``depth`` lies outside [1, MAX_PRODUCT_DEPTH]."""
+    if not 1 <= depth <= MAX_PRODUCT_DEPTH:
+        raise BudgetExceeded(f"product depth {depth} outside [1, {MAX_PRODUCT_DEPTH}]")
 
 
 def mask(system: SimpleFactor, t) -> complex:
@@ -101,10 +91,21 @@ def _cached_measure(system: SimpleFactor, depth: int) -> DiscreteMeasure:
     return refine_measure(build_ifs(system), depth)
 
 
-def _mu_hat_product(system: SimpleFactor, t, depth: int) -> complex:
+def mu_hat_value(
+    system: SimpleFactor, t, settings: TransformSettings = TransformSettings()
+) -> complex:
+    """The transform of the invariant measure at frequency ``t``.
+
+    Backend "product" returns the truncated mask product; "quadrature"
+    integrates against the cached refinement.
+    """
+    if settings.backend == "quadrature":
+        return integrate_exponential(
+            _cached_measure(system, settings.quadrature_depth), t
+        )
     freq, is_exact = exact.as_point(t, system.dim)
     value = complex(1.0)
-    for _ in range(depth):
+    for _ in range(settings.product_depth):
         factor = _mask(system, freq, is_exact)
         if factor == 0:
             return 0j
@@ -113,42 +114,10 @@ def _mu_hat_product(system: SimpleFactor, t, depth: int) -> complex:
     return value
 
 
-def _mu_hat_quadrature(system: SimpleFactor, t, depth: int) -> complex:
-    return integrate_exponential(_cached_measure(system, depth), t)
-
-
-def mu_hat(system: SimpleFactor, t, settings: TransformSettings = DEFAULT_SETTINGS):
-    """The transform of the invariant measure at frequency ``t``.
-
-    Backend "product" returns the truncated mask product, "quadrature"
-    integrates against the cached refinement, and "both" returns a
-    BothResult whose value is the product value plus the cross-backend
-    discrepancy.
-    """
-    if settings.backend == "product":
-        return _mu_hat_product(system, t, settings.product_depth)
-    if settings.backend == "quadrature":
-        return _mu_hat_quadrature(system, t, settings.quadrature_depth)
-    product = _mu_hat_product(system, t, settings.product_depth)
-    quadrature = _mu_hat_quadrature(system, t, settings.quadrature_depth)
-    return BothResult(
-        value=product,
-        product=product,
-        quadrature=quadrature,
-        discrepancy=abs(product - quadrature),
-    )
-
-
-def mu_hat_value(
-    system: SimpleFactor, t, settings: TransformSettings = DEFAULT_SETTINGS
-) -> complex:
-    """Like mu_hat but always a plain complex (product value under "both")."""
-    result = mu_hat(system, t, settings)
-    return result.value if isinstance(result, BothResult) else result
-
-
 def functional_equation_residual(
-    system: SimpleFactor, t, settings: TransformSettings | None = None
+    system: SimpleFactor,
+    t,
+    settings: TransformSettings = TransformSettings(backend="quadrature"),
 ) -> float:
     """| transform(E^T t) - mask(E^T t) transform(t) | for the chosen backend.
 
@@ -156,8 +125,6 @@ def functional_equation_residual(
     refinement error; the product backend satisfies the identity by
     construction up to its truncation tail.
     """
-    if settings is None:
-        settings = TransformSettings(backend="quadrature")
     freq, _ = exact.as_point(t, system.dim)
     pushed = system.push(freq)
     left = mu_hat_value(system, pushed, settings)

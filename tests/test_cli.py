@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specpair.operators
+import specpair.pair
 from specpair import dumps_spec, parse_spec
 from specpair.cli import build_parser, main
 
@@ -211,6 +213,8 @@ def test_each_subcommand_registers_only_the_options_it_reads():
     ["cuntz", "--spec", "scale4", "--box", "-1"],
     ["transform", "--spec", "scale4", "--s", "1,2"],
     ["spectrum", "--spec", "scale4x2", "--s", "2"],
+    ["transform", "--spec", "scale4", "--grid=nan:inf:3"],
+    ["transform", "--spec", "scale4", "--grid=0:inf:3"],
 ])
 def test_bad_flags_are_usage_errors(capsys, argv):
     try:
@@ -231,6 +235,58 @@ def test_transform_grid_is_budgeted_before_allocation(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error: BudgetExceeded") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--spec", "scale4", "--s", "1", "--product-depth", "0"],
+    ["spectrum", "--spec", "scale4", "--s", "2", "--product-depth", "0"],
+    ["spectrum", "--spec", "scale4", "--frequencies", "--product-depth", "0"],
+    ["cuntz", "--spec", "scale4", "--box", "2", "--product-depth", "500"],
+])
+def test_out_of_range_product_depth_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: BudgetExceeded") and err.count("\n") == 1
+
+
+class Enumerated(Exception):
+    """Raised in place of the box enumeration: the budget let the request through."""
+
+
+@pytest.fixture
+def no_box_enumeration(monkeypatch):
+    def enumerated(*args, **kwargs):
+        raise Enumerated
+
+    for module in (specpair.pair, specpair.operators):
+        monkeypatch.setattr(module, "lattice_points_in_box", enumerated)
+
+
+# pair: (|L| * (2b+1)^d)^2 / 2 Gram entries; scale4x2 has b = floor((box+1)/4) + 1.
+# cuntz: (2b+1)^d * (2 + |L|(|L|-1)) transform values; scale4x2 has b = box + 1.
+@pytest.mark.parametrize("command, largest", [("pair", 34), ("cuntz", 135)])
+def test_box_requests_are_budgeted_before_enumerating(capsys, no_box_enumeration,
+                                                      command, largest):
+    with pytest.raises(Enumerated):
+        main([command, "--spec", "scale4x2", "--box", str(largest)])
+    for box in (largest + 1, 200):
+        code, out, err = run(capsys, command, "--spec", "scale4x2", "--box", str(box))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: BudgetExceeded") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["pair", "--spec", "scale4"],
+    ["pair", "--spec", "scale4x2"],
+    ["cuntz", "--spec", "scale4"],
+    ["cuntz", "--spec", "scale4x2"],
+    ["cuntz", "--spec", "middlethird"],
+])
+def test_default_boxes_fit_the_budget(no_box_enumeration, argv):
+    with pytest.raises(Enumerated):
+        main(argv)
 
 
 def test_readme_lists_each_subcommands_options():

@@ -93,9 +93,7 @@ def test_adjoint_word_annihilates_vacuum_unless_zeros(scale4):
 
 
 def test_relation_residuals_scale4(scale4):
-    report = sp.relation_residuals(
-        scale4.system, box_radius=32, settings=TransformSettings(product_depth=40)
-    )
+    report = sp.relation_residuals(scale4.system, box_radius=32, product_depth=40)
     assert report.isometry < 1e-10
     assert report.range_orthogonality == 0.0
     assert report.completeness < 1e-12

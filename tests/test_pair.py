@@ -78,6 +78,11 @@ def test_truncated_spectrum_invariants():
         sp.TruncatedSpectrum(((F(0),), (F(0),)))  # duplicate
 
 
+def test_empty_truncated_spectrum_is_rejected():
+    with pytest.raises(ValueError, match="0"):
+        sp.TruncatedSpectrum(())
+
+
 def test_rectangular_cell_detection():
     assert rectangular_cell(sp.Lattice([["1/4", 0], [0, "1/2"]])) == (F(1, 4), F(1, 2))
     # permuted/negated columns: axis 0 is spanned by the -1/2 generator

@@ -1,10 +1,10 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
 import specpair as sp
 from specpair.spectrum import AllOrthogonal, Witness
-from specpair.transform import TransformSettings
 
 
 def test_enumeration_examples(scale4, scale4x2):
@@ -50,27 +50,15 @@ def test_enumeration_budget(scale4):
 
 def test_completeness_exactly_one_on_spectrum_point(scale4):
     # every term but the matching one is an exact zero, so the sum is 1.0
-    sigma = sp.completeness_partial_sum(
-        scale4.system, 1, 6, TransformSettings(product_depth=30)
-    )
-    assert sigma == 1.0
+    rows = sp.completeness_table(scale4.system, 1, [6], product_depth=30)
+    assert rows[0].sigma == 1.0
 
 
 def test_completeness_monotone_and_bounded(scale4):
-    rows = sp.completeness_table(
-        scale4.system, 2, range(0, 9), TransformSettings(product_depth=30)
-    )
+    rows = sp.completeness_table(scale4.system, 2, range(0, 9), product_depth=30)
     assert all(row.increment >= 0 for row in rows)
     assert all(row.sigma <= 1 + 1e-9 for row in rows)
     assert rows[-1].sigma > 0.999
-
-
-def test_completeness_table_matches_partial_sums(scale4):
-    settings = TransformSettings(product_depth=30)
-    rows = sp.completeness_table(scale4.system, 2, (3, 5), settings)
-    for row in rows:
-        direct = sp.completeness_partial_sum(scale4.system, 2, row.depth, settings)
-        assert row.sigma == direct
 
 
 def test_completeness_accepts_rational_strings(scale4):
@@ -108,11 +96,11 @@ def test_maximality_probe_inconclusive_at_threshold_one(scale4):
 def test_depth12_completeness_matches_quadrature_oracle(scale4):
     # cross-backend: the depth-4 partial sum from the product formula
     # agrees with the quadrature value within the backend tolerance
-    prod = sp.completeness_partial_sum(
-        scale4.system, 2, 4, TransformSettings(product_depth=30)
-    )
-    quad = sp.completeness_partial_sum(
-        scale4.system, 2, 4,
-        TransformSettings(backend="quadrature", quadrature_depth=12),
+    system = scale4.system
+    prod = sp.completeness_table(system, 2, [4], product_depth=30)[0].sigma
+    measure = sp.refine_measure(sp.build_ifs(system), 12)
+    quad = math.fsum(
+        abs(sp.integrate_exponential(measure, (2 - float(xi[0]),))) ** 2
+        for xi in sp.enumerate_spectrum(system, 4).elements
     )
     assert abs(prod - quad) < 1e-6

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import specpair as sp
-from specpair.transform import BothResult, TransformSettings
+from specpair.transform import TransformSettings
 
 
 def test_mask_values(scale4):
@@ -41,10 +41,10 @@ def test_mask_float_frequency(scale4):
 def test_mu_hat_product_values(scale4):
     system = scale4.system
     settings = TransformSettings(product_depth=30)
-    assert sp.mu_hat(system, 0, settings) == 1.0
-    assert sp.mu_hat(system, 1, settings) == 0   # first factor vanishes
-    assert sp.mu_hat(system, 4, settings) == 0   # unrolls to the same zero
-    value = sp.mu_hat(system, 2, settings)
+    assert sp.mu_hat_value(system, 0, settings) == 1.0
+    assert sp.mu_hat_value(system, 1, settings) == 0   # first factor vanishes
+    assert sp.mu_hat_value(system, 4, settings) == 0   # unrolls to the same zero
+    value = sp.mu_hat_value(system, 2, settings)
     assert abs(abs(value) ** 2 - 0.479734810707) < 1e-9
 
 
@@ -53,16 +53,8 @@ def test_mu_hat_quadrature_close_to_product(scale4):
     prod = TransformSettings(product_depth=30)
     quad = TransformSettings(backend="quadrature", quadrature_depth=12)
     for t in np.linspace(-8, 8, 33):
-        assert abs(sp.mu_hat(system, t, prod) - sp.mu_hat(system, t, quad)) < 1e-4
-
-
-def test_mu_hat_both_backend(scale4):
-    result = sp.mu_hat(scale4.system, 0.7, TransformSettings(backend="both"))
-    assert isinstance(result, BothResult)
-    assert result.value == result.product
-    assert result.discrepancy == abs(result.product - result.quadrature)
-    assert result.discrepancy < 1e-4
-    assert sp.mu_hat_value(scale4.system, 0.7, TransformSettings(backend="both")) == result.value
+        gap = sp.mu_hat_value(system, t, prod) - sp.mu_hat_value(system, t, quad)
+        assert abs(gap) < 1e-4
 
 
 def test_functional_equation_residual(scale4):
@@ -95,8 +87,9 @@ def test_dual_invariance(scale4):
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        TransformSettings(backend="magic")
+    for backend in ("magic", "both"):
+        with pytest.raises(ValueError):
+            TransformSettings(backend=backend)
     with pytest.raises(sp.BudgetExceeded):
         TransformSettings(product_depth=0)
     with pytest.raises(sp.BudgetExceeded):
@@ -108,7 +101,7 @@ def test_settings_validation():
 def test_exact_zero_survives_deep_products(scale4):
     # the zero factor appears at level 5 for 4^5 and is still literal
     settings = TransformSettings(product_depth=40)
-    assert sp.mu_hat(scale4.system, 4**5, settings) == 0
+    assert sp.mu_hat_value(scale4.system, 4**5, settings) == 0
 
 
 def test_mask_is_mean_of_characters(scale4x2):
@@ -119,3 +112,20 @@ def test_mask_is_mean_of_characters(scale4x2):
         for b in system.digits
     ])
     assert abs(sp.mask(system, t) - expected) < 1e-15
+
+
+@pytest.mark.parametrize("call", [
+    lambda system, depth: sp.completeness_table(system, 2, [4], depth),
+    lambda system, depth: sp.maximality_probe(system, 2, 4, depth),
+    lambda system, depth: sp.relation_residuals(system, 4, depth),
+    lambda system, depth: sp.state_eval(system, (0,), (), depth),
+])
+@pytest.mark.parametrize("depth", [0, 201])
+def test_consumers_refuse_out_of_range_product_depths(scale4, monkeypatch, call, depth):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("transform evaluated before the depth check")
+
+    for module in (sp.spectrum, sp.operators):
+        monkeypatch.setattr(module, "mu_hat_value", no_transform)
+    with pytest.raises(sp.BudgetExceeded, match="product depth"):
+        call(scale4.system, depth)
