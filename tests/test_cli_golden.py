@@ -18,6 +18,10 @@ import pytest
 from specpair.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+# spec files under tests/data are named as "{data}/<file>" in the golden
+# argv, so the recorded file does not depend on where the checkout lives
+DATA = "{data}"
+N3 = f"{DATA}/n3.json"
 
 CASES = {
     "validate-scale4": ["validate", "--spec", "scale4"],
@@ -45,13 +49,19 @@ CASES = {
     "cuntz-middlethird": ["cuntz", "--spec", "middlethird"],
     "cuntz-scale4-depth12": ["cuntz", "--spec", "scale4", "--box", "8",
                              "--product-depth", "12"],
+    "transform-2d-third-fifth": ["transform", "--spec", "scale4x2", "--s", "1/3,2/5"],
+    "transform-n3-cyclotomic-zero": ["transform", "--spec", N3, "--s", "1"],
+    "transform-n3-past-conductor": ["transform", "--spec", N3, "--s", "1/5"],
+    "spectrum-n3": ["spectrum", "--spec", N3, "--s", "1/2", "--enum-depth", "5"],
+    "cuntz-n3": ["cuntz", "--spec", N3, "--box", "6"],
 }
 
 
 def run(argv) -> dict:
+    data = str(Path(__file__).with_name("data"))
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = main(list(argv))
+        code = main([arg.replace(DATA, data) for arg in argv])
     return {"exit": code, "stdout": buffer.getvalue()}
 
 
