@@ -16,6 +16,7 @@ from .errors import (
     DepthTooLarge,
     IdenticalPoints,
     MemberOfSpectrum,
+    NonFinitePoint,
     NotASublattice,
     NotEmbeddable,
     NotExpansive,
@@ -45,6 +46,7 @@ from .measure import (
     integrate_exponential,
     refine_measure,
     separation_witness,
+    separation_witnesses,
 )
 from .operators import (
     ConsistencyReport,
@@ -104,6 +106,7 @@ __all__ = [
     "CompletenessRow", "ConsistencyReport", "DepthTooLarge",
     "DiscreteMeasure", "ExponentialVector", "IdenticalPoints", "Lattice",
     "LatticeInclusion", "LoadedSpec", "MemberOfSpectrum", "NoWitness",
+    "NonFinitePoint",
     "NotASublattice", "NotEmbeddable", "NotExpansive", "ParseError",
     "RelationReport", "SimpleFactor", "SpectralPairError",
     "SpectrumEnumeration", "TilingReport", "TransformSettings",
@@ -119,7 +122,7 @@ __all__ = [
     "maximality_probe", "mu_hat_value", "orthogonality_matrix",
     "parse_document", "parse_spec", "reduce_mod_lattice", "refine_measure",
     "relation_residuals", "render_table", "same_lattice",
-    "separation_witness", "state_eval", "tiling_check",
+    "separation_witness", "separation_witnesses", "state_eval", "tiling_check",
     "translation_membership", "truncate_spectrum", "validate_simple_factor",
     "word_frequency",
 ]

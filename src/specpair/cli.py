@@ -33,8 +33,9 @@ from .transform import TransformSettings, check_product_depth, mu_hat_value
 
 RELATION_TOLERANCE = 1e-6
 ORTHOGONALITY_TOLERANCE = 1e-12
-# transform grid points (transform) or transform evaluations (pair, cuntz)
-# one request may make, checked before anything is enumerated or allocated
+# transform grid points (transform), transform evaluations (cuntz) or Gram
+# terms (pair) one request may make, checked before anything is enumerated
+# or allocated
 EVALUATION_BUDGET = 2**20
 
 
@@ -94,7 +95,10 @@ def cmd_pair(args) -> int:
     if loaded.omega is None or loaded.d_prime is None:
         raise ParseError(f"spec {loaded.name!r} carries no domain geometry")
     candidates = spectrum_candidates(loaded.system, args.box)
-    _check_budget(candidates**2 // 2, f"{candidates}^2/2 Gram entries")
+    # a Gram entry expands into 2^d exponential terms per box of omega
+    terms = len(loaded.omega.boxes) * 2**loaded.system.dim
+    _check_budget(candidates**2 // 2 * terms,
+                  f"{candidates}^2/2 Gram entries of {terms} terms")
     spectrum = truncate_spectrum(loaded.system, args.box)
     gram = orthogonality_matrix(loaded.omega, spectrum)
     off = gram - np.eye(len(spectrum))

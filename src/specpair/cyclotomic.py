@@ -72,14 +72,21 @@ def exp_sum_is_zero(
     True/False when decided, or None when the conductor after phase
     reduction exceeds ``conductor_limit`` (caller must treat the value as
     nonzero-unless-proven and fall back to numerics).
+
+    The work runs on integers: coefficients become integer weights over
+    their common denominator, phases integer residues mod ``den`` over
+    theirs, which scales the sum by a positive constant and so leaves
+    the answer alone.
     """
-    combined: dict[Fraction, Fraction] = {}
+    terms = [(coeff, phase) for coeff, phase in terms if coeff]
+    weight_den = math.lcm(*(coeff.denominator for coeff, _ in terms))
+    den = math.lcm(*(phase.denominator for _, phase in terms))
+    combined: dict[int, int] = {}
     for coeff, phase in terms:
-        if not coeff:
-            continue
-        q = phase - math.floor(phase)
-        combined[q] = combined.get(q, Fraction(0)) + coeff
-    combined = {q: c for q, c in combined.items() if c}
+        residue = phase.numerator * (den // phase.denominator) % den
+        weight = coeff.numerator * (weight_den // coeff.denominator)
+        combined[residue] = combined.get(residue, 0) + weight
+    combined = {r: w for r, w in combined.items() if w}
     if not combined:
         return True
     if len(combined) == 1:
@@ -88,14 +95,16 @@ def exp_sum_is_zero(
         # c0 z^q0 + c1 z^q1 = 0 forces z^{q1-q0} = -c0/c1, a *rational*
         # root of unity, hence -1: the phases differ by exactly 1/2 and
         # the coefficients agree.
-        (q0, c0), (q1, c1) = sorted(combined.items())
-        return q1 - q0 == Fraction(1, 2) and c0 == c1
-    n = math.lcm(*(q.denominator for q in combined))
+        (r0, w0), (r1, w1) = sorted(combined.items())
+        return 2 * (r1 - r0) == den and w0 == w1
+    # the conductor: lcm of the reduced denominators of the residues / den
+    n = math.lcm(*(den // math.gcd(r, den) for r in combined))
     if n > conductor_limit:
         return None
-    coeffs = [Fraction(0)] * n
-    for q, coeff in combined.items():
-        coeffs[int(q * n) % n] += coeff
+    step = den // n
+    coeffs = [0] * n
+    for r, weight in combined.items():
+        coeffs[r // step] += weight
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     rem = coeffs

@@ -41,6 +41,10 @@ class IdenticalPoints(SpectralPairError):
     """Separating points requires two distinct points."""
 
 
+class NonFinitePoint(SpectralPairError, ValueError):
+    """A frequency or point has a NaN or infinite entry."""
+
+
 class NotEmbeddable(SpectralPairError):
     """The domain does not embed injectively into the torus."""
 

@@ -9,9 +9,12 @@ only where floats are the point (eigenvalues, measure atoms).
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .errors import NonFinitePoint
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -60,7 +63,8 @@ def as_point(t, dim: int | None = None) -> tuple[tuple, bool]:
 
     The point is exact -- Fractions, flagged True -- when every entry is
     an integer (numpy integers included), a Fraction or a string like
-    '3/4'; otherwise it is floats, flagged False.
+    '3/4'; otherwise it is floats, flagged False.  A NaN or infinite
+    entry raises NonFinitePoint.
     """
     if isinstance(t, (numbers.Number, str)):
         t = (t,)
@@ -68,7 +72,19 @@ def as_point(t, dim: int | None = None) -> tuple[tuple, bool]:
         return as_vector(t, dim), True
     if dim is not None and len(t) != dim:
         raise ValueError(f"expected a vector of length {dim}, got {len(t)}")
-    return tuple(float(v) for v in t), False
+    point = tuple(float(v) for v in t)
+    if not all(map(math.isfinite, point)):
+        raise NonFinitePoint(f"point {point!r} has a non-finite entry")
+    return point, False
+
+
+def over_common_denominator(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows of rationals as integer numerators over their least common
+    denominator: the rows equal numerators / denominator entrywise."""
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    return tuple(
+        tuple(c.numerator * (den // c.denominator) for c in row) for row in rows
+    ), den
 
 
 def as_matrix(rows) -> Matrix:

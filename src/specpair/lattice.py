@@ -232,6 +232,14 @@ class SimpleFactor:
         return (exact.matrix_to_floats(self.E_transpose),
                 exact.matrix_to_floats(self.E_transpose_inverse))
 
+    @cached_property
+    def _integer_maps(self) -> tuple:
+        """The digits and (E^T)^{-1} as integer numerators, each over one
+        common denominator: (digits, digit_den, pull, pull_den)."""
+        digits, digit_den = exact.over_common_denominator(self.digits)
+        pull, pull_den = exact.over_common_denominator(self.E_transpose_inverse)
+        return digits, digit_den, pull, pull_den
+
     def push(self, s) -> tuple:
         """E^T s for a point from exact.as_point, keeping its kind: exact
         stays exact, floats stay floats."""

@@ -9,6 +9,7 @@ with a million atoms stay cheap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -16,11 +17,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import exact
-from .errors import DepthTooLarge, IdenticalPoints, NotExpansive
+from .errors import DepthTooLarge, IdenticalPoints, NonFinitePoint, NotExpansive
 from .exact import Matrix, Vector
 from .lattice import SimpleFactor, is_expansive, lattice_points_in_box
 
 ATOM_BUDGET = 1 << 24
+# pairs whose pairings separation_witnesses evaluates at once
+SEPARATION_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +182,7 @@ def separation_witness(
     Scans dual points in increasing norm; s is a witness when s.(x - y)
     is farther than ``tol`` from every integer.  Returns the witness
     vector, or NoWitness when the box is exhausted.  Raises
-    IdenticalPoints when x == y.
+    IdenticalPoints when x == y, NonFinitePoint when x - y is not finite.
     """
     if isinstance(x, (int, float, Fraction)):
         x = (x,)
@@ -188,6 +191,8 @@ def separation_witness(
     diff = tuple(float(a) - float(b) for a, b in zip(x, y))
     if len(diff) != system.dim:
         raise ValueError(f"expected points of length {system.dim}")
+    if not all(map(math.isfinite, diff)):
+        raise NonFinitePoint(f"{x!r} - {y!r} is not finite")
     if tuple(float(a) for a in x) == tuple(float(b) for b in y):
         raise IdenticalPoints(f"{x!r} equals {y!r}")
     for s, s_float in _dual_candidates(system, search_radius):
@@ -196,3 +201,43 @@ def separation_witness(
         if distance > tol:
             return s
     return NoWitness(search_radius=search_radius)
+
+
+def separation_witnesses(
+    system: SimpleFactor, x, y, search_radius: int = 8, tol: float = 1e-9
+) -> tuple[tuple[Vector, ...], np.ndarray]:
+    """separation_witness for every pair of rows x[i], y[i] at once.
+
+    ``x`` and ``y`` are (M, d) float arrays.  Returns the candidate
+    frequencies in the order separation_witness scans them, and an int
+    array holding each pair's witness as an index into them, -1 where
+    the box holds none.  Pairings are summed coordinate by coordinate,
+    left to right, so each one equals the scalar path's bit for bit.
+    Raises IdenticalPoints when any pair is equal, NonFinitePoint when
+    any x - y is not finite.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape != y.shape or x.shape[1] != system.dim:
+        raise ValueError(f"expected two (M, {system.dim}) arrays of points")
+    diff = x - y
+    if not np.isfinite(diff).all():
+        raise NonFinitePoint("some x - y is not finite")
+    equal = np.flatnonzero((x == y).all(axis=1))
+    if len(equal):
+        raise IdenticalPoints(f"pair {equal[0]}: {x[equal[0]]!r} equals {y[equal[0]]!r}")
+    candidates = _dual_candidates(system, search_radius)
+    witness = np.full(len(diff), -1, dtype=np.intp)
+    for start in range(0, len(diff), SEPARATION_CHUNK):
+        chunk = diff[start:start + SEPARATION_CHUNK]
+        rows = np.arange(start, start + len(chunk))
+        for k, (_, s_float) in enumerate(candidates):
+            if not len(rows):
+                break
+            pairing = s_float[0] * chunk[:, 0]
+            for c, column in zip(s_float[1:], chunk.T[1:]):
+                pairing += c * column
+            found = np.abs(pairing - np.rint(pairing)) > tol
+            witness[rows[found]] = k
+            rows, chunk = rows[~found], chunk[~found]
+    return tuple(s for s, _ in candidates), witness

@@ -17,6 +17,7 @@ exactly and propagate as literal zeros through the product.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,25 +66,53 @@ def mask(system: SimpleFactor, t) -> complex:
     is a structural 1 (all phases integral) or a structural 0 (the root
     of unity sum vanishes in its cyclotomic field).
     """
-    return _mask(system, *exact.as_point(t, system.dim))
-
-
-def _mask(system: SimpleFactor, freq: tuple, is_exact: bool) -> complex:
-    n = system.N
+    freq, is_exact = exact.as_point(t, system.dim)
     if is_exact:
-        phases = [exact.dot(b, freq) for b in system.digits]
-        if all(p.denominator == 1 for p in phases):
-            return complex(1.0)
-        terms = [(Fraction(1, n), p) for p in phases]
-        if exp_sum_is_zero(terms, MASK_CONDUCTOR_LIMIT) is True:
-            return 0j
-        return sum(
-            cmath.exp(2j * math.pi * float(p)) for p in phases
-        ) / n
+        (num,), den = exact.over_common_denominator((freq,))
+        return _exact_mask(system, num, den)
+    return _float_mask(system, freq)
+
+
+def _exact_mask(system: SimpleFactor, num: tuple[int, ...], den: int) -> complex:
+    """The mask at the rational frequency num / den.
+
+    The phases b.t are the integers p over one q; a float p / q is
+    correctly rounded, so it equals float(Fraction(p, q)) bit for bit.
+    """
+    digits, digit_den, _, _ = system._integer_maps
+    q = digit_den * den
+    phases = [sum(bc * tc for bc, tc in zip(b, num)) for b in digits]
+    if all(p % q == 0 for p in phases):
+        return complex(1.0)
+    n = system.N
+    weight = Fraction(1, n)
+    terms = [(weight, Fraction(p, q)) for p in phases]
+    if exp_sum_is_zero(terms, MASK_CONDUCTOR_LIMIT) is True:
+        return 0j
+    return sum(cmath.exp(2j * math.pi * (p / q)) for p in phases) / n
+
+
+def _float_mask(system: SimpleFactor, freq: tuple[float, ...]) -> complex:
     return sum(
         cmath.exp(2j * math.pi * sum(float(bc) * tc for bc, tc in zip(b, freq)))
         for b in system.digits
-    ) / n
+    ) / system.N
+
+
+def _mask_factors(system: SimpleFactor, freq: tuple, is_exact: bool):
+    """The factors mask((E^T)^{-k} t) for k = 0, 1, 2, ...; an exact
+    frequency is pulled back as integer numerators over a growing
+    denominator."""
+    if is_exact:
+        (num,), den = exact.over_common_denominator((freq,))
+        _, _, pull, pull_den = system._integer_maps
+        while True:
+            yield _exact_mask(system, num, den)
+            num = tuple(sum(m * c for m, c in zip(row, num)) for row in pull)
+            den *= pull_den
+    while True:
+        yield _float_mask(system, freq)
+        freq = system.pull(freq)
 
 
 @lru_cache(maxsize=8)
@@ -103,14 +132,12 @@ def mu_hat_value(
         return integrate_exponential(
             _cached_measure(system, settings.quadrature_depth), t
         )
-    freq, is_exact = exact.as_point(t, system.dim)
+    factors = _mask_factors(system, *exact.as_point(t, system.dim))
     value = complex(1.0)
-    for _ in range(settings.product_depth):
-        factor = _mask(system, freq, is_exact)
+    for factor in itertools.islice(factors, settings.product_depth):
         if factor == 0:
             return 0j
         value *= factor
-        freq = system.pull(freq)
     return value
 
 

@@ -263,9 +263,10 @@ def no_box_enumeration(monkeypatch):
         monkeypatch.setattr(module, "lattice_points_in_box", enumerated)
 
 
-# pair: (|L| * (2b+1)^d)^2 / 2 Gram entries; scale4x2 has b = floor((box+1)/4) + 1.
+# pair: (|L| * (2b+1)^d)^2 / 2 Gram entries of |omega| * 2^d terms each;
+# scale4x2 has b = floor((box+1)/4) + 1 and 4 * 2^2 = 16 terms per entry.
 # cuntz: (2b+1)^d * (2 + |L|(|L|-1)) transform values; scale4x2 has b = box + 1.
-@pytest.mark.parametrize("command, largest", [("pair", 34), ("cuntz", 135)])
+@pytest.mark.parametrize("command, largest", [("pair", 14), ("cuntz", 135)])
 def test_box_requests_are_budgeted_before_enumerating(capsys, no_box_enumeration,
                                                       command, largest):
     with pytest.raises(Enumerated):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import specpair as sp
 from specpair import exact
 
 
@@ -56,3 +57,26 @@ def test_vector_helpers():
     assert exact.vec_sub((F(1), F(2)), (F(2), F(1))) == (F(-1), F(1))
     assert exact.is_integral((F(2), F(-7)))
     assert not exact.is_integral((F(1, 2),))
+
+
+_SCALE4 = sp.parse_spec("scale4").system
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exact.as_point(float("nan")),
+    lambda: sp.mu_hat_value(_SCALE4, float("nan")),
+    lambda: sp.mask(_SCALE4, float("inf")),
+    lambda: sp.completeness_table(_SCALE4, float("nan"), [2]),
+    lambda: sp.integrate_exponential(sp.refine_measure(sp.build_ifs(_SCALE4), 2),
+                                     (float("-inf"),)),
+    lambda: sp.separation_witness(_SCALE4, float("nan"), 0.0),
+    lambda: sp.separation_witness(_SCALE4, 0.5, float("inf")),
+    lambda: sp.separation_witnesses(_SCALE4, [[0.0], [float("nan")]], [[0.5], [0.0]]),
+], ids=["as_point", "mu_hat_value", "mask", "completeness_table",
+        "integrate_exponential", "separation_witness-nan", "separation_witness-inf",
+        "separation_witnesses"])
+def test_non_finite_points_are_rejected(call):
+    with pytest.raises(sp.NonFinitePoint) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value, sp.SpectralPairError)
