@@ -66,11 +66,7 @@ def mask(system: SimpleFactor, t) -> complex:
     is a structural 1 (all phases integral) or a structural 0 (the root
     of unity sum vanishes in its cyclotomic field).
     """
-    freq, is_exact = exact.as_point(t, system.dim)
-    if is_exact:
-        (num,), den = exact.over_common_denominator((freq,))
-        return _exact_mask(system, num, den)
-    return _float_mask(system, freq)
+    return next(_mask_factors(system, *exact.as_point(t, system.dim)))
 
 
 def _exact_mask(system: SimpleFactor, num: tuple[int, ...], den: int) -> complex:
