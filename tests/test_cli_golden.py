@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 # argv, so the recorded file does not depend on where the checkout lives
 DATA = "{data}"
 N3 = f"{DATA}/n3.json"
+SHEARED = f"{DATA}/scale4x2_sheared.json"
 
 CASES = {
     "validate-scale4": ["validate", "--spec", "scale4"],
@@ -54,6 +55,7 @@ CASES = {
     "transform-n3-past-conductor": ["transform", "--spec", N3, "--s", "1/5"],
     "spectrum-n3": ["spectrum", "--spec", N3, "--s", "1/2", "--enum-depth", "5"],
     "cuntz-n3": ["cuntz", "--spec", N3, "--box", "6"],
+    "pair-scale4x2-sheared": ["pair", "--spec", SHEARED, "--box", "4", "--seed", "3"],
 }
 
 
