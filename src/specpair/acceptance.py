@@ -67,10 +67,6 @@ def _scale4():
     return parse_spec("scale4")
 
 
-def _scale4x2():
-    return parse_spec("scale4x2")
-
-
 def criterion_1_sigma_reproduction() -> CriterionResult:
     """Completeness sums at s=2: monotone, Bessel-bounded, near 1, calibrated."""
     system = _scale4().system

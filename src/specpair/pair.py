@@ -9,7 +9,9 @@ as small numbers.
 Tiling and translation questions are exact for rectangular lattices
 (diagonal basis up to column order and sign), which covers every built-in
 system; other lattices fall back to seeded sampling with the failure
-bound stated on the report.
+bound stated on the report.  The sampler draws and tests its points in
+numpy batches; a seed makes the same draws, in the same order, as one
+draw per point would, so it gives the same answer.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from .lattice import Lattice, SimpleFactor, box_candidates, lattice_points_in_bo
 
 MONTE_CARLO_SAMPLES = 100_000
 MONTE_CARLO_DEFECT = 1e-3  # smallest relative defect the bound speaks about
+# most sampled points tested at once; chunks grow 1, 2, 4, ... up to it,
+# so a sampler that fails at its first point pays for one point
+SAMPLE_CHUNK = 4096
 
 
 def _axis_factor(t: float, lo: float, hi: float) -> complex:
@@ -139,17 +144,25 @@ def truncate_spectrum(system: SimpleFactor, radius) -> TruncatedSpectrum:
 
 
 def orthogonality_matrix(omega: BoxUnion, spectrum: TruncatedSpectrum) -> np.ndarray:
-    """Normalized pairings: entry (i, j) is transform(lambda_j - lambda_i) / measure."""
+    """Normalized pairings: entry (i, j) is transform(lambda_j - lambda_i) / measure.
+
+    Each distinct difference is transformed once; the lower triangle is
+    the conjugate of the upper.
+    """
     measure = float(omega.measure)
     points = spectrum.points
     n = len(points)
     gram = np.empty((n, n), dtype=complex)
+    entries: dict[Vector, complex] = {}
     for i in range(n):
         gram[i, i] = 1.0
         for j in range(i + 1, n):
-            value = indicator_transform(omega, exact.vec_sub(points[j], points[i]))
-            gram[i, j] = value / measure
-            gram[j, i] = gram[i, j].conjugate()
+            diff = exact.vec_sub(points[j], points[i])
+            value = entries.get(diff)
+            if value is None:
+                value = entries[diff] = indicator_transform(omega, diff) / measure
+            gram[i, j] = value
+            gram[j, i] = value.conjugate()
     return gram
 
 
@@ -213,31 +226,55 @@ def reduce_mod_lattice(omega: BoxUnion, lat: Lattice) -> BoxUnion:
     return BoxUnion(tuple(pieces))
 
 
+def _float_at_least(q: Fraction) -> float:
+    """The smallest float >= q: for every float x, x >= it exactly when x >= q."""
+    f = float(q)
+    return f if f >= q else math.nextafter(f, math.inf)
+
+
 class _LatticeCover:
-    """Counts, for float points, how many lattice translates land in a union."""
+    """Counts, for float points, how many lattice translates land in a union.
+
+    Corner tests are exact: with lo_f and hi_f the smallest floats at or
+    above the rational corners lo and hi, a float x has lo <= x < hi
+    exactly when lo_f <= x < hi_f.
+    """
 
     def __init__(self, omega: BoxUnion, lat: Lattice):
         self.inv = np.array(exact.matrix_to_floats(lat.inverse))
         self.basis = np.array(exact.matrix_to_floats(lat.basis))
-        self.boxes = omega.boxes
-        self.centers = [
-            np.array([(float(a) + float(b)) / 2 for a, b in zip(box.lo, box.hi)])
+        self.centers = np.array([
+            [(float(a) + float(b)) / 2 for a, b in zip(box.lo, box.hi)]
             for box in omega.boxes
-        ]
-        self.deltas = [
-            np.array(d) for d in itertools.product((-1, 0, 1), repeat=lat.dim)
-        ]
+        ])
+        self.lo = np.array([[_float_at_least(c) for c in box.lo] for box in omega.boxes])
+        self.hi = np.array([[_float_at_least(c) for c in box.hi] for box in omega.boxes])
+        self.deltas = np.array(list(itertools.product((-1, 0, 1), repeat=lat.dim)))
 
-    def count(self, point) -> int:
-        x = np.asarray(point, dtype=float)
-        hits = 0
-        for box, center in zip(self.boxes, self.centers):
-            z0 = np.round(self.inv @ (center - x))
+    def counts(self, points: np.ndarray) -> np.ndarray:
+        """Translates in the union for each row of an (n, d) array of points."""
+        hits = np.zeros(len(points), dtype=np.intp)
+        for center, lo, hi in zip(self.centers, self.lo, self.hi):
+            z0 = np.round((center - points) @ self.inv.T)
             for delta in self.deltas:
-                candidate = x + self.basis @ (z0 + delta)
-                if box.contains_point(candidate):
-                    hits += 1
+                candidate = points + (z0 + delta) @ self.basis.T
+                hits += ((candidate >= lo) & (candidate < hi)).all(axis=1)
         return hits
+
+
+def _check_samples(samples) -> None:
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"samples must be a positive int, got {samples!r}")
+
+
+def _chunk_sizes(samples: int):
+    """Sizes 1, 2, 4, ... capped at SAMPLE_CHUNK, summing to ``samples``."""
+    size = 1
+    while samples > 0:
+        size = min(size, samples)
+        yield size
+        samples -= size
+        size = min(2 * size, SAMPLE_CHUNK)
 
 
 def _monte_carlo_failure_bound(samples: int) -> float:
@@ -288,6 +325,7 @@ def tiling_check(
     copies are pairwise disjoint and, when ``omega_prime`` is given, their
     union equals it up to measure zero (always exact).
     """
+    _check_samples(samples)
     translates = tuple(exact.as_vector(v, d_prime.dim) for v in translates)
     cell_measure = abs(gamma.det)
     measure_ok = d_prime.measure == cell_measure
@@ -318,12 +356,11 @@ def tiling_check(
             )
         else:
             rng = np.random.default_rng(seed)
-            basis = np.array(exact.matrix_to_floats(gamma.basis))
             cover = _LatticeCover(d_prime, gamma)
             bad = 0
-            for _ in range(samples):
-                if cover.count(basis @ rng.random(gamma.dim)) != 1:
-                    bad += 1
+            for size in _chunk_sizes(samples):
+                points = rng.random((size, gamma.dim)) @ cover.basis.T
+                bad += int((cover.counts(points) != 1).sum())
             fundamental = bad == 0
             failure_probability = _monte_carlo_failure_bound(samples)
             if bad:
@@ -378,6 +415,7 @@ def translation_membership(
     zero).  Otherwise decides by seeded sampling: every sampled point of
     the union must land back in the union modulo the lattice.
     """
+    _check_samples(samples)
     a = exact.as_vector(a, omega.dim)
     if all(v == 0 for v in a) or lat.contains(a):
         return True
@@ -387,15 +425,18 @@ def translation_membership(
         return equal_almost_everywhere(reduced, shifted)
     rng = np.random.default_rng(seed)
     weights = [float(b.measure) for b in omega.boxes]
-    weights = np.array(weights) / sum(weights)
+    # the box pick is Generator.choice(p=weights) taken apart: one uniform
+    # per point, placed on the same normalised cumulative weights
+    cdf = (np.array(weights) / sum(weights)).cumsum()
+    cdf /= cdf[-1]
+    lo = np.array([exact.to_floats(b.lo) for b in omega.boxes])
+    width = np.array([exact.to_floats(b.hi) for b in omega.boxes]) - lo
     shift = np.array(exact.to_floats(a))
     cover = _LatticeCover(omega, lat)
-    for _ in range(samples):
-        box = omega.boxes[rng.choice(len(omega.boxes), p=weights)]
-        point = np.array([
-            float(lo) + rng.random() * (float(hi) - float(lo))
-            for lo, hi in zip(box.lo, box.hi)
-        ])
-        if cover.count(point + shift) == 0:
+    for size in _chunk_sizes(samples):
+        draws = rng.random((size, 1 + omega.dim))
+        pick = cdf.searchsorted(draws[:, 0], side="right")
+        points = lo[pick] + draws[:, 1:] * width[pick]
+        if (cover.counts(points + shift) == 0).any():
             return False
     return True

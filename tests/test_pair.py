@@ -6,7 +6,7 @@ import pytest
 
 import specpair as sp
 from specpair.boxes import Box, BoxUnion
-from specpair.pair import rectangular_cell
+from specpair.pair import MONTE_CARLO_DEFECT, rectangular_cell
 
 UNIT = BoxUnion((Box((0,), (1,)),))
 
@@ -186,3 +186,24 @@ def test_monte_carlo_fallback_agrees(scale4):
     assert report.method == "monte_carlo"
     assert report.fundamental_domain
     assert 0 < report.failure_probability < 1e-6
+
+
+@pytest.mark.parametrize("samples", [0, -5, True, False, 2.0, "10", np.int64(10)])
+def test_sampled_checks_reject_bad_sample_counts(samples):
+    sheared = sp.Lattice([[1, 1], [0, 1]])
+    square = BoxUnion((Box((0, 0), (1, 1)),))
+    halves = BoxUnion((Box((0, 0), ("1/4", 1)), Box(("1/2", 0), ("3/4", 1))))
+    with pytest.raises(ValueError, match="samples"):
+        sp.tiling_check(square, sheared, [(0, 0)], samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        sp.translation_membership(halves, sheared, ("1/4", 0), samples=samples)
+    # the check does not depend on which path would answer
+    with pytest.raises(ValueError, match="samples"):
+        sp.tiling_check(square, sp.Lattice([[1, 0], [0, 1]]), [(0, 0)], samples=samples)
+
+
+def test_one_sample_is_enough_to_run():
+    sheared = sp.Lattice([[1, 1], [0, 1]])
+    report = sp.tiling_check(BoxUnion((Box((0, 0), (1, 1)),)), sheared, [(0, 0)],
+                             samples=1, seed=3)
+    assert report.ok and report.failure_probability == 1.0 - MONTE_CARLO_DEFECT

@@ -6,9 +6,15 @@ Python integers, kept here verbatim (renamed ``oracle_*``); the batched
 ``separation_witnesses`` is held to the scalar ``separation_witness``
 pair by pair.  Equality is bit for bit: ``==`` and ``repr``, so a
 changed sign of zero shows too.
+
+The batched tiling and membership sampler is held to the one-point-at-a-
+time loops it replaced (``OracleCover``, ``oracle_*``): the same seed must
+give the same bad count, detail, verdict and failure bound.  The Gram
+matrix is held to one ``indicator_transform`` per entry.
 """
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import specpair as sp
-from specpair import exact, measure
+from specpair import exact, measure, pair
+from specpair.boxes import Box, BoxUnion
 from specpair.cyclotomic import DEFAULT_CONDUCTOR_LIMIT, cyclotomic_polynomial, exp_sum_is_zero
 from specpair.transform import MASK_CONDUCTOR_LIMIT, TransformSettings, mask, mu_hat_value
 
@@ -246,3 +253,169 @@ def test_separation_witnesses_reject_bad_shapes():
         sp.separation_witnesses(system, [[0.0]], [[0.5]])
     with pytest.raises(ValueError):
         sp.separation_witnesses(system, [[0.0, 0.0]], [[0.5, 0.0], [1.0, 0.0]])
+
+
+class OracleCover:
+    """Counts, for one float point, how many lattice translates land in a union."""
+
+    def __init__(self, omega, lat):
+        self.inv = np.array(exact.matrix_to_floats(lat.inverse))
+        self.basis = np.array(exact.matrix_to_floats(lat.basis))
+        self.boxes = omega.boxes
+        self.centers = [
+            np.array([(float(a) + float(b)) / 2 for a, b in zip(box.lo, box.hi)])
+            for box in omega.boxes
+        ]
+        self.deltas = [
+            np.array(d) for d in itertools.product((-1, 0, 1), repeat=lat.dim)
+        ]
+
+    def count(self, point) -> int:
+        x = np.asarray(point, dtype=float)
+        hits = 0
+        for box, center in zip(self.boxes, self.centers):
+            z0 = np.round(self.inv @ (center - x))
+            for delta in self.deltas:
+                candidate = x + self.basis @ (z0 + delta)
+                if box.contains_point(candidate):
+                    hits += 1
+        return hits
+
+
+def oracle_tiling_bad(d_prime, gamma, samples, seed):
+    """Sampled points of the cell not covered exactly once, one draw at a time."""
+    rng = np.random.default_rng(seed)
+    basis = np.array(exact.matrix_to_floats(gamma.basis))
+    cover = OracleCover(d_prime, gamma)
+    bad = 0
+    for _ in range(samples):
+        if cover.count(basis @ rng.random(gamma.dim)) != 1:
+            bad += 1
+    return bad
+
+
+def oracle_membership(omega, lat, a, samples, seed):
+    """The sampled branch of translation_membership, one draw at a time."""
+    rng = np.random.default_rng(seed)
+    weights = [float(b.measure) for b in omega.boxes]
+    weights = np.array(weights) / sum(weights)
+    shift = np.array(exact.to_floats(exact.as_vector(a, omega.dim)))
+    cover = OracleCover(omega, lat)
+    for _ in range(samples):
+        box = omega.boxes[rng.choice(len(omega.boxes), p=weights)]
+        point = np.array([
+            float(lo) + rng.random() * (float(hi) - float(lo))
+            for lo, hi in zip(box.lo, box.hi)
+        ])
+        if cover.count(point + shift) == 0:
+            return False
+    return True
+
+
+def union(*boxes):
+    return BoxUnion(tuple(Box(lo, hi) for lo, hi in boxes))
+
+
+# cells of measure 1 for the integer lattice: the unit square cut at 1/3,
+# a fundamental domain of two boxes, and a strip of the right measure that
+# is not one
+TILING_DOMAINS = [
+    union(((0, 0), ("1/3", 1)), (("1/3", 0), (1, 1))),
+    union(((0, 0), ("1/2", 1)), (("3/2", "1/3"), (2, "4/3"))),
+    union(((0, 0), ("1/3", 3))),
+]
+SHEARS = (1, -2, 3)  # Gamma basis [[1, k], [0, 1]]: the integer lattice
+ORACLE_SEEDS = (0, 3, 11)
+
+
+@pytest.mark.parametrize("k", SHEARS)
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_sampled_tiling_matches_scalar_oracle(monkeypatch, k, seed):
+    monkeypatch.setattr(pair, "SAMPLE_CHUNK", 64)  # 1, 2, ..., 64, 64, ...
+    gamma = sp.Lattice([[1, k], [0, 1]])
+    samples = 300
+    for d_prime in TILING_DOMAINS:
+        report = sp.tiling_check(d_prime, gamma, [(0, 0)], samples=samples, seed=seed)
+        bad = oracle_tiling_bad(d_prime, gamma, samples, seed)
+        assert report.method == "monte_carlo"
+        assert report.fundamental_domain is (bad == 0)
+        assert report.ok is (bad == 0)
+        assert report.detail == (f"{bad}/{samples} sampled points not covered once"
+                                 if bad else "")
+        assert report.failure_probability == (1.0 - pair.MONTE_CARLO_DEFECT) ** samples
+
+
+# rational unions in the unit cell with shifts that do and do not map
+# them onto themselves modulo the integer lattice
+MEMBERSHIP_CASES = [
+    (union(((0, 0), ("1/4", 1)), (("1/2", 0), ("3/4", 1))), ("1/2", 0), True),
+    (union(((0, 0), ("1/4", 1)), (("1/2", 0), ("3/4", 1))), ("1/4", 0), False),
+    (union(((0, 0), ("1/3", 1)), (("2/3", 0), (1, "1/2"))), ("2/3", 0), False),
+    (union(((0, 0), (1, "1/3")), ((0, "2/3"), (1, 1))), (0, "1/3"), False),
+    (union(((0, 0), ("1/3", "1/2")), (("1/3", "1/2"), ("2/3", 1)),
+           (("2/3", 0), (1, "1/2"))), ("2/3", 0), False),
+    (union(((0, 0), ("1/3", "1/2")), (("1/3", "1/2"), ("2/3", 1)),
+           (("2/3", 0), (1, "1/2"))), ("1/3", "1/2"), False),
+    (union(((0, 0), (1, "1/3")), ((0, "1/2"), (1, "5/6"))), (0, "1/2"), True),
+]
+
+
+@pytest.mark.parametrize("k", SHEARS)
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_sampled_membership_matches_scalar_oracle(monkeypatch, k, seed):
+    monkeypatch.setattr(pair, "SAMPLE_CHUNK", 64)
+    lat = sp.Lattice([[1, k], [0, 1]])
+    z2 = sp.Lattice([[1, 0], [0, 1]])
+    for omega, shift, member in MEMBERSHIP_CASES:
+        assert sp.translation_membership(omega, z2, shift) is member  # exact path
+        got = sp.translation_membership(omega, lat, shift, samples=300, seed=seed)
+        assert got is oracle_membership(omega, lat, shift, 300, seed)
+
+
+def test_cover_corner_tests_are_exact():
+    # float(1/3) lies just below 1/3: outside [1/3, 1), inside [0, 1/3)
+    x = float(Fraction(1, 3))
+    assert x < Fraction(1, 3) and pair._float_at_least(Fraction(1, 3)) > x
+    assert pair._float_at_least(Fraction(1, 4)) == 0.25
+    lat = sp.Lattice([[1, 0], [0, 1]])
+    for omega, hits in ((union(((0, 0), ("1/3", 1))), 1),
+                        (union((("1/3", 0), (1, 1))), 0)):
+        assert OracleCover(omega, lat).count([x, 0.5]) == hits
+        assert pair._LatticeCover(omega, lat).counts(np.array([[x, 0.5]])).tolist() == [hits]
+
+
+def oracle_orthogonality_matrix(omega, spectrum):
+    measure_ = float(omega.measure)
+    points = spectrum.points
+    n = len(points)
+    gram = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        gram[i, i] = 1.0
+        for j in range(i + 1, n):
+            value = sp.indicator_transform(omega, exact.vec_sub(points[j], points[i]))
+            gram[i, j] = value / measure_
+            gram[j, i] = gram[i, j].conjugate()
+    return gram
+
+
+@pytest.mark.parametrize("name, radius", [("scale4", 40), ("scale4x2", 6)])
+def test_orthogonality_matrix_matches_per_entry_oracle(name, radius):
+    loaded = sp.parse_spec(name)
+    spectrum = sp.truncate_spectrum(loaded.system, radius)
+    got = sp.orthogonality_matrix(loaded.omega, spectrum)
+    want = oracle_orthogonality_matrix(loaded.omega, spectrum)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signs of zero
+
+
+def test_sampled_membership_verdict_follows_the_draws():
+    # the shift maps all but a sliver of 1/500 of the union back onto it,
+    # so 300 samples miss the sliver for some seeds and hit it for others
+    lat = sp.Lattice([[1, 1], [0, 1]])
+    omega = union(((0, 0), (1, "1/4")), ((0, "1/2"), (1, "3/4")))
+    shift = (0, "1001/2000")
+    seeds = range(16)
+    got = [sp.translation_membership(omega, lat, shift, samples=300, seed=s)
+           for s in seeds]
+    assert got == [oracle_membership(omega, lat, shift, 300, s) for s in seeds]
+    assert True in got and False in got
