@@ -1,82 +1,86 @@
 """Exact vanishing decisions for finite sums of roots of unity.
 
-A sum  sum_k c_k e^{i 2 pi q_k}  with rational c_k, q_k lives in the
-cyclotomic field of conductor n = lcm of the reduced denominators of the
-phases q_k.  It is zero exactly when the polynomial  sum_k c_k x^{p_k}
-(p_k = q_k n mod n) is divisible by the n-th cyclotomic polynomial.
-
-Phases are reduced mod 1 before the conductor is computed, which keeps n
-tiny for the structural zeros this package needs (digit-mask zeros reduce
-to half-integer phases, box-transform zeros to small roots of unity).
-Sums whose conductor exceeds the limit are left undecided -- callers fall
-back to numerics and never claim an exact zero for them.
+A sum  sum_r w_r e^{i 2 pi r / den}  with integer weights is decided one
+prime at a time, exactly at every conductor.  With conductor n = p^a m,
+p prime to m, group the terms by CRT as  sum_s e^{i 2 pi s / p^a} g_s
+with g_s in the field of conductor m.  Over that field e^{i 2 pi / p^a}
+has minimal polynomial Phi_p(x^{p^{a-1}}), so the sum vanishes exactly
+when, for every t mod p^{a-1}, the p values g_{t + j p^{a-1}} are equal:
+each equality is the same question at conductor m (de Bruijn 1953; Lam
+and Leung, J. Algebra 224, 2000).  A class that misses one of its p slots
+holds a zero, so all its values must vanish.  Every class misses one when
+p exceeds the number of terms, so those primes are split off together,
+unfactored, and trial division stops at the term count.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
-DEFAULT_CONDUCTOR_LIMIT = 4096
+
+def residue_sum_is_zero(weights: dict[int, int], den: int) -> bool:
+    """Decide whether  sum_r w_r e^{i 2 pi r / den}  vanishes exactly.
+
+    ``weights`` maps residues in [0, den) to integer weights.
+    """
+    weights = {r: w for r, w in weights.items() if w}
+    if len(weights) < 3:
+        if len(weights) < 2:
+            return not weights
+        # c0 z^q0 + c1 z^q1 = 0 forces z^{q1-q0} = -c0/c1, a *rational*
+        # root of unity, hence -1: the phases differ by exactly 1/2 and
+        # the coefficients agree.
+        (r0, w0), (r1, w1) = weights.items()
+        return w0 == w1 and 2 * abs(r1 - r0) == den
+    # reduce to the conductor
+    step = math.gcd(den, *weights)
+    n = den // step
+    residues = {r // step: w for r, w in weights.items()}
+    # prime powers up to the term count by trial division; the cofactor's
+    # primes all exceed it
+    powers, rest = [], n
+    for p in range(2, len(residues) + 1):
+        if rest % p == 0:
+            q = 1
+            while rest % p == 0:
+                rest //= p
+                q *= p
+            powers.append((q, p))
+    # split off the cofactor as one block whose classes never fill
+    # (p = q > term count), else the largest prime power.  Keying the terms
+    # by (r mod q, r mod m) applies zeta_n -> zeta_n^{q + m}, an automorphism
+    # since q + m is prime to n, so vanishing is unchanged.
+    q, p = (rest, rest) if rest > 1 else max(powers)
+    m, period = n // q, q // p
+    classes: dict[int, dict[int, dict[int, int]]] = {}
+    for r, w in residues.items():
+        s = r % q
+        classes.setdefault(s % period, {}).setdefault(s // period, {})[r % m] = w
+    for row in classes.values():
+        if len(row) < p:
+            if not all(residue_sum_is_zero(g, m) for g in row.values()):
+                return False
+            continue
+        ref = min(row.values(), key=len)
+        for g in row.values():
+            if g is not ref:
+                diff = dict(g)
+                for u, w in ref.items():
+                    diff[u] = diff.get(u, 0) - w
+                if not residue_sum_is_zero(diff, m):
+                    return False
+    return True
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # den is monic, division is exact by construction
-    out = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for i in range(len(out) - 1, -1, -1):
-        coeff = rem[i + len(den) - 1]
-        out[i] = coeff
-        if coeff:
-            for j, dj in enumerate(den):
-                rem[i + j] -= coeff * dj
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending degree."""
-    if n < 1:
-        raise ValueError("conductor must be positive")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in _divisors(n)[:-1]:
-        poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
-
-
-def exp_sum_is_zero(
-    terms: Iterable[tuple[Fraction, Fraction]],
-    conductor_limit: int = DEFAULT_CONDUCTOR_LIMIT,
-) -> bool | None:
+def exp_sum_is_zero(terms: Iterable[tuple[Fraction, Fraction]]) -> bool:
     """Decide whether sum of coeff * e^{i 2 pi phase} vanishes exactly.
 
-    ``terms`` yields (coefficient, phase) pairs, both rational.  Returns
-    True/False when decided, or None when the conductor after phase
-    reduction exceeds ``conductor_limit`` (caller must treat the value as
-    nonzero-unless-proven and fall back to numerics).
-
-    The work runs on integers: coefficients become integer weights over
-    their common denominator, phases integer residues mod ``den`` over
-    theirs, which scales the sum by a positive constant and so leaves
-    the answer alone.
+    ``terms`` yields (coefficient, phase) pairs, both rational.  The
+    coefficients become integer weights over their common denominator and
+    the phases integer residues mod ``den`` over theirs, which scales the
+    sum by a positive constant and so leaves the answer alone.
     """
     terms = [(coeff, phase) for coeff, phase in terms if coeff]
     weight_den = math.lcm(*(coeff.denominator for coeff, _ in terms))
@@ -86,32 +90,4 @@ def exp_sum_is_zero(
         residue = phase.numerator * (den // phase.denominator) % den
         weight = coeff.numerator * (weight_den // coeff.denominator)
         combined[residue] = combined.get(residue, 0) + weight
-    combined = {r: w for r, w in combined.items() if w}
-    if not combined:
-        return True
-    if len(combined) == 1:
-        return False
-    if len(combined) == 2:
-        # c0 z^q0 + c1 z^q1 = 0 forces z^{q1-q0} = -c0/c1, a *rational*
-        # root of unity, hence -1: the phases differ by exactly 1/2 and
-        # the coefficients agree.
-        (r0, w0), (r1, w1) = sorted(combined.items())
-        return 2 * (r1 - r0) == den and w0 == w1
-    # the conductor: lcm of the reduced denominators of the residues / den
-    n = math.lcm(*(den // math.gcd(r, den) for r in combined))
-    if n > conductor_limit:
-        return None
-    step = den // n
-    coeffs = [0] * n
-    for r, weight in combined.items():
-        coeffs[r // step] += weight
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    rem = coeffs
-    for i in range(n - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            base = i - deg
-            for j in range(deg + 1):
-                rem[base + j] -= c * phi[j]
-    return not any(rem[:deg])
+    return residue_sum_is_zero(combined, den)

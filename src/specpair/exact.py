@@ -153,6 +153,22 @@ def det(m: Matrix) -> Fraction:
     return result
 
 
+def characteristic_polynomial(m: Matrix) -> list[Fraction]:
+    """Coefficients of det(x I - m), ascending, by Faddeev-LeVerrier:
+    M_k = m M_{k-1} + c_{d-k+1} I  and  c_{d-k} = -tr(m M_k) / k."""
+    d = len(m)
+    coeffs = [Fraction(0)] * d + [Fraction(1)]
+    product = ((Fraction(0),) * d,) * d  # m M_0
+    for k in range(1, d + 1):
+        acc = tuple(
+            tuple(x + coeffs[d - k + 1] if i == j else x for j, x in enumerate(row))
+            for i, row in enumerate(product)
+        )
+        product = mat_mul(m, acc)
+        coeffs[d - k] = -sum(product[i][i] for i in range(d)) / k
+    return coeffs
+
+
 def inverse(m: Matrix) -> Matrix:
     """Matrix inverse by Gauss-Jordan; raises ValueError on a singular input."""
     n = len(m)

@@ -310,10 +310,18 @@ def lattice_points_in_box(lat: Lattice, radius) -> list[Vector]:
 
 
 def is_expansive(e: Matrix) -> tuple[bool, float]:
-    """Whether every eigenvalue of E has modulus > 1; returns the minimum."""
+    """Whether every eigenvalue of E has modulus > 1, decided exactly, and
+    the float smallest modulus, as detail only.
+
+    The roots of x^d chi(1/x) are the inverse eigenvalues.  By Schur-Cohn
+    they all lie in the open unit disk exactly when |constant| < |leading|
+    and the same holds for  (leading p(x) - constant x^d p(1/x)) / x.
+    """
+    poly = exact.characteristic_polynomial(e)[::-1]
+    while len(poly) > 1 and abs(poly[0]) < abs(poly[-1]):
+        poly = [poly[-1] * a - poly[0] * b for a, b in zip(poly, reversed(poly))][1:]
     eigenvalues = np.linalg.eigvals(np.array(exact.matrix_to_floats(e)))
-    smallest = float(np.abs(eigenvalues).min())
-    return smallest > 1.0, smallest
+    return len(poly) == 1, float(np.abs(eigenvalues).min())
 
 
 @dataclass(frozen=True)

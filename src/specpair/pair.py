@@ -70,7 +70,7 @@ def _exact_zero(omega: BoxUnion, t: tuple[Fraction, ...]) -> bool:
                 if not hi_pick:
                     coeff = -coeff
             terms.append((coeff, phase))
-    return exp_sum_is_zero(terms) is True
+    return exp_sum_is_zero(terms)
 
 
 def indicator_transform(omega: BoxUnion, t) -> complex:

@@ -9,9 +9,10 @@ the product backend.  The quadrature backend integrates the exponential
 against a depth-n refinement instead; the two paths share no code, which
 is what makes their agreement a meaningful check.
 
-At rational frequencies the mask's phases are rational, so its zeros
-(which carry all orthogonality statements downstream) are decided
-exactly and propagate as literal zeros through the product.
+At rational frequencies the mask's phases are integers p over one q, so
+its zeros (which carry all orthogonality statements downstream) are
+decided exactly, at every conductor, from the residues p mod q, and
+propagate as literal zeros through the product.
 """
 
 from __future__ import annotations
@@ -19,22 +20,17 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import exact
-from .cyclotomic import exp_sum_is_zero
+from .cyclotomic import residue_sum_is_zero
 from .errors import BudgetExceeded
 from .lattice import SimpleFactor
 from .measure import DiscreteMeasure, build_ifs, integrate_exponential, refine_measure
 
 MAX_PRODUCT_DEPTH = 200
-
-# Structural mask zeros reduce to tiny conductors (half-integer phases for
-# the built-in systems), so the exact test on the product hot path stops
-# early for the huge conductors that show up along deep pull-back orbits.
-MASK_CONDUCTOR_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -78,14 +74,12 @@ def _exact_mask(system: SimpleFactor, num: tuple[int, ...], den: int) -> complex
     digits, digit_den, _, _ = system._integer_maps
     q = digit_den * den
     phases = [sum(bc * tc for bc, tc in zip(b, num)) for b in digits]
-    if all(p % q == 0 for p in phases):
+    residues = [p % q for p in phases]
+    if not any(residues):
         return complex(1.0)
-    n = system.N
-    weight = Fraction(1, n)
-    terms = [(weight, Fraction(p, q)) for p in phases]
-    if exp_sum_is_zero(terms, MASK_CONDUCTOR_LIMIT) is True:
+    if residue_sum_is_zero(Counter(residues), q):
         return 0j
-    return sum(cmath.exp(2j * math.pi * (p / q)) for p in phases) / n
+    return sum(cmath.exp(2j * math.pi * (p / q)) for p in phases) / system.N
 
 
 def _float_mask(system: SimpleFactor, freq: tuple[float, ...]) -> complex:

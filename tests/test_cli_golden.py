@@ -51,6 +51,8 @@ CASES = {
     "cuntz-scale4-depth12": ["cuntz", "--spec", "scale4", "--box", "8",
                              "--product-depth", "12"],
     "transform-2d-third-fifth": ["transform", "--spec", "scale4x2", "--s", "1/3,2/5"],
+    "transform-2d-zero-conductor-202": ["transform", "--spec", "scale4x2",
+                                        "--s", "1,1/101"],
     "transform-n3-cyclotomic-zero": ["transform", "--spec", N3, "--s", "1"],
     "transform-n3-past-conductor": ["transform", "--spec", N3, "--s", "1/5"],
     "spectrum-n3": ["spectrum", "--spec", N3, "--s", "1/2", "--enum-depth", "5"],

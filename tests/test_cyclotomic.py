@@ -2,26 +2,7 @@ import cmath
 import math
 from fractions import Fraction as F
 
-import pytest
-
-from specpair.cyclotomic import cyclotomic_polynomial, exp_sum_is_zero
-
-
-def test_cyclotomic_polynomials_small():
-    assert cyclotomic_polynomial(1) == (-1, 1)
-    assert cyclotomic_polynomial(2) == (1, 1)
-    assert cyclotomic_polynomial(3) == (1, 1, 1)
-    assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(6) == (1, -1, 1)
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-
-
-def test_cyclotomic_degree_is_totient():
-    def totient(n):
-        return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-    for n in (5, 8, 9, 10, 15, 36, 105):
-        assert len(cyclotomic_polynomial(n)) - 1 == totient(n)
+from specpair.cyclotomic import exp_sum_is_zero
 
 
 def _numeric(terms):
@@ -60,13 +41,20 @@ def test_empty_and_cancelling_coefficients():
     assert exp_sum_is_zero([(F(1), F(1, 3)), (F(-1), F(4, 3))]) is True
 
 
-def test_conductor_limit_leaves_undecided():
+def test_large_conductors_are_decided():
+    # conductor 5000: three unit vectors within 0.01 rad of each other
     terms = [(F(1), F(1, 5000)), (F(1), F(3, 5000)), (F(1), F(7, 5000))]
-    assert exp_sum_is_zero(terms, conductor_limit=64) is None
-    # a two-term sum is decided regardless of the conductor
+    assert exp_sum_is_zero(terms) is False
+    assert abs(_numeric(terms)) > 2.9
     assert exp_sum_is_zero([(F(1), F(1, 5000)), (F(1), F(2501, 5000))]) is True
-
-
-def test_bad_conductor():
-    with pytest.raises(ValueError):
-        cyclotomic_polynomial(0)
+    # conductor 3 * 7 * 2^40: zeta_3 + zeta_7 + zeta_{2^40}
+    terms = [(F(1), F(1, 3)), (F(1), F(1, 7)), (F(1), F(1, 2**40))]
+    assert exp_sum_is_zero(terms) is False
+    assert abs(_numeric(terms)) > 1
+    # every 5003rd root of unity once: a coset sum at a prime conductor,
+    # also turned by 1/7; one root short it is -1
+    assert exp_sum_is_zero([(F(1), F(k, 5003)) for k in range(5003)]) is True
+    coset = [(F(1), F(k, 5003) + F(1, 7)) for k in range(5003)]
+    assert exp_sum_is_zero(coset) is True
+    assert abs(_numeric(coset)) < 1e-9
+    assert exp_sum_is_zero([(F(1), F(k, 5003)) for k in range(1, 5003)]) is False

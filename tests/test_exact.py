@@ -36,6 +36,16 @@ def test_matrix_inverse_and_det():
     assert exact.inverse(inv) == m
 
 
+def test_characteristic_polynomial():
+    # det(x I - m), ascending: x^2 + 1 for a square root of -I
+    root = exact.as_matrix([[3, -5], [2, -3]])
+    assert exact.characteristic_polynomial(root) == [1, 0, 1]
+    # (x - 2)(x - 1/2)(x + 1)
+    m = exact.as_matrix([[2, 1, 0], [0, "1/2", 0], [1, 0, -1]])
+    assert exact.characteristic_polynomial(m) == [1, F(-3, 2), F(-3, 2), 1]
+    assert exact.characteristic_polynomial(exact.as_matrix([[4]])) == [-4, 1]
+
+
 def test_singular_matrix_rejected():
     with pytest.raises(ValueError):
         exact.inverse(exact.as_matrix([[1, 2], [2, 4]]))

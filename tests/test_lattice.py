@@ -216,6 +216,13 @@ def test_is_expansive():
     assert is_expansive(exact.as_matrix([[4]]))[0]
     assert not is_expansive(exact.identity(2))[0]
     assert not is_expansive(exact.as_matrix([[2, 0], [0, "1/2"]]))[0]
+    # [[3, -5], [2, -3]] squares to -I: eigenvalues +-i, of modulus exactly 1,
+    # which floats put just above 1
+    rotation = exact.as_matrix([[3, -5, 0], [2, -3, 0], [0, 0, 2]])
+    assert is_expansive(rotation)[0] is False
+    assert is_expansive(exact.as_matrix([[0, 2], [1, 0]]))[0]
+    assert is_expansive(exact.as_matrix([[1, 1], [-1, 1]]))[0]  # modulus sqrt 2
+    assert not is_expansive(exact.as_matrix([[2, 0], [0, 0]]))[0]
 
 
 def test_simple_factor_shape_errors():

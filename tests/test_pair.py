@@ -32,6 +32,11 @@ def test_transform_two_interval_zeros(scale4):
     assert abs(value - 1j / math.pi) < 1e-15
 
 
+def test_transform_zero_past_small_conductors(scale4x2):
+    # the first axis vanishes at t_0 = 1; the second brings in 5003rd roots
+    assert sp.indicator_transform(scale4x2.omega, (1, F(1, 5003))) == 0j
+
+
 def test_transform_conjugate_symmetry(scale4):
     omega = scale4.omega
     for t in (F(1, 3), F(5, 7), 0.37, 2.25):

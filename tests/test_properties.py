@@ -108,12 +108,24 @@ def test_forced_cancellation_is_detected(terms):
                 min_size=1, max_size=4))
 def test_declared_zero_agrees_with_numerics(terms):
     verdict = exp_sum_is_zero(terms)
-    assume(verdict is not None)
     numeric = sum(float(c) * cmath.exp(2j * math.pi * float(q)) for c, q in terms)
     if verdict:
         assert abs(numeric) < 1e-9
     else:
         assert abs(numeric) > 1e-12
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2**61 - 2)),
+                max_size=6))
+def test_verdict_is_a_bool_at_a_mersenne_prime_conductor(pairs):
+    # fewer than p terms at the prime p = 2^61 - 1 vanish only when every
+    # residue's weight cancels
+    verdict = exp_sum_is_zero([(F(c), F(k, 2**61 - 1)) for c, k in pairs])
+    weights: dict[int, int] = {}
+    for c, k in pairs:
+        weights[k] = weights.get(k, 0) + c
+    assert type(verdict) is bool
+    assert verdict is not any(weights.values())
 
 
 @given(st.lists(small_fractions, min_size=4, max_size=4).map(sorted))

@@ -104,6 +104,14 @@ def test_exact_zero_survives_deep_products(scale4):
     assert sp.mu_hat_value(scale4.system, 4**5, settings) == 0
 
 
+def test_mask_zero_past_small_conductors(scale4x2):
+    # the first coordinate gives (1 + e^{i pi}) / 2; the second turns the
+    # phases by 1/202, so the sum's conductor is 202
+    t = (1, F(1, 101))
+    assert sp.mask(scale4x2.system, t) == 0j
+    assert sp.mu_hat_value(scale4x2.system, t) == 0j
+
+
 def test_mask_is_mean_of_characters(scale4x2):
     system = scale4x2.system
     t = (0.37, -1.42)
