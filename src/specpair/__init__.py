@@ -96,6 +96,7 @@ from .transform import (
     functional_equation_residual,
     mask,
     mu_hat_value,
+    mu_hat_values,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +120,7 @@ __all__ = [
     "emit_table", "enumerate_spectrum", "frequency_map",
     "functional_equation_residual", "inclusion_matrix",
     "indicator_transform", "integrate_exponential", "mask",
-    "maximality_probe", "mu_hat_value", "orthogonality_matrix",
+    "maximality_probe", "mu_hat_value", "mu_hat_values", "orthogonality_matrix",
     "parse_document", "parse_spec", "reduce_mod_lattice", "refine_measure",
     "relation_residuals", "render_table", "same_lattice",
     "separation_witness", "separation_witnesses", "state_eval", "tiling_check",

@@ -24,7 +24,7 @@ from .operators import classify_measure, relation_residuals, state_eval
 from .pair import tiling_check
 from .specfile import document_from, parse_document, parse_spec
 from .spectrum import completeness_table, enumerate_spectrum
-from .transform import TransformSettings, mask, mu_hat_value
+from .transform import TransformSettings, mask, mu_hat_value, mu_hat_values
 from . import exact
 
 SEED = 20260808
@@ -147,18 +147,13 @@ def criterion_3_functional_equation() -> CriterionResult:
     points = rng.uniform(-8.0, 8.0, 100)
     quad = TransformSettings(backend="quadrature", quadrature_depth=12)
     prod = TransformSettings(backend="product", product_depth=30)
-    worst_quad = 0.0
-    worst_prod = 0.0
-    for t in points:
-        pushed = 4.0 * t
-        worst_quad = max(worst_quad, abs(
-            mu_hat_value(system, pushed, quad)
-            - mask(system, pushed) * mu_hat_value(system, t, quad)
-        ))
-        worst_prod = max(worst_prod, abs(
-            mu_hat_value(system, pushed, prod)
-            - mask(system, pushed) * mu_hat_value(system, t, prod)
-        ))
+    worst = []
+    for settings in (quad, prod):
+        pushed = mu_hat_values(system, 4.0 * points[:, None], settings).tolist()
+        values = mu_hat_values(system, points[:, None], settings).tolist()
+        worst.append(max(abs(left - mask(system, 4.0 * t) * right)
+                         for t, left, right in zip(points, pushed, values)))
+    worst_quad, worst_prod = worst
     passed = worst_quad < 1e-5 and worst_prod < 1e-13
     return CriterionResult(
         3, "functional equation residuals",
@@ -289,14 +284,13 @@ def criterion_9_self_similarity() -> CriterionResult:
         ifs = build_ifs(system)
         freqs = rng.uniform(-8.0, 8.0, size=(20, system.dim))
         pull = np.array(exact.matrix_to_floats(system.E_transpose_inverse))
+        masks = [mask(system, tuple(t)) for t in freqs]
         previous = refine_measure(ifs, 0)
         for depth in range(1, 11):
             current = refine_measure(ifs, depth)
-            for t in freqs:
+            for t, factor in zip(freqs, masks):
                 lhs = integrate_exponential(current, tuple(t))
-                rhs = mask(system, tuple(t)) * integrate_exponential(
-                    previous, tuple(pull @ t)
-                )
+                rhs = factor * integrate_exponential(previous, tuple(pull @ t))
                 worst = max(worst, abs(lhs - rhs))
             previous = current
     return CriterionResult(
@@ -314,9 +308,9 @@ def criterion_10_property_sweep() -> CriterionResult:
     quad = TransformSettings(backend="quadrature", quadrature_depth=12)
     grid = np.linspace(-8.0, 8.0, 33)
     for settings, label in ((prod, "product"), (quad, "quadrature")):
-        for t in grid:
-            value = mu_hat_value(system, t, settings)
-            mirrored = mu_hat_value(system, -t, settings)
+        values = mu_hat_values(system, grid[:, None], settings).tolist()
+        mirrors = mu_hat_values(system, -grid[:, None], settings).tolist()
+        for t, value, mirrored in zip(grid, values, mirrors):
             if abs(mirrored - value.conjugate()) > 1e-14:
                 problems.append(f"{label}: Hermitian symmetry fails at t={t}")
             if abs(value) > 1 + 1e-12:

@@ -8,7 +8,6 @@ Every output is deterministic given the flags and the seed.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -29,7 +28,7 @@ from .measure import build_ifs, refine_measure
 from .specfile import builtin_names, parse_spec
 from .spectrum import completeness_table, enumerate_spectrum
 from .tables import emit_table
-from .transform import TransformSettings, check_product_depth, mu_hat_value
+from .transform import TransformSettings, check_product_depth, mu_hat_value, mu_hat_values
 
 RELATION_TOLERANCE = 1e-6
 ORTHOGONALITY_TOLERANCE = 1e-12
@@ -144,16 +143,19 @@ def cmd_transform(args) -> int:
                 for backend in backends]
     if args.s is not None:
         points = [_parse_vector(args.s, system.dim)]
+        columns = [[mu_hat_value(system, points[0], s)] for s in settings]
     elif args.grid is not None:
         lo, hi, count = _parse_grid(args.grid)
         _check_budget(count**system.dim, f"{count}^{system.dim} grid points")
-        points = itertools.product(np.linspace(lo, hi, count), repeat=system.dim)
+        axes = np.meshgrid(*[np.linspace(lo, hi, count)] * system.dim, indexing="ij")
+        grid = np.stack(axes, axis=-1).reshape(-1, system.dim)  # last axis fastest
+        columns = [mu_hat_values(system, grid, s).tolist() for s in settings]
+        points = grid.tolist()
     else:
         raise ParseError("transform needs --s or --grid")
     depth = args.quadrature_depth if args.backend == "quadrature" else args.product_depth
     rows = []
-    for point in points:
-        values = [mu_hat_value(system, point, s) for s in settings]
+    for point, values in zip(points, zip(*columns)):
         z = values[0]
         row = {f"t{i}": float(c) for i, c in enumerate(point)}
         row.update(re=z.real, im=z.imag, abs=abs(z), backend=args.backend, depth=depth)

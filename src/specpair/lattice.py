@@ -46,6 +46,15 @@ class Lattice:
         if exact.det(self.basis) == 0:
             raise ValueError("lattice basis is singular")
 
+    # the hash is computed once per object: lru_cache lookups keyed on a
+    # lattice or a system would otherwise re-hash every Fraction in it
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.basis)
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -203,6 +212,15 @@ class SimpleFactor:
         if not self.digits or len(self.digits) != len(self.freq_digits):
             raise ValueError("digit sets must be nonempty and equinumerous")
 
+    # computed once, like Lattice's; equal systems have equal lattices and
+    # digits, and leaving out the name keeps it the same in every process
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.K, self.A, self.Gamma, self.digits, self.freq_digits))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def dim(self) -> int:
         return self.K.dim
@@ -231,6 +249,13 @@ class SimpleFactor:
     def _float_maps(self) -> tuple:
         return (exact.matrix_to_floats(self.E_transpose),
                 exact.matrix_to_floats(self.E_transpose_inverse))
+
+    @cached_property
+    def _float_digits(self) -> np.ndarray:
+        """The digits as floats, one row each."""
+        digits = np.array(exact.matrix_to_floats(self.digits)).reshape(self.N, self.dim)
+        digits.setflags(write=False)
+        return digits
 
     @cached_property
     def _integer_maps(self) -> tuple:

@@ -17,6 +17,7 @@ finite truncation cannot tell "strictly below one" from "equal to one".
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +29,7 @@ from .errors import BudgetExceeded, CollisionDetected, MemberOfSpectrum
 from .exact import Vector
 from .lattice import SimpleFactor
 from .measure import ATOM_BUDGET, word_at
-from .transform import TransformSettings, mu_hat_value
+from .transform import FLOAT_CHUNK_ROWS, TransformSettings, mu_hat_value, mu_hat_values
 
 WITNESS_THRESHOLD = 1e-6
 
@@ -116,10 +117,14 @@ def completeness_table(
     depths = sorted(set(int(d) for d in depths))
     if not depths or depths[0] < 0:
         raise ValueError("depths must be nonnegative")
-    s, _ = exact.as_point(s, system.dim)
+    s, is_exact = exact.as_point(s, system.dim)
     deepest = enumerate_spectrum(system, depths[-1])
-    values = [abs(mu_hat_value(system, exact.vec_sub(s, xi), settings)) ** 2
-              for xi in deepest.elements]
+    if is_exact:
+        values = [mu_hat_value(system, exact.vec_sub(s, xi), settings)
+                  for xi in deepest.elements]
+    else:
+        values = mu_hat_values(system, np.array(s) - deepest.floats, settings).tolist()
+    values = [abs(v) ** 2 for v in values]
     rows = []
     previous = 0.0
     for depth in depths:
@@ -173,10 +178,16 @@ def maximality_probe(
         range(len(enum)),
         key=lambda i: (float(np.linalg.norm(enum.floats[i])), i),
     )
-    for i in order:
-        xi = enum.elements[i]
-        shifted = exact.vec_sub(point, xi)
-        value = mu_hat_value(system, shifted, settings)
+    if is_exact:
+        values = (mu_hat_value(system, exact.vec_sub(point, enum.elements[i]), settings)
+                  for i in order)
+    else:
+        # a float probe is scanned one batch at a time, in the same order
+        shifted = np.array(point) - enum.floats[order]
+        values = itertools.chain.from_iterable(
+            mu_hat_values(system, shifted[k:k + FLOAT_CHUNK_ROWS], settings).tolist()
+            for k in range(0, len(order), FLOAT_CHUNK_ROWS))
+    for i, value in zip(order, values):
         if abs(value) > threshold:
-            return Witness(xi=xi, value=value)
+            return Witness(xi=enum.elements[i], value=value)
     return AllOrthogonal(enum_depth=enum_depth, threshold=threshold)

@@ -13,6 +13,12 @@ At rational frequencies the mask's phases are integers p over one q, so
 its zeros (which carry all orthogonality statements downstream) are
 decided exactly, at every conductor, from the residues p mod q, and
 propagate as literal zeros through the product.
+
+Float frequencies go through one batched kernel, ``mu_hat_values``: an
+(M, d) array of points runs the product level by level in numpy, each
+operation the one Python's scalar complex arithmetic performs, so every
+value is the float the scalar loop gives.  A single float point is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -24,13 +30,19 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import exact
 from .cyclotomic import residue_sum_is_zero
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NonFinitePoint
 from .lattice import SimpleFactor
 from .measure import DiscreteMeasure, build_ifs, integrate_exponential, refine_measure
 
 MAX_PRODUCT_DEPTH = 200
+# rows of float points per numpy pass in mu_hat_values; bounds the (N, rows)
+# phase arrays whatever the number of points
+FLOAT_CHUNK_ROWS = 4096
+TWO_PI = 2 * math.pi
 
 
 @dataclass(frozen=True)
@@ -60,9 +72,14 @@ def mask(system: SimpleFactor, t) -> complex:
 
     mask(0) = 1.  At rational ``t`` the value is pinned exactly when it
     is a structural 1 (all phases integral) or a structural 0 (the root
-    of unity sum vanishes in its cyclotomic field).
+    of unity sum vanishes in its cyclotomic field).  A float ``t`` is a
+    batch of one for the float kernel.
     """
-    return next(_mask_factors(system, *exact.as_point(t, system.dim)))
+    point, is_exact = exact.as_point(t, system.dim)
+    if is_exact:
+        return next(_mask_factors(system, point))
+    re, im = _float_masks(system, np.array([point]).T)
+    return complex(re[0], im[0])
 
 
 def _exact_mask(system: SimpleFactor, num: tuple[int, ...], den: int) -> complex:
@@ -82,27 +99,68 @@ def _exact_mask(system: SimpleFactor, num: tuple[int, ...], den: int) -> complex
     return sum(cmath.exp(2j * math.pi * (p / q)) for p in phases) / system.N
 
 
-def _float_mask(system: SimpleFactor, freq: tuple[float, ...]) -> complex:
-    return sum(
-        cmath.exp(2j * math.pi * sum(float(bc) * tc for bc, tc in zip(b, freq)))
-        for b in system.digits
-    ) / system.N
-
-
-def _mask_factors(system: SimpleFactor, freq: tuple, is_exact: bool):
-    """The factors mask((E^T)^{-k} t) for k = 0, 1, 2, ...; an exact
-    frequency is pulled back as integer numerators over a growing
+def _mask_factors(system: SimpleFactor, freq: tuple):
+    """The factors mask((E^T)^{-k} t) for k = 0, 1, 2, ... at an exact
+    frequency, pulled back as integer numerators over a growing
     denominator."""
-    if is_exact:
-        (num,), den = exact.over_common_denominator((freq,))
-        _, _, pull, pull_den = system._integer_maps
-        while True:
-            yield _exact_mask(system, num, den)
-            num = tuple(sum(m * c for m, c in zip(row, num)) for row in pull)
-            den *= pull_den
+    (num,), den = exact.over_common_denominator((freq,))
+    _, _, pull, pull_den = system._integer_maps
     while True:
-        yield _float_mask(system, freq)
-        freq = system.pull(freq)
+        yield _exact_mask(system, num, den)
+        num = tuple(sum(m * c for m, c in zip(row, num)) for row in pull)
+        den *= pull_den
+
+
+def _float_masks(system: SimpleFactor, columns) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the mask at float points given as d
+    coordinate columns, as Python computes
+    sum(cmath.exp(2j * math.pi * sum(b_j * t_j)) for b in digits) / N.
+
+    Each sum starts from the int 0, which is the ``0.0 +``; the imaginary
+    part of 2j*pi*phase is 0.0*0.0 + 2pi*phase and its real part is a
+    zero, so cmath.exp gives exactly (cos, sin) of that angle.
+    """
+    digits = system._float_digits
+    phases = 0.0 + digits[:, :1] * columns[0]
+    for j in range(1, len(columns)):
+        phases += digits[:, j:j + 1] * columns[j]
+    angles = TWO_PI * phases + 0.0
+    cos, sin = np.cos(angles), np.sin(angles)
+    re, im = 0.0 + cos[0], 0.0 + sin[0]
+    for k in range(1, len(cos)):
+        re += cos[k]
+        im += sin[k]
+    # complex / N divides by (N, 0.0) through the ratio 0.0 / N = 0.0
+    n = system.N
+    return (re + im * 0.0) / n, (im - re * 0.0) / n
+
+
+def _float_product(
+    system: SimpleFactor, points: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the depth-``depth`` product at each row
+    of ``points``.
+
+    Python's complex multiply is written out in real operations, because
+    numpy's complex multiply fuses them and rounds differently; pull is
+    exact.mat_vec on floats, each row summed left to right from the int 0.
+    A row whose factor is an exact zero is 0j, the scalar loop's early
+    exit.
+    """
+    pull = system._float_maps[1]
+    columns = list(points.T)
+    re = np.ones(len(points))
+    im = np.zeros(len(points))
+    zero = np.zeros(len(points), dtype=bool)
+    for level in range(depth):
+        if level:
+            columns = [sum((m * c for m, c in zip(row, columns)), 0.0) for row in pull]
+        f_re, f_im = _float_masks(system, columns)
+        zero |= (f_re == 0) & (f_im == 0)
+        re, im = re * f_re - im * f_im, re * f_im + im * f_re
+    re[zero] = 0.0
+    im[zero] = 0.0
+    return re, im
 
 
 @lru_cache(maxsize=8)
@@ -116,19 +174,51 @@ def mu_hat_value(
     """The transform of the invariant measure at frequency ``t``.
 
     Backend "product" returns the truncated mask product; "quadrature"
-    integrates against the cached refinement.
+    integrates against the cached refinement.  A float ``t`` runs the
+    product as a batch of one through mu_hat_values.
     """
     if settings.backend == "quadrature":
         return integrate_exponential(
             _cached_measure(system, settings.quadrature_depth), t
         )
-    factors = _mask_factors(system, *exact.as_point(t, system.dim))
+    point, is_exact = exact.as_point(t, system.dim)
+    if not is_exact:
+        return mu_hat_values(system, [point], settings).tolist()[0]
+    factors = _mask_factors(system, point)
     value = complex(1.0)
     for factor in itertools.islice(factors, settings.product_depth):
         if factor == 0:
             return 0j
         value *= factor
     return value
+
+
+def mu_hat_values(
+    system: SimpleFactor, points, settings: TransformSettings = TransformSettings()
+) -> np.ndarray:
+    """The transform at every row of an (M, d) array of float points, as M
+    complex values.
+
+    Each value is bit for bit the one mu_hat_value gives at that row as a
+    float point; the product runs FLOAT_CHUNK_ROWS rows per numpy pass and
+    the quadrature backend integrates row by row.  Raises ValueError on
+    another shape and NonFinitePoint on a NaN or infinite entry.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != system.dim:
+        raise ValueError(f"expected an (M, {system.dim}) array of points")
+    if not np.isfinite(points).all():
+        raise NonFinitePoint("some point has a non-finite entry")
+    if settings.backend == "quadrature":
+        measure = _cached_measure(system, settings.quadrature_depth)
+        return np.array([integrate_exponential(measure, tuple(p)) for p in points],
+                        dtype=complex)
+    values = np.empty(len(points), dtype=complex)
+    for start in range(0, len(points), FLOAT_CHUNK_ROWS):
+        chunk = slice(start, start + FLOAT_CHUNK_ROWS)
+        values.real[chunk], values.imag[chunk] = _float_product(
+            system, points[chunk], settings.product_depth)
+    return values
 
 
 def functional_equation_residual(

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import specpair as sp
-from specpair import exact
+from specpair import exact, measure
 from specpair.lattice import is_expansive, lattice_points_in_box
 
 
@@ -238,3 +239,18 @@ def test_simple_factor_shape_errors():
             Gamma=sp.Lattice([["1/4"]]),
             digits=[(0,)], freq_digits=[(0,)],
         )
+
+
+def test_equal_systems_hash_equal_and_share_cache_entries():
+    a = sp.parse_spec("scale4x2").system
+    b = sp.parse_spec("scale4x2").system
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(sp.Lattice(a.K.basis)) == hash(a.K)
+    measure._dual_candidates.cache_clear()
+    first = measure._dual_candidates(a, 1)
+    assert measure._dual_candidates(b, 1) is first
+    assert measure._dual_candidates.cache_info().hits == 1
+    # the name takes part in equality, not in the hash
+    renamed = dataclasses.replace(a, name="renamed")
+    assert renamed != a and hash(renamed) == hash(a)
+    assert measure._dual_candidates(renamed, 1) is not first

@@ -13,6 +13,10 @@ now decides every sum exactly.  Where the oracle decides, its verdicts
 and mask bits stay in force; where it answers None, the package's answer
 is checked by ``independent_verdict``.
 
+The batched float product ``mu_hat_values`` is held to the scalar float
+loop it replaced (``oracle_float_*``), value by value, every sign of zero
+included.
+
 The batched tiling and membership sampler is held to the one-point-at-a-
 time loops it replaced (``OracleCover``, ``oracle_*``): the same seed must
 give the same bad count, detail, verdict and failure bound.  The Gram
@@ -29,9 +33,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from unittest import mock
 
 import specpair as sp
-from specpair import exact, measure, pair
+from specpair import exact, measure, pair, transform
 from specpair.boxes import Box, BoxUnion
 from specpair.cyclotomic import exp_sum_is_zero
 from specpair.transform import TransformSettings, mask, mu_hat_value
@@ -40,6 +45,11 @@ SYSTEMS = {
     "scale4": sp.parse_spec("scale4").system,
     "scale4x2": sp.parse_spec("scale4x2").system,
     "n3": sp.parse_spec(Path(__file__).with_name("data") / "n3.json").system,
+}
+FLOAT_SYSTEMS = {
+    **SYSTEMS,
+    "scale4x2_sheared": sp.parse_spec(
+        Path(__file__).with_name("data") / "scale4x2_sheared.json").system,
 }
 # dyadic, non-dyadic below the oracle's mask conductor limit, and past it
 DENOMINATORS = (1, 2, 4, 8, 64, 1024, 3, 5, 6, 7, 9, 15, 21, 97, 131, 625, 1001)
@@ -304,6 +314,113 @@ def test_exp_sum_is_zero_matches_fraction_oracle(terms, limit):
 def test_exp_sum_is_zero_outcomes_match_fraction_oracle(terms, limit, expected):
     assert exp_sum_is_zero(terms) is expected
     assert independent_verdict(terms, limit) is expected
+
+
+def oracle_float_mask(system, freq):
+    return sum(
+        cmath.exp(2j * math.pi * sum(float(bc) * tc for bc, tc in zip(b, freq)))
+        for b in system.digits
+    ) / system.N
+
+
+def oracle_float_mu_hat_value(system, t, product_depth):
+    """The float product loop one frequency at a time, pulling back
+    through the float (E^T)^{-1} as exact.mat_vec does."""
+    freq, is_exact = exact.as_point(t, system.dim)
+    assert not is_exact
+    pull = exact.matrix_to_floats(system.E_transpose_inverse)
+    value = complex(1.0)
+    for _ in range(product_depth):
+        factor = oracle_float_mask(system, freq)
+        if factor == 0:
+            return 0j
+        value *= factor
+        freq = tuple(sum(row[j] * freq[j] for j in range(len(freq))) for row in pull)
+    return value
+
+
+def assert_same_values(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (repr(a.real), repr(a.imag)) == (repr(b.real), repr(b.imag))
+
+
+float_coordinates = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(-8, 8, allow_nan=False),
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 4.0)),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(sorted(FLOAT_SYSTEMS)), st.data())
+def test_mu_hat_values_match_scalar_float_oracle(name, data):
+    system = FLOAT_SYSTEMS[name]
+    m = data.draw(st.integers(1, 6))
+    points = data.draw(st.lists(
+        st.tuples(*[float_coordinates] * system.dim), min_size=m, max_size=m))
+    depth = data.draw(st.one_of(st.integers(1, 200), st.sampled_from((1, 30, 200))))
+    chunk = data.draw(st.sampled_from((1, 2, 3, transform.FLOAT_CHUNK_ROWS)))
+    settings_ = TransformSettings(product_depth=depth)
+    with mock.patch.object(transform, "FLOAT_CHUNK_ROWS", chunk):
+        got = sp.mu_hat_values(system, points, settings_).tolist()
+    assert_same_values(got, [oracle_float_mu_hat_value(system, t, depth) for t in points])
+    assert_same_values([mu_hat_value(system, t, settings_) for t in points[:2]], got[:2])
+    assert_same_values([mask(system, t) for t in points],
+                       [oracle_float_mask(system, t) for t in points])
+
+
+# float masks that are exactly zero: the sines of pi and 2 pi cancel, at
+# the first level or only after pulling back (4, 4) to (1, 1); past the
+# zeros at (-3, -3) and (-7, -1) the product would go on to -0j
+@pytest.mark.parametrize("name, t", [
+    ("scale4x2", (1.0, 1.0)),
+    ("scale4x2", (-1.0, 3.0)),
+    ("scale4x2", (4.0, 4.0)),
+    ("scale4x2", (-3.0, -3.0)),
+    ("scale4x2_sheared", (-7.0, -1.0)),
+    ("scale4x2", (1.0, 0.0)),
+    ("scale4", (-0.0,)),
+    ("n3", (1.0,)),
+])
+def test_pinned_float_frequencies_match_scalar_oracle(monkeypatch, name, t):
+    system = FLOAT_SYSTEMS[name]
+    monkeypatch.setattr(transform, "FLOAT_CHUNK_ROWS", 2)
+    points = [t, (0.25,) * system.dim, t]
+    got = sp.mu_hat_values(system, points).tolist()
+    assert_same_values(got, [oracle_float_mu_hat_value(system, p, 30) for p in points])
+    assert_same_values([mu_hat_value(system, t), mask(system, t)],
+                       [got[0], oracle_float_mask(system, t)])
+
+
+def test_float_zero_rows_are_literal_zeros():
+    system = SYSTEMS["scale4x2"]
+    values = sp.mu_hat_values(system, [(1.0, 1.0), (4.0, 4.0), (0.25, 0.25)])
+    assert values[:2].tolist() == [0j, 0j] and values[2] != 0
+    assert oracle_float_mask(system, (4.0, 4.0)) != 0  # the zero is at level 2
+
+
+def test_float_consumers_match_scalar_oracle(monkeypatch):
+    system = SYSTEMS["scale4"]
+    s = 16.4
+    enum = sp.enumerate_spectrum(system, 6)
+    terms = [abs(oracle_float_mu_hat_value(system, s - float(xi[0]), 30)) ** 2
+             for xi in enum.elements]
+    rows = sp.completeness_table(system, s, range(7))
+    assert [r.sigma for r in rows] == [
+        math.fsum(terms[i] for i in enum.depth_slice(d)) for d in range(7)]
+    # scan order is nearest first; at 16.4 the first four values grow, so
+    # the fifth is the first past the largest of them, in the third chunk
+    monkeypatch.setattr(transform, "FLOAT_CHUNK_ROWS", 2)
+    monkeypatch.setattr(sp.spectrum, "FLOAT_CHUNK_ROWS", 2)
+    order = sorted(range(len(enum)), key=lambda i: (abs(float(enum.elements[i][0])), i))
+    values = [oracle_float_mu_hat_value(system, s - float(enum.elements[i][0]), 30)
+              for i in order]
+    threshold = max(abs(v) for v in values[:4])
+    probe = sp.maximality_probe(system, s, 6, threshold=threshold)
+    assert abs(values[4]) > threshold
+    assert probe.xi == enum.elements[order[4]]
+    assert_same_values([probe.value], [values[4]])
 
 
 def scalar_witnesses(system, x, y, radius, tol):

@@ -137,3 +137,33 @@ def test_consumers_refuse_out_of_range_product_depths(scale4, monkeypatch, call,
         monkeypatch.setattr(module, "mu_hat_value", no_transform)
     with pytest.raises(sp.BudgetExceeded, match="product depth"):
         call(scale4.system, depth)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_mu_hat_values_reject_non_finite_rows(scale4x2, bad):
+    with pytest.raises(sp.NonFinitePoint):
+        sp.mu_hat_values(scale4x2.system, [(0.5, 0.25), (0.0, bad)])
+
+
+@pytest.mark.parametrize("points", [
+    [0.5, 0.25],                    # one point, not a batch
+    [(0.5,), (0.25,)],              # wrong width
+    np.zeros((2, 2, 1)),
+])
+def test_mu_hat_values_reject_bad_shapes(scale4x2, points):
+    with pytest.raises(ValueError):
+        sp.mu_hat_values(scale4x2.system, points)
+
+
+@pytest.mark.parametrize("backend", ["product", "quadrature"])
+def test_mu_hat_values_of_no_points(scale4x2, backend):
+    settings = TransformSettings(quadrature_depth=2, backend=backend)
+    values = sp.mu_hat_values(scale4x2.system, np.empty((0, 2)), settings)
+    assert values.shape == (0,) and values.dtype == complex
+
+
+def test_mu_hat_values_quadrature_is_the_scalar_backend(scale4x2):
+    settings = TransformSettings(quadrature_depth=3, backend="quadrature")
+    points = [(0.5, -1.25), (3.0, 0.0)]
+    values = sp.mu_hat_values(scale4x2.system, points, settings).tolist()
+    assert values == [sp.mu_hat_value(scale4x2.system, t, settings) for t in points]
