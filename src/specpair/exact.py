@@ -120,15 +120,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(u, v))
+    return tuple(x + y for x, y in zip(u, v, strict=True))
 
 
 def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(u, v))
+    return tuple(x - y for x, y in zip(u, v, strict=True))
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(x * y for x, y in zip(u, v, strict=True))
 
 
 def det(m: Matrix) -> Fraction:

@@ -188,9 +188,9 @@ def separation_witness(
         x = (x,)
     if isinstance(y, (int, float, Fraction)):
         y = (y,)
-    diff = tuple(float(a) - float(b) for a, b in zip(x, y))
-    if len(diff) != system.dim:
+    if len(x) != system.dim or len(y) != system.dim:
         raise ValueError(f"expected points of length {system.dim}")
+    diff = tuple(float(a) - float(b) for a, b in zip(x, y))
     if not all(map(math.isfinite, diff)):
         raise NonFinitePoint(f"{x!r} - {y!r} is not finite")
     if tuple(float(a) for a in x) == tuple(float(b) for b in y):

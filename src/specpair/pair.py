@@ -6,12 +6,11 @@ so structural zeros (the orthogonality relations of the pair) are decided
 exactly through the cyclotomic test and reported as literal zeros, never
 as small numbers.
 
-Tiling and translation questions are exact for rectangular lattices
-(diagonal basis up to column order and sign), which covers every built-in
-system; other lattices fall back to seeded sampling with the failure
-bound stated on the report.  The sampler draws and tests its points in
-numpy batches; a seed makes the same draws, in the same order, as one
-draw per point would, so it gives the same answer.
+Translation membership is exact on every lattice, decided modulo the
+largest sublattice with a diagonal basis.  Tiling is exact for rectangular
+lattices (diagonal basis up to column order and sign), which covers every
+built-in system; other lattices fall back to seeded sampling, in numpy
+batches, with the failure bound stated on the report.
 """
 
 from __future__ import annotations
@@ -21,16 +20,20 @@ import itertools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import exact
-from .boxes import Box, BoxUnion, difference_measure, equal_almost_everywhere
+from .boxes import Box, BoxUnion, difference_measure
 from .cyclotomic import exp_sum_is_zero
-from .errors import NotEmbeddable
+from .errors import BudgetExceeded, NotEmbeddable
 from .exact import Vector
-from .lattice import Lattice, SimpleFactor, box_candidates, lattice_points_in_box
+from .lattice import (Lattice, SimpleFactor, box_candidates, coset_representatives,
+                      lattice_points_in_box)
 
+# most cosets of its rectangular sublattice a membership lattice may have
+MEMBERSHIP_COSET_BUDGET = 2**10
 MONTE_CARLO_SAMPLES = 100_000
 MONTE_CARLO_DEFECT = 1e-3  # smallest relative defect the bound speaks about
 # most sampled points tested at once; chunks grow 1, 2, 4, ... up to it,
@@ -170,7 +173,7 @@ def rectangular_cell(lat: Lattice) -> Vector | None:
     """Cell side lengths when the lattice is a product of scaled axes.
 
     Returns None when the basis is not diagonal up to column order and
-    sign, in which case callers fall back to sampling.
+    sign, in which case tiling_check samples.
     """
     d = lat.dim
     sides: list[Fraction | None] = [None] * d
@@ -187,22 +190,23 @@ def rectangular_cell(lat: Lattice) -> Vector | None:
     return tuple(sides)  # type: ignore[arg-type]
 
 
-def _reduce_box(box: Box, cell: Vector) -> list[Box]:
-    """Split a box into pieces translated into the cell [0, cell)."""
-    per_axis: list[list[tuple[Fraction, Fraction]]] = []
-    for lo, hi, side in zip(box.lo, box.hi, cell):
-        pieces = []
-        k = lo // side  # Fraction floor division -> integer Fraction
-        while k * side < hi:
-            a = max(lo, k * side)
-            b = min(hi, (k + 1) * side)
-            pieces.append((a - k * side, b - k * side))
-            k += 1
-        per_axis.append(pieces)
-    return [
-        Box(tuple(p[0] for p in combo), tuple(p[1] for p in combo))
-        for combo in itertools.product(*per_axis)
-    ]
+def _reduce(omega: BoxUnion, cell: Vector) -> list[Box]:
+    """Split the boxes of a union into pieces translated into the cell [0, cell)."""
+    pieces: list[Box] = []
+    for box in omega.boxes:
+        per_axis: list[list[tuple[Fraction, Fraction]]] = []
+        for lo, hi, side in zip(box.lo, box.hi, cell):
+            axis = []
+            k = lo // side  # Fraction floor division -> integer Fraction
+            while k * side < hi:
+                a = max(lo, k * side)
+                b = min(hi, (k + 1) * side)
+                axis.append((a - k * side, b - k * side))
+                k += 1
+            per_axis.append(axis)
+        pieces += (Box(tuple(p[0] for p in combo), tuple(p[1] for p in combo))
+                   for combo in itertools.product(*per_axis))
+    return pieces
 
 
 def reduce_mod_lattice(omega: BoxUnion, lat: Lattice) -> BoxUnion:
@@ -217,13 +221,31 @@ def reduce_mod_lattice(omega: BoxUnion, lat: Lattice) -> BoxUnion:
         raise ValueError(
             "reduction is implemented for rectangular lattices only"
         )
-    pieces = [p for box in omega.boxes for p in _reduce_box(box, cell)]
+    pieces = _reduce(omega, cell)
     for a, b in itertools.combinations(pieces, 2):
         if a.intersect(b) is not None:
             raise NotEmbeddable(
                 f"reductions overlap on positive measure: {a} and {b}"
             )
     return BoxUnion(tuple(pieces))
+
+
+@lru_cache(maxsize=32)
+def _rectangular_sublattice(lat: Lattice) -> tuple[Vector, tuple[Vector, ...]]:
+    """The cell of M, the largest sublattice of ``lat`` with a diagonal
+    basis, and representatives of lat/M.
+
+    Side i is the least c > 0 with c e_i in lat: c = q / gcd(n) when
+    column i of lat^-1 is n / q.  Refuses [lat : M] > MEMBERSHIP_COSET_BUDGET.
+    """
+    columns, q = exact.over_common_denominator(exact.transpose(lat.inverse))
+    cell = tuple(Fraction(q, math.gcd(*n)) for n in columns)
+    index = abs(math.prod(cell) / lat.det)
+    if index > MEMBERSHIP_COSET_BUDGET:
+        raise BudgetExceeded(f"[lat : M] = {index} exceeds {MEMBERSHIP_COSET_BUDGET}")
+    sub = Lattice(tuple(tuple(c if i == j else 0 for j in range(lat.dim))
+                        for i, c in enumerate(cell)))
+    return cell, coset_representatives(sub, lat)
 
 
 def _float_at_least(q: Fraction) -> float:
@@ -402,41 +424,18 @@ def tiling_check(
     )
 
 
-def translation_membership(
-    omega: BoxUnion,
-    lat: Lattice,
-    a,
-    samples: int = MONTE_CARLO_SAMPLES,
-    seed: int = 0,
-) -> bool:
+def translation_membership(omega: BoxUnion, lat: Lattice, a) -> bool:
     """Whether translating by ``a`` permutes the union modulo the lattice.
 
-    Exact for rectangular lattices (compare reductions up to measure
-    zero).  Otherwise decides by seeded sampling: every sampled point of
-    the union must land back in the union modulo the lattice.
+    Exact on every lattice.  Translation keeps measure on the torus, so it
+    permutes the image of the union exactly when omega + a lies in
+    omega + lat up to measure zero.  Modulo the rectangular sublattice M,
+    that is: omega + a reduced into M's cell is covered by the reductions
+    of omega + r, r over representatives of lat/M.
     """
-    _check_samples(samples)
     a = exact.as_vector(a, omega.dim)
-    if all(v == 0 for v in a) or lat.contains(a):
+    if lat.contains(a):
         return True
-    if rectangular_cell(lat) is not None:
-        reduced = reduce_mod_lattice(omega, lat)
-        shifted = reduce_mod_lattice(omega.translate(a), lat)
-        return equal_almost_everywhere(reduced, shifted)
-    rng = np.random.default_rng(seed)
-    weights = [float(b.measure) for b in omega.boxes]
-    # the box pick is Generator.choice(p=weights) taken apart: one uniform
-    # per point, placed on the same normalised cumulative weights
-    cdf = (np.array(weights) / sum(weights)).cumsum()
-    cdf /= cdf[-1]
-    lo = np.array([exact.to_floats(b.lo) for b in omega.boxes])
-    width = np.array([exact.to_floats(b.hi) for b in omega.boxes]) - lo
-    shift = np.array(exact.to_floats(a))
-    cover = _LatticeCover(omega, lat)
-    for size in _chunk_sizes(samples):
-        draws = rng.random((size, 1 + omega.dim))
-        pick = cdf.searchsorted(draws[:, 0], side="right")
-        points = lo[pick] + draws[:, 1:] * width[pick]
-        if (cover.counts(points + shift) == 0).any():
-            return False
-    return True
+    cell, reps = _rectangular_sublattice(lat)
+    cover = [p for r in reps for p in _reduce(omega.translate(r), cell)]
+    return difference_measure(_reduce(omega.translate(a), cell), cover) == 0

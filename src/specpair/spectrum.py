@@ -28,10 +28,12 @@ from . import exact
 from .errors import BudgetExceeded, CollisionDetected, MemberOfSpectrum
 from .exact import Vector
 from .lattice import SimpleFactor
-from .measure import ATOM_BUDGET, word_at
+from .measure import word_at
 from .transform import FLOAT_CHUNK_ROWS, TransformSettings, mu_hat_value, mu_hat_values
 
 WITNESS_THRESHOLD = 1e-6
+# most frequencies one enumeration may build, checked before it builds any
+SPECTRUM_BUDGET = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +76,7 @@ def enumerate_spectrum(system: SimpleFactor, depth: int) -> SpectrumEnumeration:
     """All digit sums of length ``depth``, exact and collision-checked."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if system.N**depth > ATOM_BUDGET:
+    if system.N**depth > SPECTRUM_BUDGET:
         raise BudgetExceeded(f"{system.N}^{depth} frequencies exceed the budget")
     elements: list[Vector] = [exact.zero_vector(system.dim)]
     power = exact.identity(system.dim)
@@ -174,10 +176,7 @@ def maximality_probe(
         member = any(tuple(row) == point for row in enum.floats)
     if member:
         raise MemberOfSpectrum(f"{s!r} is in the depth-{enum_depth} enumeration")
-    order = sorted(
-        range(len(enum)),
-        key=lambda i: (float(np.linalg.norm(enum.floats[i])), i),
-    )
+    order = np.argsort(np.linalg.norm(enum.floats, axis=1), kind="stable").tolist()
     if is_exact:
         values = (mu_hat_value(system, exact.vec_sub(point, enum.elements[i]), settings)
                   for i in order)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specpair.exact
 import specpair.operators
 import specpair.pair
 from specpair import dumps_spec, parse_spec
@@ -232,6 +233,18 @@ def test_transform_grid_is_budgeted_before_allocation(capsys, monkeypatch):
     monkeypatch.setattr(np, "linspace", no_linspace)
     code, out, err = run(capsys, "transform", "--spec", "scale4x2",
                          "--grid=-8:8:100000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: BudgetExceeded") and err.count("\n") == 1
+
+
+def test_spectrum_enumeration_is_budgeted_before_building(capsys, monkeypatch):
+    def no_vec_add(u, v):
+        raise AssertionError("frequencies built before the budget check")
+
+    monkeypatch.setattr(specpair.exact, "vec_add", no_vec_add)
+    code, out, err = run(capsys, "spectrum", "--spec", "scale4", "--enum-depth", "19",
+                         "--frequencies")
     assert code == 1
     assert out == ""
     assert err.startswith("error: BudgetExceeded") and err.count("\n") == 1

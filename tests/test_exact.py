@@ -69,6 +69,14 @@ def test_vector_helpers():
     assert not exact.is_integral((F(1, 2),))
 
 
+@pytest.mark.parametrize("op", [exact.vec_add, exact.vec_sub, exact.dot])
+def test_vector_operations_reject_mismatched_lengths(op):
+    with pytest.raises(ValueError):
+        op((F(1), F(2)), (F(3),))
+    with pytest.raises(ValueError):
+        op((F(1),), (F(3), F(4)))
+
+
 _SCALE4 = sp.parse_spec("scale4").system
 
 

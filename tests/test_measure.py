@@ -130,6 +130,17 @@ def test_separation_witness_examples(scale4):
         sp.separation_witness(system, 0.25, 0.25)
 
 
+@pytest.mark.parametrize("name, x, y", [
+    ("scale4", (0.1, 0.2), (0.3,)),
+    ("scale4", (0.1,), (0.3, 0.2)),
+    ("scale4x2", (0.1, 0.2, 0.5), (0.3, 0.2)),
+], ids=["scale4-long-x", "scale4-long-y", "scale4x2-long-x"])
+def test_separation_witness_rejects_malformed_points(name, x, y):
+    system = sp.parse_spec(name).system
+    with pytest.raises(ValueError, match=f"length {system.dim}"):
+        sp.separation_witness(system, x, y)
+
+
 def test_separation_witness_exhaustion():
     # integer lattice dual = integers; points differing by an integer are
     # never separated, so the search must report exhaustion

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import specpair as sp
+from specpair import pair
 from specpair.boxes import Box, BoxUnion
 from specpair.pair import MONTE_CARLO_DEFECT, rectangular_cell
 
@@ -176,6 +177,69 @@ def test_translation_membership_eighths(scale4):
         assert sp.translation_membership(scale4.omega, z, (F(k, 8),)) == expected
 
 
+HALVES = BoxUnion((Box((0, 0), ("1/4", 1)), Box(("1/2", 0), ("3/4", 1))))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_membership_is_exact_on_strongly_sheared_bases(k):
+    # [[1, k], [0, 1]] spans Z^2: far from reduced, but the same lattice
+    sheared = sp.Lattice([[1, k], [0, 1]])
+    assert sp.translation_membership(HALVES, sheared, ("1/2", 0)) is True
+    assert sp.translation_membership(HALVES, sheared, ("1/4", 0)) is False
+
+
+def test_membership_on_lattices_without_a_diagonal_basis():
+    # the checkerboard lattice has index 2 over 2Z^2: (1, 0) swaps its cosets
+    checkerboard = sp.Lattice([[1, 1], [-1, 1]])
+    square = BoxUnion((Box((0, 0), (1, 1)),))
+    two = BoxUnion((Box((0, 0), (1, 1)), Box((1, 0), (2, 1))))
+    assert sp.translation_membership(two, checkerboard, (1, 0)) is True
+    assert sp.translation_membership(square, checkerboard, (1, 0)) is False
+    # {x + y = 0 mod 3} has index 3 over 3Z^2; a strip of length 3 is
+    # invariant along it, and a fundamental domain under every shift
+    index3 = sp.Lattice([[2, 1], [1, 2]])
+    strip = BoxUnion((Box((0, 0), (3, "1/2")),))
+    assert sp.translation_membership(strip, index3, (1, 0)) is True
+    assert sp.translation_membership(strip, index3, ("1/2", 0)) is True
+    assert sp.translation_membership(strip, index3, (0, "1/2")) is False
+    assert sp.translation_membership(strip, index3, ("1/2", "1/2")) is False
+    fundamental = BoxUnion((Box((0, 0), (3, 1)),))
+    assert sp.translation_membership(fundamental, index3, ("1/3", "1/7")) is True
+    assert sp.translation_membership(two, index3, (1, 0)) is False
+
+
+def test_membership_of_a_union_that_does_not_embed():
+    # both boxes reduce to [0, 1/4) mod Z; the image is still well defined
+    z = sp.Lattice([[1]])
+    overlapping = BoxUnion((Box((0,), ("1/4",)), Box((1,), ("5/4",))))
+    assert sp.translation_membership(overlapping, z, ("1/4",)) is False
+    assert sp.translation_membership(overlapping, z, (1,)) is True
+    assert sp.translation_membership(overlapping, z, ("1/2",)) is False
+
+
+def test_membership_refuses_too_many_cosets(monkeypatch):
+    class Enumerated(Exception):
+        pass
+
+    def refuse(sub, sup):
+        raise Enumerated
+
+    monkeypatch.setattr(pair, "coset_representatives", refuse)
+    pair._rectangular_sublattice.cache_clear()
+    assert pair.MEMBERSHIP_COSET_BUDGET == 2**10
+    with pytest.raises(sp.BudgetExceeded, match="1025"):
+        sp.translation_membership(HALVES, sp.Lattice([[1, "1/1025"], [0, 1]]), ("1/2", 0))
+    with pytest.raises(Enumerated):
+        sp.translation_membership(HALVES, sp.Lattice([[1, "1/1024"], [0, 1]]), ("1/2", 0))
+
+
+def test_membership_takes_no_sampling_options():
+    for option in ("samples", "seed"):
+        with pytest.raises(TypeError):
+            sp.translation_membership(HALVES, sp.Lattice([[1, 1], [0, 1]]), ("1/2", 0),
+                                      **{option: 1})
+
+
 def test_monte_carlo_fallback_agrees(scale4):
     # a sheared basis of the integer lattice spans the same lattice, but
     # defeats the rectangular fast path and exercises the sampling route
@@ -183,8 +247,8 @@ def test_monte_carlo_fallback_agrees(scale4):
     omega = BoxUnion((
         Box((0, 0), ("1/4", 1)), Box(("1/2", 0), ("3/4", 1)),
     ))
-    assert sp.translation_membership(omega, sheared, ("1/2", 0), samples=2000, seed=3)
-    assert not sp.translation_membership(omega, sheared, ("1/4", 0), samples=2000, seed=3)
+    assert sp.translation_membership(omega, sheared, ("1/2", 0))
+    assert not sp.translation_membership(omega, sheared, ("1/4", 0))
     report = sp.tiling_check(
         BoxUnion((Box((0, 0), (1, 1)),)), sheared, [(0, 0)], samples=20_000, seed=3,
     )
@@ -197,11 +261,8 @@ def test_monte_carlo_fallback_agrees(scale4):
 def test_sampled_checks_reject_bad_sample_counts(samples):
     sheared = sp.Lattice([[1, 1], [0, 1]])
     square = BoxUnion((Box((0, 0), (1, 1)),))
-    halves = BoxUnion((Box((0, 0), ("1/4", 1)), Box(("1/2", 0), ("3/4", 1))))
     with pytest.raises(ValueError, match="samples"):
         sp.tiling_check(square, sheared, [(0, 0)], samples=samples)
-    with pytest.raises(ValueError, match="samples"):
-        sp.translation_membership(halves, sheared, ("1/4", 0), samples=samples)
     # the check does not depend on which path would answer
     with pytest.raises(ValueError, match="samples"):
         sp.tiling_check(square, sp.Lattice([[1, 0], [0, 1]]), [(0, 0)], samples=samples)

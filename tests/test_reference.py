@@ -17,10 +17,13 @@ The batched float product ``mu_hat_values`` is held to the scalar float
 loop it replaced (``oracle_float_*``), value by value, every sign of zero
 included.
 
-The batched tiling and membership sampler is held to the one-point-at-a-
-time loops it replaced (``OracleCover``, ``oracle_*``): the same seed must
-give the same bad count, detail, verdict and failure bound.  The Gram
-matrix is held to one ``indicator_transform`` per entry.
+The batched tiling sampler is held to the one-point-at-a-time loop it
+replaced (``OracleCover``, ``oracle_tiling_bad``): the same seed must give
+the same bad count, detail, verdict and failure bound.  Translation
+membership, exact on every lattice, is held to a second exact argument
+(``oracle_membership``): omega + a minus the lattice translates of omega
+must be null.  The Gram matrix is held to one ``indicator_transform`` per
+entry.
 """
 
 import cmath
@@ -37,7 +40,7 @@ from unittest import mock
 
 import specpair as sp
 from specpair import exact, measure, pair, transform
-from specpair.boxes import Box, BoxUnion
+from specpair.boxes import Box, BoxUnion, subtract_union
 from specpair.cyclotomic import exp_sum_is_zero
 from specpair.transform import TransformSettings, mask, mu_hat_value
 
@@ -535,22 +538,26 @@ def oracle_tiling_bad(d_prime, gamma, samples, seed):
     return bad
 
 
-def oracle_membership(omega, lat, a, samples, seed):
-    """The sampled branch of translation_membership, one draw at a time."""
-    rng = np.random.default_rng(seed)
-    weights = [float(b.measure) for b in omega.boxes]
-    weights = np.array(weights) / sum(weights)
-    shift = np.array(exact.to_floats(exact.as_vector(a, omega.dim)))
-    cover = OracleCover(omega, lat)
-    for _ in range(samples):
-        box = omega.boxes[rng.choice(len(omega.boxes), p=weights)]
-        point = np.array([
-            float(lo) + rng.random() * (float(hi) - float(lo))
-            for lo, hi in zip(box.lo, box.hi)
-        ])
-        if cover.count(point + shift) == 0:
-            return False
-    return True
+def oracle_membership(omega, lat, a):
+    """Translation membership by subtraction: (omega + a) minus every lattice
+    translate of omega must be null.
+
+    A translate omega + v meets omega + a only when |v - a| < span, the
+    widest side of omega's bounding box, so its coordinates z = lat^-1 v
+    lie within ||lat^-1|| span of lat^-1 a.
+    """
+    a = exact.as_vector(a, omega.dim)
+    span = max(max(b.hi[j] for b in omega.boxes) - min(b.lo[j] for b in omega.boxes)
+               for j in range(omega.dim))
+    reach = span * max(sum(abs(c) for c in row) for row in lat.inverse)
+    cutters = []
+    for z in itertools.product(*(range(math.floor(c - reach), math.ceil(c + reach) + 1)
+                                 for c in lat.coordinates(a))):
+        v = exact.mat_vec(lat.basis, z)
+        if all(abs(x - y) < span for x, y in zip(v, a)):
+            cutters += [box.translate(v) for box in omega.boxes]
+    target = omega.translate(a).boxes
+    return sum((p.measure for p in subtract_union(target, cutters)), Fraction(0)) == 0
 
 
 def union(*boxes):
@@ -603,14 +610,21 @@ MEMBERSHIP_CASES = [
 
 @pytest.mark.parametrize("k", SHEARS)
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-def test_sampled_membership_matches_scalar_oracle(monkeypatch, k, seed):
-    monkeypatch.setattr(pair, "SAMPLE_CHUNK", 64)
+def test_sampled_membership_matches_scalar_oracle(k, seed):
+    # the seed draws lattice vectors added to the union and to the shift,
+    # which must not change the verdict
     lat = sp.Lattice([[1, k], [0, 1]])
     z2 = sp.Lattice([[1, 0], [0, 1]])
+    rng = np.random.default_rng(seed)
     for omega, shift, member in MEMBERSHIP_CASES:
-        assert sp.translation_membership(omega, z2, shift) is member  # exact path
-        got = sp.translation_membership(omega, lat, shift, samples=300, seed=seed)
-        assert got is oracle_membership(omega, lat, shift, 300, seed)
+        assert sp.translation_membership(omega, z2, shift) is member
+        assert sp.translation_membership(omega, lat, shift) is member
+        u, v = (exact.mat_vec(lat.basis, tuple(map(int, z)))
+                for z in rng.integers(-3, 4, size=(2, 2)))
+        moved = sp.translation_membership(
+            omega.translate(u), lat, exact.vec_add(exact.as_vector(shift), v))
+        assert moved is member
+        assert oracle_membership(omega, lat, shift) is member
 
 
 def test_cover_corner_tests_are_exact():
@@ -650,13 +664,70 @@ def test_orthogonality_matrix_matches_per_entry_oracle(name, radius):
 
 
 def test_sampled_membership_verdict_follows_the_draws():
-    # the shift maps all but a sliver of 1/500 of the union back onto it,
-    # so 300 samples miss the sliver for some seeds and hit it for others
-    lat = sp.Lattice([[1, 1], [0, 1]])
+    # the shift maps all but a sliver of 1/500 of the union back onto it
     omega = union(((0, 0), (1, "1/4")), ((0, "1/2"), (1, "3/4")))
     shift = (0, "1001/2000")
-    seeds = range(16)
-    got = [sp.translation_membership(omega, lat, shift, samples=300, seed=s)
-           for s in seeds]
-    assert got == [oracle_membership(omega, lat, shift, 300, s) for s in seeds]
-    assert True in got and False in got
+    for k in (0, 1, 3):
+        lat = sp.Lattice([[1, k], [0, 1]])
+        assert sp.translation_membership(omega, lat, shift) is False
+        assert oracle_membership(omega, lat, shift) is False
+
+
+# every basis spans a lattice whose rectangular sublattice has index 1 to 3;
+# each sheared basis follows the diagonal basis it shears
+MEMBERSHIP_BASES = {
+    "z2": [[1, 0], [0, 1]],
+    "shear1": [[1, 1], [0, 1]],
+    "shear-3": [[1, -3], [0, 1]],
+    "rect": [["1/2", 0], [0, 2]],
+    "rect_sheared": [["1/2", 4], [0, 2]],
+    "checkerboard": [[1, 1], [-1, 1]],
+    "checkerboard_sheared": [[1, 2], [-1, 0]],
+    "index3": [[2, 1], [1, 2]],
+    "index3_skew": [["1/2", 0], ["1/2", "3/2"]],
+}
+TWINS = {"shear1": "z2", "shear-3": "z2", "rect_sheared": "rect",
+         "checkerboard_sheared": "checkerboard"}
+
+
+def order_mod(lat, a):
+    """The least n >= 1 with n a in the lattice."""
+    return math.lcm(*(c.denominator for c in lat.coordinates(a)))
+
+
+def orbit_union(omega, a, n):
+    """omega + {0, a, ..., (n-1) a} as disjoint boxes."""
+    pieces = []
+    for k in range(n):
+        shifted = omega.translate(tuple(k * c for c in a)).boxes
+        pieces += subtract_union(shifted, pieces)
+    return BoxUnion(tuple(pieces))
+
+
+grid_unions = st.builds(
+    lambda hx, hy, cells: union(*(((i * hx, j * hy), ((i + 1) * hx, (j + 1) * hy))
+                                  for i, j in cells)),
+    st.sampled_from((Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))),
+    st.sampled_from((Fraction(1, 2), Fraction(1, 4), Fraction(2, 3))),
+    st.sets(st.tuples(st.integers(-2, 3), st.integers(-2, 3)), min_size=1, max_size=3),
+)
+grid_shifts = st.tuples(
+    *(st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6)))
+      for _ in range(2)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(sorted(MEMBERSHIP_BASES)), grid_unions, grid_shifts)
+def test_membership_matches_subtraction_oracle(name, omega, shift):
+    lat = sp.Lattice(MEMBERSHIP_BASES[name])
+    got = sp.translation_membership(omega, lat, shift)
+    assert got is oracle_membership(omega, lat, shift)
+    if name in TWINS:
+        assert got is sp.translation_membership(
+            omega, sp.Lattice(MEMBERSHIP_BASES[TWINS[name]]), shift)
+    # the orbit of omega under the shift is invariant modulo the lattice
+    n = order_mod(lat, shift)
+    if n <= 4:
+        orbit = orbit_union(omega, shift, n)
+        assert sp.translation_membership(orbit, lat, shift) is True
+        assert oracle_membership(orbit, lat, shift) is True

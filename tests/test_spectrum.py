@@ -1,9 +1,12 @@
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import specpair as sp
+from specpair import exact, spectrum
 from specpair.spectrum import AllOrthogonal, Witness
 
 
@@ -46,6 +49,54 @@ def test_enumeration_collision_detected():
 def test_enumeration_budget(scale4):
     with pytest.raises(sp.BudgetExceeded):
         sp.enumerate_spectrum(scale4.system, 60)
+
+
+class Built(Exception):
+    """Raised in place of the first frequency: the budget let the request through."""
+
+
+def test_enumeration_budget_is_checked_before_building(scale4, scale4x2, monkeypatch):
+    def build(u, v):
+        raise Built
+
+    monkeypatch.setattr(exact, "vec_add", build)
+    assert spectrum.SPECTRUM_BUDGET == 2**18
+    for system, at_budget in ((scale4.system, 18), (scale4x2.system, 9)):
+        with pytest.raises(Built):
+            sp.enumerate_spectrum(system, at_budget)
+        with pytest.raises(sp.BudgetExceeded):
+            sp.enumerate_spectrum(system, at_budget + 1)
+    monkeypatch.setattr(spectrum, "SPECTRUM_BUDGET", 8)
+    with pytest.raises(Built):
+        sp.enumerate_spectrum(scale4.system, 3)
+    with pytest.raises(sp.BudgetExceeded):
+        sp.enumerate_spectrum(scale4.system, 4)
+    with pytest.raises(sp.BudgetExceeded):
+        sp.completeness_table(scale4.system, 2, [4])
+
+
+@pytest.mark.parametrize("name, depth, s", [
+    ("scale4", 14, ("1/3",)),
+    ("scale4x2", 7, ("1/3", "1/5")),
+    (Path(__file__).with_name("data") / "n3.json", 8, ("1/7",)),
+], ids=["scale4", "scale4x2", "n3"])
+def test_maximality_probe_scans_nearest_first(monkeypatch, name, depth, s):
+    # the probe's order is the one a per-row norm key gave: by float norm,
+    # ties in enumeration order
+    system = sp.parse_spec(name).system
+    seen = []
+
+    def record(system_, t, settings):
+        seen.append(t)
+        return 0j
+
+    monkeypatch.setattr(spectrum, "mu_hat_value", record)
+    assert isinstance(sp.maximality_probe(system, s, depth), AllOrthogonal)
+    enum = sp.enumerate_spectrum(system, depth)
+    order = sorted(range(len(enum)),
+                   key=lambda i: (float(np.linalg.norm(enum.floats[i])), i))
+    point = exact.as_vector(s)
+    assert seen == [exact.vec_sub(point, enum.elements[i]) for i in order]
 
 
 def test_completeness_exactly_one_on_spectrum_point(scale4):
