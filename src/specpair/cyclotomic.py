@@ -11,13 +11,39 @@ and Leung, J. Algebra 224, 2000).  A class that misses one of its p slots
 holds a zero, so all its values must vanish.  Every class misses one when
 p exceeds the number of terms, so those primes are split off together,
 unfactored, and trial division stops at the term count.
+
+Most sums the digit mask asks about cannot vanish for a plainer reason:
+all their roots lie in one open half plane.  ``in_open_half_circle``
+decides that on the integer residues alone, so the recursion runs only on
+sums that pass it; with two terms it is complete.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import sub
 from typing import Iterable
+
+
+def in_open_half_circle(residues: Iterable[int], den: int) -> bool:
+    """Whether the roots e^{i 2 pi r / den}, r in ``residues`` (in [0, den),
+    not empty), all lie in one open half plane through the origin.
+
+    Sorted around the circle, neighbouring residues leave gaps that add up
+    to den, the wrap-around gap included.  When the widest gap exceeds
+    den / 2, every root lies on the complementary closed arc, of length
+    under den / 2, so each is less than a quarter turn from the arc's
+    midpoint u.  Then every root has a positive component along u, and so
+    does any sum of them with positive weights: such a sum is not zero.
+    The test is integer arithmetic, exact at every den.  For two roots it
+    is complete: their plain sum vanishes exactly when they are half a
+    turn apart, which is when both gaps equal den / 2 and the test is
+    False.
+    """
+    ordered = sorted(residues)
+    widest = max(map(sub, ordered[1:] + [ordered[0] + den], ordered))
+    return 2 * widest > den
 
 
 def residue_sum_is_zero(weights: dict[int, int], den: int) -> bool:

@@ -153,21 +153,43 @@ def coset_representatives(sub: Lattice, sup: Lattice, given=None) -> tuple[Vecto
                 raise BadSection(f"{a} and {b} lie in the same coset")
         return reps
 
-    # sup/sub is isomorphic to Z^d / R^T Z^d via z -> sup.basis z, and
-    # index * Z^d <= R^T Z^d, so [0, index)^d always contains a full set.
-    m = exact.as_matrix(inclusion.R)  # == (R^T)^T applied below via transpose
-    mt_inv = exact.inverse(exact.transpose(m))
-    seen: dict[tuple, Vector] = {}
-    for z in itertools.product(range(index), repeat=sup.dim):
-        coords = exact.mat_vec(mt_inv, tuple(Fraction(c) for c in z))
-        key = tuple(c - (c.numerator // c.denominator) for c in coords)
-        if key not in seen:
-            seen[key] = exact.mat_vec(sup.basis, tuple(Fraction(c) for c in z))
-            if len(seen) == index:
-                break
-    reps = tuple(seen.values())
-    assert len(reps) == index
-    return reps
+    # sup/sub is isomorphic to Z^d / R^T Z^d via z -> sup.basis z.  Take
+    # R^T Z^d in lower-triangular Hermite form H: with z_0 .. z_{i-1} fixed,
+    # z_i moves only by multiples of h_ii, so each class has exactly one
+    # member in the box prod_i [0, h_ii), its lexicographically least one
+    # in [0, index)^d, and the box is listed in lexicographic order.
+    sides = _hermite_diagonal(inclusion.R)  # the rows of R are the columns of R^T
+    return tuple(exact.mat_vec(sup.basis, tuple(Fraction(c) for c in z))
+                 for z in itertools.product(*map(range, sides)))
+
+
+def _hermite_diagonal(columns) -> list[int]:
+    """The diagonal of the lower-triangular Hermite form of the lattice the
+    integer ``columns`` (d of them, independent) generate.
+
+    Unimodular column operations keep the lattice: for each row i, an
+    extended gcd with column i clears the entry of every later column, so
+    the diagonal ends up holding the gcds.
+    """
+    cols = [list(c) for c in columns]
+    for i, col in enumerate(cols):
+        for j in range(i + 1, len(cols)):
+            a, b = col[i], cols[j][i]
+            if b:
+                g, x, y = _extended_gcd(a, b)
+                col[:], cols[j] = ([x * u + y * v for u, v in zip(col, cols[j])],
+                                   [a // g * v - b // g * u for u, v in zip(col, cols[j])])
+    return [abs(col[i]) for i, col in enumerate(cols)]
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = x a + y b and |g| = gcd(a, b)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - k * x1, y0 - k * y1
+    return a, x0, y0
 
 
 def _map_point(m: Matrix, m_float, s) -> tuple:

@@ -197,12 +197,13 @@ def _relation_maxima(samples, push, freq_digits, transform, mask_at):
     isometry = 0.0
     range_orth = 0.0
     completeness = None if mask_at is None else 0.0
-    pairs = [(la, lb) for la in freq_digits for lb in freq_digits if la != lb]
+    differences = [exact.vec_sub(lb, la)
+                   for la in freq_digits for lb in freq_digits if la != lb]
     for u in samples:
         pushed = push(u)
         isometry = max(isometry, abs(transform(pushed) - transform(u)))
-        for la, lb in pairs:
-            arg = exact.vec_add(pushed, exact.vec_sub(lb, la))
+        for difference in differences:
+            arg = exact.vec_add(pushed, difference)
             range_orth = max(range_orth, abs(transform(arg)))
         if mask_at is not None:
             total = sum(mask_at(exact.vec_sub(u, l)) for l in freq_digits)

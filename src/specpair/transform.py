@@ -9,10 +9,13 @@ the product backend.  The quadrature backend integrates the exponential
 against a depth-n refinement instead; the two paths share no code, which
 is what makes their agreement a meaningful check.
 
-At rational frequencies the mask's phases are integers p over one q, so
-its zeros (which carry all orthogonality statements downstream) are
-decided exactly, at every conductor, from the residues p mod q, and
-propagate as literal zeros through the product.
+At rational frequencies the product runs in one integer loop,
+``_exact_product``: each level's phases are integers p over one q, so the
+mask's zeros (which carry all orthogonality statements downstream) are
+decided exactly, at every conductor, from the residues p mod q, and end
+the product as a literal zero.  A factor whose roots lie in one open half
+plane cannot vanish, which the residues show by one sort; only the others
+go to the cyclotomic recursion.
 
 Float frequencies go through one batched kernel, ``mu_hat_values``: an
 (M, d) array of points runs the product level by level in numpy, each
@@ -24,16 +27,16 @@ batch of one.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
 from . import exact
-from .cyclotomic import residue_sum_is_zero
+from .cyclotomic import in_open_half_circle, residue_sum_is_zero
 from .errors import BudgetExceeded, NonFinitePoint
 from .lattice import SimpleFactor
 from .measure import DiscreteMeasure, build_ifs, integrate_exponential, refine_measure
@@ -77,38 +80,45 @@ def mask(system: SimpleFactor, t) -> complex:
     """
     point, is_exact = exact.as_point(t, system.dim)
     if is_exact:
-        return next(_mask_factors(system, point))
+        return _exact_product(system, point, 1)
     re, im = _float_masks(system, np.array([point]).T)
     return complex(re[0], im[0])
 
 
-def _exact_mask(system: SimpleFactor, num: tuple[int, ...], den: int) -> complex:
-    """The mask at the rational frequency num / den.
+def _exact_product(system: SimpleFactor, freq: tuple, depth: int) -> complex:
+    """The product of the masks at (E^T)^{-k} freq, k < depth, at an exact
+    frequency.
 
-    The phases b.t are the integers p over one q; a float p / q is
-    correctly rounded, so it equals float(Fraction(p, q)) bit for bit.
+    The frequency is pulled back as integer numerators over a growing
+    denominator, so each level's phases b.t are integers p over one q.  A
+    level whose residues p mod q all vanish is a structural 1; one whose
+    roots fail the half-plane test and whose residue sum vanishes ends the
+    product as 0j.  Any other factor is the float sum at p / q, which
+    Python rounds correctly, so it equals float(Fraction(p, q)) bit for
+    bit.
     """
-    digits, digit_den, _, _ = system._integer_maps
-    q = digit_den * den
-    phases = [sum(bc * tc for bc, tc in zip(b, num)) for b in digits]
-    residues = [p % q for p in phases]
-    if not any(residues):
-        return complex(1.0)
-    if residue_sum_is_zero(Counter(residues), q):
-        return 0j
-    return sum(cmath.exp(2j * math.pi * (p / q)) for p in phases) / system.N
-
-
-def _mask_factors(system: SimpleFactor, freq: tuple):
-    """The factors mask((E^T)^{-k} t) for k = 0, 1, 2, ... at an exact
-    frequency, pulled back as integer numerators over a growing
-    denominator."""
     (num,), den = exact.over_common_denominator((freq,))
-    _, _, pull, pull_den = system._integer_maps
-    while True:
-        yield _exact_mask(system, num, den)
-        num = tuple(sum(m * c for m, c in zip(row, num)) for row in pull)
-        den *= pull_den
+    digits, digit_den, pull, pull_den = system._integer_maps
+    value = complex(1.0)
+    for level in range(depth):
+        if level:
+            num = [sum(map(mul, row, num)) for row in pull]
+            den *= pull_den
+        q = digit_den * den
+        phases = [sum(map(mul, b, num)) for b in digits]
+        residues = [p % q for p in phases]
+        if not any(residues):
+            factor = complex(1.0)
+        elif (not in_open_half_circle(residues, q)
+              and residue_sum_is_zero(Counter(residues), q)):
+            return 0j
+        else:
+            factor = sum(cmath.exp(2j * math.pi * (p / q)) for p in phases) / system.N
+            # the float sum of a nonzero root sum can still round to 0j
+            if factor == 0:
+                return 0j
+        value *= factor
+    return value
 
 
 def _float_masks(system: SimpleFactor, columns) -> tuple[np.ndarray, np.ndarray]:
@@ -184,13 +194,7 @@ def mu_hat_value(
     point, is_exact = exact.as_point(t, system.dim)
     if not is_exact:
         return mu_hat_values(system, [point], settings).tolist()[0]
-    factors = _mask_factors(system, point)
-    value = complex(1.0)
-    for factor in itertools.islice(factors, settings.product_depth):
-        if factor == 0:
-            return 0j
-        value *= factor
-    return value
+    return _exact_product(system, point, settings.product_depth)
 
 
 def mu_hat_values(

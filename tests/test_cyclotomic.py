@@ -1,8 +1,12 @@
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction as F
 
-from specpair.cyclotomic import exp_sum_is_zero
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from specpair.cyclotomic import exp_sum_is_zero, in_open_half_circle, residue_sum_is_zero
 
 
 def _numeric(terms):
@@ -58,3 +62,42 @@ def test_large_conductors_are_decided():
     assert exp_sum_is_zero(coset) is True
     assert abs(_numeric(coset)) < 1e-9
     assert exp_sum_is_zero([(F(1), F(k, 5003)) for k in range(1, 5003)]) is False
+
+
+# residues mod a large q: scattered ones, plus full orbits (every n-th root
+# of unity once, turned by a shift), whose sums vanish
+LARGE_DENS = (2 * 3 * 5 * 7 * 11 * 13, 2**40, 6 * 10**15, 2**20 * 3**5 * 101)
+
+
+@st.composite
+def residue_multisets(draw):
+    q = draw(st.sampled_from(LARGE_DENS))
+    residues = draw(st.lists(st.integers(0, q - 1), max_size=4))
+    for n in draw(st.lists(st.sampled_from([n for n in (2, 3, 4, 5, 6, 8) if q % n == 0]),
+                           max_size=3)):
+        shift = draw(st.integers(0, q - 1))
+        residues += [(shift + k * q // n) % q for k in range(n)]
+    if not residues:
+        residues = [draw(st.integers(0, q - 1))]
+    return draw(st.permutations(residues)), q
+
+
+@settings(deadline=None, max_examples=400)
+@given(residue_multisets())
+def test_half_circle_never_holds_a_vanishing_sum(case):
+    residues, q = case
+    if in_open_half_circle(residues, q):
+        assert not residue_sum_is_zero(Counter(residues), q)
+
+
+@pytest.mark.parametrize("residues, den, expected", [
+    ([0, 3], 6, False),           # antipodal: the two gaps are exactly den / 2
+    ([0, 2], 6, True),
+    ([5, 5], 6, True),            # one root twice
+    ([1, 2], 2**61, True),        # the widest gap is the wrap-around one
+    ([0, 1, 2], 3, False),
+    ([0, 1, 2], 4, False),        # a closed half circle: nonzero, but not decided here
+    ([0, 2**40 - 1, 1], 2**40, True),
+])
+def test_half_circle_examples(residues, den, expected):
+    assert in_open_half_circle(residues, den) is expected

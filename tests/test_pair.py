@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -231,6 +232,18 @@ def test_membership_refuses_too_many_cosets(monkeypatch):
         sp.translation_membership(HALVES, sp.Lattice([[1, "1/1025"], [0, 1]]), ("1/2", 0))
     with pytest.raises(Enumerated):
         sp.translation_membership(HALVES, sp.Lattice([[1, "1/1024"], [0, 1]]), ("1/2", 0))
+
+
+def test_membership_at_the_coset_budget_is_quick():
+    # 1024 cosets that differ only in their first coordinate: the old scan
+    # of [0, 1024)^2 for class representatives took about 35 s (2-core
+    # x86_64 VM); a Hermite form lists them in 1024 steps, about 0.4 s
+    pair._rectangular_sublattice.cache_clear()
+    lat = sp.Lattice([[1, 0], ["1/1024", 1]])
+    start = time.perf_counter()
+    assert sp.translation_membership(HALVES, lat, ("1/2", 0)) is True
+    assert sp.translation_membership(HALVES, lat, ("1/4", 0)) is False
+    assert time.perf_counter() - start < 8
 
 
 def test_membership_takes_no_sampling_options():

@@ -8,6 +8,11 @@ the cyclotomic polynomial their zero test divided by; the batched
 pair by pair.  Equality is bit for bit: ``==`` and ``repr``, so a
 changed sign of zero shows too.
 
+The exact product is also run on the benchmark's datum families (N = 2
+with E = 2k, N = 3 with A = Z/3, and their 2-D products with N = 4), with
+numerators large enough that no level is a structural 1 and the product
+runs to full depth.
+
 The Fraction oracle gives up past a conductor limit, where the package
 now decides every sum exactly.  Where the oracle decides, its verdicts
 and mask bits stay in force; where it answers None, the package's answer
@@ -23,7 +28,8 @@ the same bad count, detail, verdict and failure bound.  Translation
 membership, exact on every lattice, is held to a second exact argument
 (``oracle_membership``): omega + a minus the lattice translates of omega
 must be null.  The Gram matrix is held to one ``indicator_transform`` per
-entry.
+entry.  Coset representatives, read off a Hermite form, are held to the
+scan of [0, index)^d they replaced (``oracle_coset_representatives``).
 """
 
 import cmath
@@ -49,6 +55,39 @@ SYSTEMS = {
     "scale4x2": sp.parse_spec("scale4x2").system,
     "n3": sp.parse_spec(Path(__file__).with_name("data") / "n3.json").system,
 }
+
+
+def family_system(axes):
+    """The product of 1-D factors (N, E, L) as the benchmark builds its
+    datum families: K = Z, A = Z/N, Gamma = Z/E and B = {0, 1/N, ...,
+    (N-1)/N} on each axis."""
+    dim = len(axes)
+
+    def diag(values):
+        return [[str(v) if i == j else "0" for j in range(dim)]
+                for i, v in enumerate(values)]
+
+    return sp.parse_spec({
+        "name": "family", "dimension": dim,
+        "K_basis": diag([1] * dim),
+        "A_basis": diag([Fraction(1, n) for n, _, _ in axes]),
+        "Gamma_basis": diag([Fraction(1, e) for _, e, _ in axes]),
+        "digits_B": [[str(c) for c in b] for b in itertools.product(
+            *([Fraction(j, n) for j in range(n)] for n, _, _ in axes))],
+        "digits_L": [[str(c) for c in l] for l in itertools.product(
+            *(ls for _, _, ls in axes))],
+    }).system
+
+
+FAMILY_SYSTEMS = {
+    "n2_e6": family_system([(2, 6, (0, 3))]),
+    "n2_e8": family_system([(2, 8, (0, 5))]),
+    "n3_e6": family_system([(3, 6, (0, 1, 2))]),
+    "n3_e9": family_system([(3, 9, (0, 1, 2))]),
+    "prod_e4_e6": family_system([(2, 4, (0, 1)), (2, 6, (0, 3))]),
+    "prod_e6_e4": family_system([(2, 6, (0, 3)), (2, 4, (0, 1))]),
+}
+EXACT_SYSTEMS = {**SYSTEMS, **FAMILY_SYSTEMS}
 FLOAT_SYSTEMS = {
     **SYSTEMS,
     "scale4x2_sheared": sp.parse_spec(
@@ -60,6 +99,9 @@ rationals = st.one_of(
     st.builds(Fraction, st.integers(-400, 400), st.sampled_from(DENOMINATORS)),
     # numerators and denominators past 2^53, where int-to-float conversion rounds
     st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(10**17, 10**19)),
+    # numerators up to 10^50 over small denominators: products that run to
+    # full depth on large integers
+    st.builds(Fraction, st.integers(-10**50, 10**50), st.sampled_from(DENOMINATORS)),
 )
 
 # the oracle's conductor limits: past them it answers None (undecided),
@@ -239,20 +281,20 @@ def assert_same(got, want):
     assert got == want and repr(got) == repr(want)
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.sampled_from(sorted(SYSTEMS)), st.data())
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(EXACT_SYSTEMS)), st.data())
 def test_mu_hat_value_matches_fraction_oracle(name, data):
-    system = SYSTEMS[name]
+    system = EXACT_SYSTEMS[name]
     t = data.draw(st.tuples(*[rationals] * system.dim))
     depth = data.draw(st.sampled_from((1, 3, 30, 60)))
     got = mu_hat_value(system, t, TransformSettings(product_depth=depth))
     assert_same(got, oracle_mu_hat_value(system, t, depth))
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.sampled_from(sorted(SYSTEMS)), st.data())
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(EXACT_SYSTEMS)), st.data())
 def test_mask_matches_fraction_oracle(name, data):
-    system = SYSTEMS[name]
+    system = EXACT_SYSTEMS[name]
     t = data.draw(st.tuples(*[rationals] * system.dim))
     assert_same(mask(system, t), oracle_mask(system, t))
 
@@ -270,9 +312,19 @@ def test_mask_matches_fraction_oracle(name, data):
     ("scale4x2", (Fraction(1), Fraction(1, 101))),
     # 8e-17 short of the mask zero at 125: nonzero, but only just
     ("n3", (Fraction(1562499999999999999, 12500000000000000),)),
+    # the benchmark's families: zeros at levels 0 and 3, then products that
+    # run all 30 levels from numerators near 10^40
+    ("n2_e6", (Fraction(1),)),
+    ("n2_e6", (Fraction(6**3 * 5),)),
+    ("n2_e8", (Fraction(10**40 + 1, 3),)),
+    ("n3_e9", (Fraction(2),)),
+    ("n3_e6", (Fraction(-(10**40) - 7, 5),)),
+    ("prod_e4_e6", (Fraction(1), Fraction(1, 2))),
+    ("prod_e4_e6", (Fraction(10**40, 7), Fraction(-(10**41), 9))),
+    ("prod_e6_e4", (Fraction(3**80, 2), Fraction(2**130 + 1, 11))),
 ])
 def test_pinned_frequencies_match_fraction_oracle(name, t):
-    system = SYSTEMS[name]
+    system = EXACT_SYSTEMS[name]
     assert_same(mu_hat_value(system, t), oracle_mu_hat_value(system, t, 30))
     assert_same(mask(system, t), oracle_mask(system, t))
 
@@ -731,3 +783,44 @@ def test_membership_matches_subtraction_oracle(name, omega, shift):
         orbit = orbit_union(omega, shift, n)
         assert sp.translation_membership(orbit, lat, shift) is True
         assert oracle_membership(orbit, lat, shift) is True
+
+
+def oracle_coset_representatives(sub, sup):
+    """The lexicographically first member of each class of sup/sub in
+    [0, index)^d, found by scanning that box in lexicographic order."""
+    inclusion = sp.inclusion_matrix(sub, sup)
+    index = inclusion.index
+    mt_inv = exact.inverse(exact.transpose(exact.as_matrix(inclusion.R)))
+    seen = {}
+    for z in itertools.product(range(index), repeat=sup.dim):
+        coords = exact.mat_vec(mt_inv, tuple(Fraction(c) for c in z))
+        key = tuple(c - (c.numerator // c.denominator) for c in coords)
+        if key not in seen:
+            seen[key] = exact.mat_vec(sup.basis, tuple(Fraction(c) for c in z))
+            if len(seen) == index:
+                break
+    return tuple(seen.values())
+
+
+@st.composite
+def sublattice_pairs(draw):
+    """(sub, sup): a rational basis of dimension 1 to 3 and the sublattice
+    an integer matrix of index at most 60 picks out of it."""
+    d = draw(st.integers(1, 3))
+    entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    square = st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d)
+    sup = draw(square.filter(lambda m: exact.det(exact.as_matrix(m)) != 0))
+    r = draw(st.lists(st.lists(st.integers(-5, 5), min_size=d, max_size=d),
+                      min_size=d, max_size=d).filter(
+        lambda m: 0 < abs(exact.det(exact.as_matrix(m))) <= 60))
+    sup = sp.Lattice(sup)
+    return sp.Lattice(exact.mat_mul(sup.basis, exact.transpose(exact.as_matrix(r)))), sup
+
+
+@settings(deadline=None, max_examples=150)
+@given(sublattice_pairs())
+def test_coset_representatives_match_scan_oracle(pair_):
+    sub, sup = pair_
+    reps = sp.coset_representatives(sub, sup)
+    assert reps == oracle_coset_representatives(sub, sup)
+    assert all(type(c) is Fraction for v in reps for c in v)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import specpair as sp
+from specpair import transform
+from specpair.cyclotomic import residue_sum_is_zero
 from specpair.transform import TransformSettings
 
 
@@ -167,3 +169,19 @@ def test_mu_hat_values_quadrature_is_the_scalar_backend(scale4x2):
     points = [(0.5, -1.25), (3.0, 0.0)]
     values = sp.mu_hat_values(scale4x2.system, points, settings).tolist()
     assert values == [sp.mu_hat_value(scale4x2.system, t, settings) for t in points]
+
+
+def test_half_plane_exit_decides_every_nonzero_two_digit_factor(scale4, monkeypatch):
+    # with N = 2 the half-plane test is complete, so the cyclotomic
+    # recursion sees only the factors that vanish
+    verdicts = []
+
+    def spy(weights, den):
+        verdicts.append(residue_sum_is_zero(weights, den))
+        return verdicts[-1]
+
+    monkeypatch.setattr(transform, "residue_sum_is_zero", spy)
+    values = [sp.mu_hat_value(scale4.system, F(num, den))
+              for num in range(-64, 65) for den in (1, 2, 3, 8, 12, 3**25)]
+    assert verdicts and all(verdicts)
+    assert values.count(0) == len(verdicts)
