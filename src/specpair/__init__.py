@@ -10,7 +10,6 @@ the isometry relations the datum is supposed to satisfy.
 
 from .boxes import Box, BoxUnion
 from .errors import (
-    BadSection,
     BudgetExceeded,
     CollisionDetected,
     DepthTooLarge,
@@ -102,7 +101,7 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineIFS", "AllOrthogonal", "BadSection", "Box",
+    "AffineIFS", "AllOrthogonal", "Box",
     "BoxUnion", "BudgetExceeded", "CheckResult", "CollisionDetected",
     "CompletenessRow", "ConsistencyReport", "DepthTooLarge",
     "DiscreteMeasure", "ExponentialVector", "IdenticalPoints", "Lattice",

@@ -9,10 +9,6 @@ class NotASublattice(SpectralPairError):
     """A lattice claimed to be contained in another is not."""
 
 
-class BadSection(SpectralPairError):
-    """A proposed set of coset representatives is not a section."""
-
-
 class UnknownDigit(SpectralPairError):
     """A digit is not a member of the digit set it is supposed to index."""
 

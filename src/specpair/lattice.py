@@ -20,14 +20,15 @@ controls) can be constructed, probed and reported on.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .errors import BadSection, NotASublattice, UnknownDigit
-from . import exact
+from .errors import NotASublattice, UnknownDigit
+from . import cyclotomic, exact
 from .exact import Matrix, Vector
 
 
@@ -132,26 +133,9 @@ def inclusion_matrix(sub: Lattice, sup: Lattice) -> LatticeInclusion:
     )
 
 
-def coset_representatives(sub: Lattice, sup: Lattice, given=None) -> tuple[Vector, ...]:
-    """Representatives of sup/sub, lexicographically canonical, 0 first.
-
-    When ``given`` is supplied it is validated instead of enumerated:
-    it must have exactly [sup : sub] members of sup, pairwise distinct
-    mod sub (BadSection otherwise).
-    """
+def coset_representatives(sub: Lattice, sup: Lattice) -> tuple[Vector, ...]:
+    """Representatives of sup/sub, lexicographically canonical, 0 first."""
     inclusion = inclusion_matrix(sub, sup)
-    index = inclusion.index
-    if given is not None:
-        reps = tuple(exact.as_vector(v, sup.dim) for v in given)
-        if len(reps) != index:
-            raise BadSection(f"expected {index} representatives, got {len(reps)}")
-        for rep in reps:
-            if not sup.contains(rep):
-                raise BadSection(f"{rep} is not in the ambient lattice")
-        for a, b in itertools.combinations(reps, 2):
-            if sub.contains(exact.vec_sub(a, b)):
-                raise BadSection(f"{a} and {b} lie in the same coset")
-        return reps
 
     # sup/sub is isomorphic to Z^d / R^T Z^d via z -> sup.basis z.  Take
     # R^T Z^d in lower-triangular Hermite form H: with z_0 .. z_{i-1} fixed,
@@ -400,7 +384,28 @@ class ValidationReport:
         return {**asdict(self), "ok": self.ok}
 
 
-HADAMARD_TOLERANCE = 1e-12
+def _section_check(name: str, members, inside: Lattice, modulo: Lattice,
+                   labels: tuple[str, str, str, str], index: int | None = None
+                   ) -> CheckResult:
+    """Whether ``members`` contain 0, lie in ``inside`` and are distinct mod
+    ``modulo`` and, when ``index`` is given, number that many.
+
+    ``labels`` name the set, one member, ``inside`` and ``modulo`` in the
+    detail, e.g. ("digit set", "digit", "A", "K").
+    """
+    whole, noun, inside_name, modulo_name = labels
+    problems = []
+    if exact.zero_vector(inside.dim) not in members:
+        problems.append(f"0 missing from {whole}")
+    problems += [f"{noun} {v} not in {inside_name}"
+                 for v in members if not inside.contains(v)]
+    problems += [f"{noun}s {a} and {b} collide mod {modulo_name}"
+                 for a, b in itertools.combinations(members, 2)
+                 if modulo.contains(exact.vec_sub(a, b))]
+    if index is not None and len(members) != index:
+        problems.append(f"|{noun}s| = {len(members)} but "
+                        f"[{inside_name} : {modulo_name}] = {index}")
+    return CheckResult(name, not problems, "; ".join(problems))
 
 
 def frequency_digit_check(
@@ -408,16 +413,9 @@ def frequency_digit_check(
 ) -> CheckResult:
     """Frequency digits contain 0, lie in the dual of K and are distinct
     mod the dual of Gamma."""
-    problems = []
-    if exact.zero_vector(k_dual.dim) not in freq_digits:
-        problems.append("0 missing from frequency digits")
-    for l in freq_digits:
-        if not k_dual.contains(l):
-            problems.append(f"frequency digit {l} not in dual of K")
-    for a, b in itertools.combinations(freq_digits, 2):
-        if gamma_dual.contains(exact.vec_sub(a, b)):
-            problems.append(f"frequency digits {a} and {b} collide mod dual of Gamma")
-    return CheckResult("frequency_digits", not problems, "; ".join(problems))
+    return _section_check(
+        "frequency_digits", freq_digits, k_dual, gamma_dual,
+        ("frequency digits", "frequency digit", "dual of K", "dual of Gamma"))
 
 
 def expansive_check(e: Matrix) -> CheckResult:
@@ -433,14 +431,14 @@ def validate_simple_factor(system: SimpleFactor) -> ValidationReport:
     Checks: the chain K <= A <= Gamma; the digit set is a section of A/K
     containing 0; the frequency digits contain 0, lie in the dual of K and
     are distinct mod the dual of Gamma; the cardinalities agree with the
-    index [A : K]; the digit pairing separates frequency digits (exact);
-    the normalized digit matrix N^{-1/2} e^{i 2 pi b.l} is unitary (kept
-    as numeric defense in depth behind separation); E is expansive.
-    The degenerate case K = A is flagged, not failed.
+    index [A : K]; the digit pairing separates frequency digits; the
+    normalized digit matrix N^{-1/2} e^{i 2 pi b.l} is unitary; E is
+    expansive.  Every check is exact: the pairing checks run on integer
+    residues (cyclotomic.residue_sum_is_zero), expansiveness on the
+    characteristic polynomial.  The degenerate case K = A is flagged, not
+    failed.
     """
     checks: list[CheckResult] = []
-    d = system.dim
-    zero = exact.zero_vector(d)
 
     index: int | None = None
     try:
@@ -460,22 +458,9 @@ def validate_simple_factor(system: SimpleFactor) -> ValidationReport:
         f"K <= A: {ka_ok}, A <= Gamma: {ag_ok}",
     ))
 
-    section_problems = []
-    if zero not in system.digits:
-        section_problems.append("0 missing from digit set")
-    for b in system.digits:
-        if not system.A.contains(b):
-            section_problems.append(f"digit {b} not in A")
-    for a, b in itertools.combinations(system.digits, 2):
-        if system.K.contains(exact.vec_sub(a, b)):
-            section_problems.append(f"digits {a} and {b} collide mod K")
-    if index is not None and len(system.digits) != index:
-        section_problems.append(
-            f"|digits| = {len(system.digits)} but [A : K] = {index}"
-        )
-    checks.append(CheckResult(
-        "digit_section", not section_problems, "; ".join(section_problems)
-    ))
+    checks.append(_section_check(
+        "digit_section", system.digits, system.A, system.K,
+        ("digit set", "digit", "A", "K"), index))
 
     checks.append(frequency_digit_check(
         system.freq_digits, system.K_dual, system.Gamma_dual))
@@ -486,29 +471,29 @@ def validate_simple_factor(system: SimpleFactor) -> ValidationReport:
         f"N = {system.N}, [A : K] = {index if index is not None else 'undefined'}",
     ))
 
-    # Separation: distinct frequency digits must be told apart by some
-    # digit, i.e. (l - l').b is non-integral for some b.  Exact.
-    unseparated = [
-        (la, lb)
-        for la, lb in itertools.combinations(system.freq_digits, 2)
-        if all(
-            (exact.dot(exact.vec_sub(la, lb), b)).denominator == 1
-            for b in system.digits
-        )
-    ]
+    # The pairing, exactly: over one denominator q the digits and frequency
+    # digits are integers, and each pair l, l' gives the residues of
+    # b.(l' - l) mod q.  The pair is separated unless every residue is 0.
+    # Its columns of H = N^{-1/2} e(b.l) are orthogonal exactly when
+    # sum_b e(b.(l' - l)) vanishes, and every column of H has norm 1.
+    digits, digit_den = exact.over_common_denominator(system.digits)
+    freqs, freq_den = exact.over_common_denominator(system.freq_digits)
+    q = digit_den * freq_den
+    unseparated, unorthogonal = [], []
+    for (la, a), (lb, b) in itertools.combinations(zip(system.freq_digits, freqs), 2):
+        step = exact.vec_sub(b, a)
+        residues = Counter(exact.dot(digit, step) % q for digit in digits)
+        if residues.keys() == {0}:
+            unseparated.append((la, lb))
+        if not cyclotomic.residue_sum_is_zero(residues, q):
+            unorthogonal.append((la, lb))
     checks.append(CheckResult(
         "separation", not unseparated,
         "" if not unseparated else f"indistinguishable digit pairs: {unseparated}",
     ))
-
-    h = np.array([
-        [complex(np.exp(2j * np.pi * float(exact.dot(b, l)))) for l in system.freq_digits]
-        for b in system.digits
-    ]) / np.sqrt(system.N)
-    residual = float(np.abs(h.conj().T @ h - np.eye(system.N)).max())
     checks.append(CheckResult(
-        "hadamard_unitarity", residual < HADAMARD_TOLERANCE,
-        f"residual {residual:.3e}",
+        "hadamard_unitarity", not unorthogonal,
+        "" if not unorthogonal else f"non-orthogonal digit pairs: {unorthogonal}",
     ))
 
     checks.append(expansive_check(system.E))

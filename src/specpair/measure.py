@@ -10,6 +10,7 @@ with a million atoms stay cheap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -24,6 +25,8 @@ from .lattice import SimpleFactor, is_expansive, lattice_points_in_box
 ATOM_BUDGET = 1 << 24
 # pairs whose pairings separation_witnesses evaluates at once
 SEPARATION_CHUNK = 1 << 20
+# concrete types ahead of the ABC, whose isinstance check is several times slower
+_SCALARS = (float, int, Fraction, numbers.Number)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,9 +187,9 @@ def separation_witness(
     vector, or NoWitness when the box is exhausted.  Raises
     IdenticalPoints when x == y, NonFinitePoint when x - y is not finite.
     """
-    if isinstance(x, (int, float, Fraction)):
+    if isinstance(x, _SCALARS):
         x = (x,)
-    if isinstance(y, (int, float, Fraction)):
+    if isinstance(y, _SCALARS):
         y = (y,)
     if len(x) != system.dim or len(y) != system.dim:
         raise ValueError(f"expected points of length {system.dim}")

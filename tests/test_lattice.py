@@ -61,23 +61,19 @@ def test_coset_representatives_examples():
     reps = sp.coset_representatives(sp.Lattice([[1]]), sp.Lattice([["1/2"]]))
     assert reps == ((F(0),), (F(1, 2),))
     assert sp.coset_representatives(sp.Lattice([[1]]), sp.Lattice([[1]])) == ((F(0),),)
-    with pytest.raises(sp.BadSection):
-        sp.coset_representatives(
-            sp.Lattice([[1]]), sp.Lattice([["1/2"]]), given=[(0,), (1,)]
-        )
 
 
-def test_coset_representatives_validates_given():
-    good = sp.coset_representatives(
-        sp.Lattice([[1]]), sp.Lattice([["1/2"]]), given=[(0,), ("1/2",)]
-    )
-    assert good == ((F(0),), (F(1, 2),))
-    with pytest.raises(sp.BadSection):  # wrong cardinality
-        sp.coset_representatives(sp.Lattice([[1]]), sp.Lattice([["1/2"]]), given=[(0,)])
-    with pytest.raises(sp.BadSection):  # not in the ambient lattice
-        sp.coset_representatives(
-            sp.Lattice([[1]]), sp.Lattice([["1/2"]]), given=[(0,), ("1/3",)]
-        )
+@pytest.mark.parametrize("digits, detail", [
+    ([(0,), (1,)], "digits (Fraction(0, 1),) and (Fraction(1, 1),) collide mod K"),
+    ([(0,)], "|digits| = 1 but [A : K] = 2"),
+    ([(0,), ("1/3",)], "digit (Fraction(1, 3),) not in A"),
+], ids=["collision", "wrong-count", "not-in-A"])
+def test_digit_section_examples(scale4, digits, detail):
+    system = dataclasses.replace(
+        scale4.system, digits=digits, freq_digits=[(0,), (1,)][:len(digits)])
+    check = sp.validate_simple_factor(system).check("digit_section")
+    assert not check.passed
+    assert check.detail == detail
 
 
 def test_coset_representatives_2d_count():
@@ -179,6 +175,16 @@ def test_validate_scale4(scale4):
     assert report.check("hadamard_unitarity").passed
 
 
+@pytest.mark.parametrize("ell", [40001, 4 * 10**18 + 1])
+def test_validate_pairing_exact_at_large_frequency_digits(scale4, ell):
+    # b.l = ell / 2 is a half-integer, so e(b.l) = -1 exactly, however far
+    # a float of ell / 2 is from one
+    system = dataclasses.replace(scale4.system, freq_digits=[(0,), (ell,)])
+    report = sp.validate_simple_factor(system)
+    assert report.ok, report.failures()
+    assert report.check("hadamard_unitarity").detail == ""
+
+
 def test_validate_middlethird_variants():
     for ell in (1, 2, 3):
         system = sp.SimpleFactor(
@@ -189,6 +195,8 @@ def test_validate_middlethird_variants():
         report = sp.validate_simple_factor(system)
         assert not report.ok
         assert not report.check("hadamard_unitarity").passed
+        assert report.check("hadamard_unitarity").detail == (
+            f"non-orthogonal digit pairs: [((Fraction(0, 1),), (Fraction({ell}, 1),))]")
         if ell == 3:
             assert not report.check("separation").passed
 

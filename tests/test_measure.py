@@ -130,6 +130,18 @@ def test_separation_witness_examples(scale4):
         sp.separation_witness(system, 0.25, 0.25)
 
 
+@pytest.mark.parametrize("x, y", [
+    (1, 0.5), (0.0, 0.25), (F(1, 3), 2), (3, 0.625), (2, 0.0),
+])
+def test_separation_witness_takes_numpy_scalars(scale4, x, y):
+    system = scale4.system
+    expected = sp.separation_witness(system, x, y)
+    as_numpy = {int: np.int64, float: np.float32, F: np.float64}
+    np_x, np_y = (as_numpy[type(v)](v) for v in (x, y))
+    assert sp.separation_witness(system, np_x, np_y) == expected
+    assert sp.separation_witness(system, np_x, y) == expected
+
+
 @pytest.mark.parametrize("name, x, y", [
     ("scale4", (0.1, 0.2), (0.3,)),
     ("scale4", (0.1,), (0.3, 0.2)),

@@ -1,8 +1,10 @@
 """Property tests over randomized inputs."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -16,6 +18,11 @@ small_fractions = st.fractions(
     min_value=F(-5), max_value=F(5), max_denominator=8
 )
 nonzero_fractions = small_fractions.filter(bool)
+DATA = Path(__file__).with_name("data")
+PAIRING_SYSTEMS = [
+    sp.parse_spec(source).system for source in
+    ("scale4", "scale4x2", str(DATA / "n3.json"), str(DATA / "scale4x2_sheared.json"))
+]
 
 
 def scaled_pair_system(c: F) -> sp.SimpleFactor:
@@ -155,3 +162,47 @@ def test_coset_count_matches_index(m):
     )
     assert len(reps) == m
     assert len({(r[0] * m) % m for r in reps}) == m
+
+
+def assert_character_argument(report):
+    """Each l in the dual of K is a character b -> e(b.l) of A/K.  With B a
+    section of A/K and the l distinct characters, they are orthogonal, so
+    the digit matrix is unitary; and orthogonal columns are never equal."""
+    passed = {c.name: c.passed for c in report.checks}
+    assert passed["chain"]
+    if passed["digit_section"] and passed["frequency_digits"] and passed["separation"]:
+        assert passed["hadamard_unitarity"]
+    if passed["hadamard_unitarity"]:
+        assert passed["separation"]
+
+
+@given(st.sampled_from(PAIRING_SYSTEMS), st.data())
+def test_pairing_check_under_large_dual_shifts(system, data):
+    big = st.integers(-10**30, 10**30)
+
+    def shift(ell):
+        for g in system.Gamma_dual.generators:
+            ell = exact.vec_add(ell, tuple(data.draw(big) * c for c in g))
+        return ell
+
+    # shifting by the dual of Gamma keeps every class, so the datum stays valid
+    shifted = [shift(ell) if any(ell) else ell for ell in system.freq_digits]
+    report = sp.validate_simple_factor(dataclasses.replace(system, freq_digits=shifted))
+    assert report.ok, report.failures()
+    assert_character_argument(report)
+
+    i = data.draw(st.sampled_from([i for i, ell in enumerate(shifted) if any(ell)]))
+    if data.draw(st.booleans()):
+        # a generator of the dual of K over a prime is not in it
+        g = data.draw(st.sampled_from(system.K_dual.generators))
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        moved = exact.vec_add(shifted[i], tuple(c / p for c in g))
+        failing = {"frequency_digits"}
+    else:
+        j = data.draw(st.sampled_from([j for j in range(len(shifted)) if j != i]))
+        moved = shift(shifted[j])
+        failing = {"frequency_digits", "separation", "hadamard_unitarity"}
+    perturbed = shifted[:i] + [moved] + shifted[i + 1:]
+    report = sp.validate_simple_factor(dataclasses.replace(system, freq_digits=perturbed))
+    assert failing <= {c.name for c in report.failures()}
+    assert_character_argument(report)
