@@ -21,6 +21,7 @@ delta, which the property tests pin down.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
@@ -42,7 +43,14 @@ from .lattice import (
     same_lattice,
 )
 from .measure import DiscreteMeasure, integrate_exponential
-from .transform import TransformSettings, _cached_measure, mask, mu_hat_value
+from .transform import (
+    TransformSettings,
+    _cached_measure,
+    _exact_products,
+    check_product_depth,
+    mask,
+    mu_hat_value,
+)
 
 
 @dataclass(frozen=True)
@@ -191,23 +199,28 @@ class RelationReport:
         return asdict(self)
 
 
-def _relation_maxima(samples, push, freq_digits, transform, mask_at):
+def _relation_maxima(samples, push, freq_digits, transforms, masks_at):
     """Worst isometry, range-overlap and completeness residuals over the
-    exact samples; completeness is None when ``mask_at`` is None."""
-    isometry = 0.0
-    range_orth = 0.0
-    completeness = None if mask_at is None else 0.0
+    exact samples; completeness is None when ``masks_at`` is None.
+
+    ``transforms`` and ``masks_at`` map an iterable of exact points to a
+    list of values, one per point, in order.
+    """
+    pushed = [push(u) for u in samples]
+    values = transforms(itertools.chain(pushed, samples))
+    n = len(samples)
+    isometry = max([0.0] + [abs(a - b) for a, b in zip(values[:n], values[n:])])
     differences = [exact.vec_sub(lb, la)
                    for la in freq_digits for lb in freq_digits if la != lb]
-    for u in samples:
-        pushed = push(u)
-        isometry = max(isometry, abs(transform(pushed) - transform(u)))
-        for difference in differences:
-            arg = exact.vec_add(pushed, difference)
-            range_orth = max(range_orth, abs(transform(arg)))
-        if mask_at is not None:
-            total = sum(mask_at(exact.vec_sub(u, l)) for l in freq_digits)
-            completeness = max(completeness, abs(total - 1))
+    overlaps = transforms(exact.vec_add(p, difference)
+                          for p in pushed for difference in differences)
+    range_orth = max([0.0] + [abs(value) for value in overlaps])
+    if masks_at is None:
+        return isometry, range_orth, None
+    masks = masks_at(exact.vec_sub(u, l) for u in samples for l in freq_digits)
+    per_sample = len(freq_digits)
+    completeness = max([0.0] + [abs(sum(masks[i:i + per_sample]) - 1)
+                                for i in range(0, len(masks), per_sample)])
     return isometry, range_orth, completeness
 
 
@@ -223,11 +236,12 @@ def relation_residuals(
     factor vanishes exactly, so on a valid system that residual is
     literally 0.
     """
-    settings = TransformSettings(product_depth=product_depth)
+    check_product_depth(product_depth)
     samples = lattice_points_in_box(system.K_dual, box_radius)
     isometry, range_orth, completeness = _relation_maxima(
         samples, system.push, system.freq_digits,
-        partial(mu_hat_value, system, settings=settings), partial(mask, system),
+        partial(_exact_products, system, depth=product_depth),
+        partial(_exact_products, system, depth=1),
     )
     return RelationReport(
         isometry=isometry,
@@ -318,8 +332,8 @@ def classify_measure(
         lattice_points_in_box(k_dual, box_radius),
         partial(exact.mat_vec, exact.transpose(e)),
         freq_digits,
-        partial(integrate_exponential, measure),
-        None if digits is None else digit_mask,
+        lambda points: [integrate_exponential(measure, p) for p in points],
+        None if digits is None else lambda points: [digit_mask(p) for p in points],
     )
 
     residuals_ok = isometry <= tolerance and range_orth <= tolerance and (

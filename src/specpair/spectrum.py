@@ -29,7 +29,13 @@ from .errors import BudgetExceeded, CollisionDetected, MemberOfSpectrum
 from .exact import Vector
 from .lattice import SimpleFactor
 from .measure import word_at
-from .transform import FLOAT_CHUNK_ROWS, TransformSettings, mu_hat_value, mu_hat_values
+from .transform import (
+    CHUNK_ROWS,
+    TransformSettings,
+    _exact_products,
+    mu_hat_value,
+    mu_hat_values,
+)
 
 WITNESS_THRESHOLD = 1e-6
 # most frequencies one enumeration may build, checked before it builds any
@@ -122,8 +128,8 @@ def completeness_table(
     s, is_exact = exact.as_point(s, system.dim)
     deepest = enumerate_spectrum(system, depths[-1])
     if is_exact:
-        values = [mu_hat_value(system, exact.vec_sub(s, xi), settings)
-                  for xi in deepest.elements]
+        values = _exact_products(
+            system, (exact.vec_sub(s, xi) for xi in deepest.elements), product_depth)
     else:
         values = mu_hat_values(system, np.array(s) - deepest.floats, settings).tolist()
     values = [abs(v) ** 2 for v in values]
@@ -184,8 +190,8 @@ def maximality_probe(
         # a float probe is scanned one batch at a time, in the same order
         shifted = np.array(point) - enum.floats[order]
         values = itertools.chain.from_iterable(
-            mu_hat_values(system, shifted[k:k + FLOAT_CHUNK_ROWS], settings).tolist()
-            for k in range(0, len(order), FLOAT_CHUNK_ROWS))
+            mu_hat_values(system, shifted[k:k + CHUNK_ROWS], settings).tolist()
+            for k in range(0, len(order), CHUNK_ROWS))
     for i, value in zip(order, values):
         if abs(value) > threshold:
             return Witness(xi=enum.elements[i], value=value)

@@ -17,6 +17,13 @@ the product as a literal zero.  A factor whose roots lie in one open half
 plane cannot vanish, which the residues show by one sort; only the others
 go to the cyclotomic recursion.
 
+A set of rational frequencies runs through ``_exact_products``: the same
+loop on a block of rows over one common denominator, with the integers in
+numpy object arrays, so each level is a few array operations, each value
+bit for bit the one ``_exact_product`` gives.  Completeness tables and
+relation checks batch; a single point stays scalar (``mu_hat_value``,
+``mask``), because a batch of one costs several times the plain loop.
+
 Float frequencies go through one batched kernel, ``mu_hat_values``: an
 (M, d) array of points runs the product level by level in numpy, each
 operation the one Python's scalar complex arithmetic performs, so every
@@ -27,6 +34,7 @@ batch of one.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -42,9 +50,9 @@ from .lattice import SimpleFactor
 from .measure import DiscreteMeasure, build_ifs, integrate_exponential, refine_measure
 
 MAX_PRODUCT_DEPTH = 200
-# rows of float points per numpy pass in mu_hat_values; bounds the (N, rows)
-# phase arrays whatever the number of points
-FLOAT_CHUNK_ROWS = 4096
+# rows per numpy pass in mu_hat_values and _exact_products; bounds the
+# (N, rows) phase arrays whatever the number of points
+CHUNK_ROWS = 4096
 TWO_PI = 2 * math.pi
 
 
@@ -126,22 +134,31 @@ def _float_masks(system: SimpleFactor, columns) -> tuple[np.ndarray, np.ndarray]
     coordinate columns, as Python computes
     sum(cmath.exp(2j * math.pi * sum(b_j * t_j)) for b in digits) / N.
 
-    Each sum starts from the int 0, which is the ``0.0 +``; the imaginary
-    part of 2j*pi*phase is 0.0*0.0 + 2pi*phase and its real part is a
-    zero, so cmath.exp gives exactly (cos, sin) of that angle.
+    Each phase sum starts from the int 0, which is the ``0.0 +``.
     """
     digits = system._float_digits
     phases = 0.0 + digits[:, :1] * columns[0]
     for j in range(1, len(columns)):
         phases += digits[:, j:j + 1] * columns[j]
+    return _root_means(phases, system.N)
+
+
+def _root_means(phases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of each column's
+    sum(cmath.exp(2j * math.pi * phase) for phase in column) / n, for an
+    (N, rows) array of float phases.
+
+    The sum starts from the int 0, which is the ``0.0 +``; the imaginary
+    part of 2j*pi*phase is 0.0*0.0 + 2pi*phase and its real part is a
+    zero, so cmath.exp gives exactly (cos, sin) of that angle.
+    """
     angles = TWO_PI * phases + 0.0
     cos, sin = np.cos(angles), np.sin(angles)
     re, im = 0.0 + cos[0], 0.0 + sin[0]
     for k in range(1, len(cos)):
         re += cos[k]
         im += sin[k]
-    # complex / N divides by (N, 0.0) through the ratio 0.0 / N = 0.0
-    n = system.N
+    # complex / n divides by (n, 0.0) through the ratio 0.0 / n = 0.0
     return (re + im * 0.0) / n, (im - re * 0.0) / n
 
 
@@ -171,6 +188,65 @@ def _float_product(
     re[zero] = 0.0
     im[zero] = 0.0
     return re, im
+
+
+def _exact_products(system: SimpleFactor, freqs, depth: int) -> list[complex]:
+    """The depth-``depth`` product at each exact point of the iterable
+    ``freqs``, bit for bit the value _exact_product gives for that row.
+
+    The rows run CHUNK_ROWS at a time, each block level by level over one
+    common denominator, so its phases are integers p over one q, held in
+    numpy object arrays of Python ints, exact at any size.  Scaling a row's
+    p and q by one factor changes neither the float p / q, which Python
+    rounds correctly, nor which residues vanish, nor the half-plane test,
+    nor residue_sum_is_zero, which reduces by the gcd.
+    """
+    freqs = iter(freqs)
+    values: list[complex] = []
+    while block := list(itertools.islice(freqs, CHUNK_ROWS)):
+        values += _exact_block(system, block, depth)
+    return values
+
+
+def _exact_block(system: SimpleFactor, block: list, depth: int) -> list[complex]:
+    """_exact_products on one block of rows.
+
+    A row leaves the block as 0j at an exact zero or at a float factor
+    that rounds to 0j, as the scalar loop returns there.
+    """
+    nums, den = exact.over_common_denominator(block)
+    digits, digit_den, pull, pull_den = system._integer_maps
+    digits, pull = np.array(digits, dtype=object), np.array(pull, dtype=object)
+    num = np.array(nums, dtype=object).T
+    rows = np.arange(len(block))
+    re, im = np.ones(len(block)), np.zeros(len(block))
+    for level in range(depth):
+        if level:
+            num = pull @ num
+            den *= pull_den
+        q = digit_den * den
+        phases = digits @ num
+        residues = np.sort(phases % q, axis=0)
+        one = residues[-1] == 0
+        # in_open_half_circle row by row: the widest gap around the circle
+        gaps = np.concatenate((residues[1:], residues[:1] + q)) - residues
+        zero = np.zeros(len(rows), dtype=bool)
+        for j in np.flatnonzero(gaps.max(axis=0) <= q // 2):
+            zero[j] = residue_sum_is_zero(Counter(residues[:, j].tolist()), q)
+        f_re, f_im = np.ones(len(rows)), np.zeros(len(rows))
+        roots = ~(one | zero)
+        f_re[roots], f_im[roots] = _root_means(
+            (phases[:, roots] / q).astype(float), system.N)
+        zero |= (f_re == 0) & (f_im == 0)
+        re, im = re * f_re - im * f_im, re * f_im + im * f_re
+        live = ~zero
+        rows, num, re, im = rows[live], num[:, live], re[live], im[live]
+        if not len(rows):
+            break
+    values = [0j] * len(block)
+    for j, value_re, value_im in zip(rows.tolist(), re.tolist(), im.tolist()):
+        values[j] = complex(value_re, value_im)
+    return values
 
 
 @lru_cache(maxsize=8)
@@ -204,7 +280,7 @@ def mu_hat_values(
     complex values.
 
     Each value is bit for bit the one mu_hat_value gives at that row as a
-    float point; the product runs FLOAT_CHUNK_ROWS rows per numpy pass and
+    float point; the product runs CHUNK_ROWS rows per numpy pass and
     the quadrature backend integrates row by row.  Raises ValueError on
     another shape and NonFinitePoint on a NaN or infinite entry.
     """
@@ -218,8 +294,8 @@ def mu_hat_values(
         return np.array([integrate_exponential(measure, tuple(p)) for p in points],
                         dtype=complex)
     values = np.empty(len(points), dtype=complex)
-    for start in range(0, len(points), FLOAT_CHUNK_ROWS):
-        chunk = slice(start, start + FLOAT_CHUNK_ROWS)
+    for start in range(0, len(points), CHUNK_ROWS):
+        chunk = slice(start, start + CHUNK_ROWS)
         values.real[chunk], values.imag[chunk] = _float_product(
             system, points[chunk], settings.product_depth)
     return values

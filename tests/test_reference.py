@@ -329,6 +329,137 @@ def test_pinned_frequencies_match_fraction_oracle(name, t):
     assert_same(mask(system, t), oracle_mask(system, t))
 
 
+def first_zero_level(system, t, depth=30):
+    """The level at which the scalar product of ``t`` first vanishes, or None."""
+    return next((k for k in range(depth)
+                 if transform._exact_product(system, t, k + 1) == 0), None)
+
+
+def staged_zeros(system, levels=4):
+    """Frequencies whose products first vanish at levels 0, 1, ...: a
+    difference of frequency digits is a mask zero, and each push moves the
+    zero one level later, though on some data an earlier level vanishes too."""
+    zero = exact.vec_sub(system.freq_digits[1], system.freq_digits[0])
+    out = []
+    for _ in range(levels):
+        out.append(zero)
+        zero = system.push(zero)
+    return out
+
+
+def assert_same_products(system, freqs, depth):
+    got = transform._exact_products(system, freqs, depth)
+    want = [transform._exact_product(system, t, depth) for t in freqs]
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(EXACT_SYSTEMS)), st.data())
+def test_exact_products_match_scalar_oracle(name, data):
+    system = EXACT_SYSTEMS[name]
+    points = st.one_of(st.tuples(*[rationals] * system.dim),
+                       st.sampled_from(staged_zeros(system)))
+    freqs = data.draw(st.lists(points, max_size=8))
+    depth = data.draw(st.one_of(st.sampled_from((1, 30)), st.integers(1, 60)))
+    chunk = data.draw(st.sampled_from((1, 3, transform.CHUNK_ROWS)))
+    with mock.patch.object(transform, "CHUNK_ROWS", chunk):
+        assert_same_products(system, freqs, depth)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SYSTEMS))
+@pytest.mark.parametrize("chunk", (3, transform.CHUNK_ROWS))
+def test_exact_products_mix_zero_levels_and_full_depth(monkeypatch, name, chunk):
+    """One batch holds rows that vanish at different levels and rows that
+    run all 30 levels while q passes 2^53 and then 2^63.  Forty rows: on a
+    handful, numpy's fused complex multiply rounded as the written-out one
+    does, so a short batch hid that mistake."""
+    system = EXACT_SYSTEMS[name]
+    den = 2**20 + 7
+    full = [tuple(Fraction(k * 10**30 + j, den) for j in range(system.dim))
+            for k in range(-18, 18, 1)]
+    freqs = [val for pair in itertools.zip_longest(staged_zeros(system), full)
+             for val in pair if val is not None]
+    levels = {first_zero_level(system, t) for t in freqs}
+    assert None in levels and len(levels - {None}) >= 2
+    digit_den, pull_den = system._integer_maps[1], system._integer_maps[3]
+    assert digit_den * den < 2**53 and digit_den * den * pull_den**29 > 2**63
+    monkeypatch.setattr(transform, "CHUNK_ROWS", chunk)
+    for depth in (1, 30):
+        assert_same_products(system, freqs, depth)
+    assert transform._exact_products(system, [], 30) == []
+    assert transform._exact_products(system, iter(()), 1) == []
+
+
+def oracle_relation_maxima(samples, push, freq_digits, transforms, masks_at):
+    """The per-sample fold operators._relation_maxima replaced, verbatim,
+    calling the batch callables one point at a time."""
+    def transform_(point):
+        return transforms([point])[0]
+
+    mask_at = None if masks_at is None else (lambda point: masks_at([point])[0])
+    isometry = 0.0
+    range_orth = 0.0
+    completeness = None if mask_at is None else 0.0
+    differences = [exact.vec_sub(lb, la)
+                   for la in freq_digits for lb in freq_digits if la != lb]
+    for u in samples:
+        pushed = push(u)
+        isometry = max(isometry, abs(transform_(pushed) - transform_(u)))
+        for difference in differences:
+            arg = exact.vec_add(pushed, difference)
+            range_orth = max(range_orth, abs(transform_(arg)))
+        if mask_at is not None:
+            total = sum(mask_at(exact.vec_sub(u, l)) for l in freq_digits)
+            completeness = max(completeness, abs(total - 1))
+    return isometry, range_orth, completeness
+
+
+def per_row_products(system, freqs, depth):
+    return [transform._exact_product(system, t, depth) for t in freqs]
+
+
+CONSUMER_SYSTEMS = {
+    **FLOAT_SYSTEMS,
+    "middlethird": sp.parse_spec("middlethird", require_valid=False).system,
+}
+
+
+@pytest.mark.parametrize("name, s, depths", [
+    ("scale4", (Fraction(1, 3),), range(9)),
+    ("scale4", (Fraction(2),), range(4, 9)),
+    ("scale4x2", (Fraction(1, 3), Fraction(-2, 5)), range(5)),
+    ("scale4x2_sheared", (Fraction(1, 2), Fraction(1, 7)), range(5)),
+    ("middlethird", (Fraction(3, 4),), range(7)),
+    ("n3", (Fraction(1, 2),), range(6)),
+])
+def test_exact_consumers_match_per_row_oracle(monkeypatch, name, s, depths):
+    """completeness_table and relation_residuals through the batch equal
+    the per-row loop and per-sample fold they replaced, bit for bit."""
+    system = CONSUMER_SYSTEMS[name]
+    batched = (sp.completeness_table(system, s, depths),
+               sp.relation_residuals(system, box_radius=3))
+    monkeypatch.setattr(sp.spectrum, "_exact_products", per_row_products)
+    monkeypatch.setattr(sp.operators, "_exact_products", per_row_products)
+    monkeypatch.setattr(sp.operators, "_relation_maxima", oracle_relation_maxima)
+    rows = sp.completeness_table(system, s, depths)
+    report = sp.relation_residuals(system, box_radius=3)
+    assert repr(batched[0]) == repr(rows)
+    assert repr(batched[1]) == repr(report)
+
+
+@pytest.mark.parametrize("name", ["scale4", "middlethird", "scale4x2"])
+def test_classify_measure_matches_per_sample_fold(monkeypatch, name):
+    system = CONSUMER_SYSTEMS[name]
+    measure_ = sp.refine_measure(sp.build_ifs(system), 6)
+    args = (measure_, system.K, system.Gamma, system.freq_digits)
+    batched = [sp.classify_measure(*args, digits=system.digits, box_radius=2),
+               sp.classify_measure(*args, box_radius=2)]
+    monkeypatch.setattr(sp.operators, "_relation_maxima", oracle_relation_maxima)
+    assert repr(batched) == repr([
+        sp.classify_measure(*args, digits=system.digits, box_radius=2),
+        sp.classify_measure(*args, box_radius=2)])
+
+
 coefficients = st.one_of(
     st.integers(-2, 2),
     st.fractions(min_value=-3, max_value=3, max_denominator=6),
@@ -415,9 +546,9 @@ def test_mu_hat_values_match_scalar_float_oracle(name, data):
     points = data.draw(st.lists(
         st.tuples(*[float_coordinates] * system.dim), min_size=m, max_size=m))
     depth = data.draw(st.one_of(st.integers(1, 200), st.sampled_from((1, 30, 200))))
-    chunk = data.draw(st.sampled_from((1, 2, 3, transform.FLOAT_CHUNK_ROWS)))
+    chunk = data.draw(st.sampled_from((1, 2, 3, transform.CHUNK_ROWS)))
     settings_ = TransformSettings(product_depth=depth)
-    with mock.patch.object(transform, "FLOAT_CHUNK_ROWS", chunk):
+    with mock.patch.object(transform, "CHUNK_ROWS", chunk):
         got = sp.mu_hat_values(system, points, settings_).tolist()
     assert_same_values(got, [oracle_float_mu_hat_value(system, t, depth) for t in points])
     assert_same_values([mu_hat_value(system, t, settings_) for t in points[:2]], got[:2])
@@ -440,7 +571,7 @@ def test_mu_hat_values_match_scalar_float_oracle(name, data):
 ])
 def test_pinned_float_frequencies_match_scalar_oracle(monkeypatch, name, t):
     system = FLOAT_SYSTEMS[name]
-    monkeypatch.setattr(transform, "FLOAT_CHUNK_ROWS", 2)
+    monkeypatch.setattr(transform, "CHUNK_ROWS", 2)
     points = [t, (0.25,) * system.dim, t]
     got = sp.mu_hat_values(system, points).tolist()
     assert_same_values(got, [oracle_float_mu_hat_value(system, p, 30) for p in points])
@@ -466,8 +597,8 @@ def test_float_consumers_match_scalar_oracle(monkeypatch):
         math.fsum(terms[i] for i in enum.depth_slice(d)) for d in range(7)]
     # scan order is nearest first; at 16.4 the first four values grow, so
     # the fifth is the first past the largest of them, in the third chunk
-    monkeypatch.setattr(transform, "FLOAT_CHUNK_ROWS", 2)
-    monkeypatch.setattr(sp.spectrum, "FLOAT_CHUNK_ROWS", 2)
+    monkeypatch.setattr(transform, "CHUNK_ROWS", 2)
+    monkeypatch.setattr(sp.spectrum, "CHUNK_ROWS", 2)
     order = sorted(range(len(enum)), key=lambda i: (abs(float(enum.elements[i][0])), i))
     values = [oracle_float_mu_hat_value(system, s - float(enum.elements[i][0]), 30)
               for i in order]
