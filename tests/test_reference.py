@@ -13,6 +13,12 @@ with E = 2k, N = 3 with A = Z/3, and their 2-D products with N = 4), with
 numerators large enough that no level is a structural 1 and the product
 runs to full depth.
 
+The batched exact product ``_exact_products`` is held to the scalar
+``_exact_product`` row by row, and the consumers that use it
+(``completeness_table``, ``relation_residuals``, ``classify_measure``) to
+the per-row loop and per-sample fold they replaced (``per_row_products``,
+``oracle_relation_maxima``).
+
 The Fraction oracle gives up past a conductor limit, where the package
 now decides every sum exactly.  Where the oracle decides, its verdicts
 and mask bits stay in force; where it answers None, the package's answer
@@ -376,7 +382,7 @@ def test_exact_products_mix_zero_levels_and_full_depth(monkeypatch, name, chunk)
     system = EXACT_SYSTEMS[name]
     den = 2**20 + 7
     full = [tuple(Fraction(k * 10**30 + j, den) for j in range(system.dim))
-            for k in range(-18, 18, 1)]
+            for k in range(-18, 18)]
     freqs = [val for pair in itertools.zip_longest(staged_zeros(system), full)
              for val in pair if val is not None]
     levels = {first_zero_level(system, t) for t in freqs}
