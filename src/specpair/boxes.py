@@ -124,9 +124,7 @@ def difference_measure(a: Sequence[Box], b: Sequence[Box]) -> Fraction:
     return sum((p.measure for p in subtract_union(a, b)), Fraction(0))
 
 
-def equal_almost_everywhere(a: BoxUnion, b: BoxUnion) -> bool:
-    """Whether two unions agree up to measure zero (exact)."""
-    return (
-        difference_measure(a.boxes, b.boxes) == 0
-        and difference_measure(b.boxes, a.boxes) == 0
-    )
+def equal_almost_everywhere(a: Sequence[Box], b: Sequence[Box]) -> bool:
+    """Whether two unions of boxes agree up to measure zero (exact); the
+    boxes of either may overlap."""
+    return difference_measure(a, b) == 0 and difference_measure(b, a) == 0

@@ -19,10 +19,10 @@ import numpy as np
 from . import acceptance, exact
 from .errors import BudgetExceeded, ParseError, SpectralPairError
 from .lattice import box_candidates
-from .operators import relation_residuals, state_eval
+from .operators import RELATION_TOLERANCE, relation_residuals, state_eval
 from .pair import (
-    orthogonality_matrix, reduce_mod_lattice, spectrum_candidates, tiling_check,
-    truncate_spectrum,
+    difference_candidates, orthogonality_matrix, reduce_mod_lattice,
+    spectrum_candidates, tiling_check, truncate_spectrum,
 )
 from .measure import build_ifs, refine_measure
 from .specfile import builtin_names, parse_spec
@@ -30,11 +30,10 @@ from .spectrum import completeness_table, enumerate_spectrum
 from .tables import emit_table
 from .transform import TransformSettings, check_product_depth, mu_hat_value, mu_hat_values
 
-RELATION_TOLERANCE = 1e-6
 ORTHOGONALITY_TOLERANCE = 1e-12
 # transform grid points (transform), transform evaluations (cuntz) or Gram
-# terms (pair) one request may make, checked before anything is enumerated
-# or allocated
+# cells plus transform terms (pair) one request may make, checked before
+# anything is enumerated or allocated
 EVALUATION_BUDGET = 2**20
 
 
@@ -94,10 +93,13 @@ def cmd_pair(args) -> int:
     if loaded.omega is None or loaded.d_prime is None:
         raise ParseError(f"spec {loaded.name!r} carries no domain geometry")
     candidates = spectrum_candidates(loaded.system, args.box)
-    # a Gram entry expands into 2^d exponential terms per box of omega
+    differences = difference_candidates(loaded.system, args.box)
+    # a Gram entry expands into 2^d exponential terms per box of omega, and
+    # only distinct differences are transformed
     terms = len(loaded.omega.boxes) * 2**loaded.system.dim
-    _check_budget(candidates**2 // 2 * terms,
-                  f"{candidates}^2/2 Gram entries of {terms} terms")
+    _check_budget(candidates**2 // 2 + differences * terms,
+                  f"{candidates}^2/2 Gram entries and {differences} differences "
+                  f"of {terms} terms")
     spectrum = truncate_spectrum(loaded.system, args.box)
     gram = orthogonality_matrix(loaded.omega, spectrum)
     off = gram - np.eye(len(spectrum))
@@ -206,7 +208,7 @@ def cmd_cuntz(args) -> int:
             "state_generator": [value.real, value.imag],
             "state_range_projection": [projected.real, projected.imag],
         })
-    failures = list(report.failures(RELATION_TOLERANCE))
+    failures = list(report.failures())
     if not loaded.report.ok:
         failures.extend(
             f"validation: {c.name}" for c in loaded.report.failures()

@@ -78,15 +78,6 @@ class Lattice:
     def contains(self, x) -> bool:
         return exact.is_integral(self.coordinates(x))
 
-    @classmethod
-    def scaled_integers(cls, dim: int, scale=1) -> "Lattice":
-        """The lattice scale * Z^dim."""
-        c = exact.as_rational(scale)
-        return cls(tuple(
-            tuple(c if i == j else Fraction(0) for j in range(dim))
-            for i in range(dim)
-        ))
-
 
 @dataclass(frozen=True)
 class LatticeInclusion:

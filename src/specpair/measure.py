@@ -22,7 +22,10 @@ from .errors import DepthTooLarge, IdenticalPoints, NonFinitePoint, NotExpansive
 from .exact import Matrix, Vector
 from .lattice import SimpleFactor, is_expansive, lattice_points_in_box
 
+# most atoms one refinement may hold, checked before it builds any
 ATOM_BUDGET = 1 << 24
+# a pairing farther than this from every integer separates two float atoms
+SEPARATION_TOLERANCE = 1e-9
 # pairs whose pairings separation_witnesses evaluates at once
 SEPARATION_CHUNK = 1 << 20
 # concrete types ahead of the ABC, whose isinstance check is several times slower
@@ -125,19 +128,17 @@ def word_at(index: int, base: int, depth: int) -> tuple[int, ...]:
     return tuple(reversed(letters))
 
 
-def refine_measure(
-    ifs: AffineIFS, depth: int, atom_budget: int = ATOM_BUDGET
-) -> DiscreteMeasure:
+def refine_measure(ifs: AffineIFS, depth: int) -> DiscreteMeasure:
     """The depth-n discrete approximation of the invariant measure.
 
     Depth 0 is the point mass at 0; each step replaces every atom x by
-    its N images E^{-1} x + b.  Raises DepthTooLarge past the budget.
+    its N images E^{-1} x + b.  Raises DepthTooLarge past ATOM_BUDGET.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if ifs.N**depth > atom_budget:
+    if ifs.N**depth > ATOM_BUDGET:
         raise DepthTooLarge(
-            f"{ifs.N}^{depth} atoms exceed the budget of {atom_budget}"
+            f"{ifs.N}^{depth} atoms exceed the budget of {ATOM_BUDGET}"
         )
     points = np.zeros((1, ifs.dim))
     e_inv_t = ifs.e_inverse_float.T
@@ -177,14 +178,12 @@ def _dual_candidates(
     )
 
 
-def separation_witness(
-    system: SimpleFactor, x, y, search_radius: int = 8, tol: float = 1e-9
-):
+def separation_witness(system: SimpleFactor, x, y, search_radius: int = 8):
     """A dual-lattice frequency whose exponential separates x from y.
 
     Scans dual points in increasing norm; s is a witness when s.(x - y)
-    is farther than ``tol`` from every integer.  Returns the witness
-    vector, or NoWitness when the box is exhausted.  Raises
+    is farther than SEPARATION_TOLERANCE from every integer.  Returns the
+    witness vector, or NoWitness when the box is exhausted.  Raises
     IdenticalPoints when x == y, NonFinitePoint when x - y is not finite.
     """
     if isinstance(x, _SCALARS):
@@ -201,13 +200,13 @@ def separation_witness(
     for s, s_float in _dual_candidates(system, search_radius):
         pairing = sum(c * d for c, d in zip(s_float, diff))
         distance = abs(pairing - round(pairing))
-        if distance > tol:
+        if distance > SEPARATION_TOLERANCE:
             return s
     return NoWitness(search_radius=search_radius)
 
 
 def separation_witnesses(
-    system: SimpleFactor, x, y, search_radius: int = 8, tol: float = 1e-9
+    system: SimpleFactor, x, y, search_radius: int = 8
 ) -> tuple[tuple[Vector, ...], np.ndarray]:
     """separation_witness for every pair of rows x[i], y[i] at once.
 
@@ -240,7 +239,7 @@ def separation_witnesses(
             pairing = s_float[0] * chunk[:, 0]
             for c, column in zip(s_float[1:], chunk.T[1:]):
                 pairing += c * column
-            found = np.abs(pairing - np.rint(pairing)) > tol
+            found = np.abs(pairing - np.rint(pairing)) > SEPARATION_TOLERANCE
             witness[rows[found]] = k
             rows, chunk = rows[~found], chunk[~found]
     return tuple(s for s, _ in candidates), witness

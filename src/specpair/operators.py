@@ -52,6 +52,12 @@ from .transform import (
     mu_hat_value,
 )
 
+# relation residuals above this fail cuntz and classify_measure; truncated
+# products at depth 12 leave about 2e-6
+RELATION_TOLERANCE = 1e-6
+# sup-norm radius of the dual(K) samples classify_measure checks
+CLASSIFY_BOX_RADIUS = 4
+
 
 @dataclass(frozen=True)
 class ExponentialVector:
@@ -183,20 +189,24 @@ class RelationReport:
     def max_residual(self) -> float:
         return max(self.isometry, self.range_orthogonality, self.completeness)
 
-    def failures(self, tolerance: float = 1e-6) -> tuple[str, ...]:
-        out = []
-        if self.isometry > tolerance:
-            out.append(f"isometry residual {self.isometry:.3e}")
-        if self.range_orthogonality > tolerance:
-            out.append(
-                f"range orthogonality residual {self.range_orthogonality:.3e}"
-            )
-        if self.completeness > tolerance:
-            out.append(f"completeness residual {self.completeness:.3e}")
-        return tuple(out)
+    def failures(self) -> tuple[str, ...]:
+        return _residual_failures(self)
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def _residual_failures(report) -> tuple[str, ...]:
+    """The residuals of ``report`` above RELATION_TOLERANCE, described;
+    a completeness of None was not checked."""
+    out = []
+    if report.isometry > RELATION_TOLERANCE:
+        out.append(f"isometry residual {report.isometry:.3e}")
+    if report.range_orthogonality > RELATION_TOLERANCE:
+        out.append(f"range orthogonality residual {report.range_orthogonality:.3e}")
+    if report.completeness is not None and report.completeness > RELATION_TOLERANCE:
+        out.append(f"completeness residual {report.completeness:.3e}")
+    return tuple(out)
 
 
 def _relation_maxima(samples, push, freq_digits, transforms, masks_at):
@@ -257,23 +267,18 @@ def relation_residuals(
 class ConsistencyReport:
     """Verdict on whether a measure fits a lattice-and-digits datum."""
 
-    consistent: bool
     structure: tuple[CheckResult, ...]
     isometry: float
     range_orthogonality: float
     completeness: float | None
-    tolerance: float
+
+    @property
+    def consistent(self) -> bool:
+        return not self.failures()
 
     def failures(self) -> tuple[str, ...]:
-        out = [f"structure: {c.name} ({c.detail})" for c in self.structure
-               if not c.passed]
-        if self.isometry > self.tolerance:
-            out.append(f"isometry residual {self.isometry:.3e}")
-        if self.range_orthogonality > self.tolerance:
-            out.append(f"range orthogonality residual {self.range_orthogonality:.3e}")
-        if self.completeness is not None and self.completeness > self.tolerance:
-            out.append(f"completeness residual {self.completeness:.3e}")
-        return tuple(out)
+        return tuple(f"structure: {c.name} ({c.detail})" for c in self.structure
+                     if not c.passed) + _residual_failures(self)
 
 
 def classify_measure(
@@ -281,33 +286,31 @@ def classify_measure(
     K: Lattice,
     gamma: Lattice,
     freq_digits,
-    quadrature_depth: int = 12,
     digits=None,
-    box_radius: int = 4,
-    tolerance: float = 1e-6,
 ) -> ConsistencyReport:
     """Decide whether a measure is consistent with a lattice datum.
 
-    ``measure_source`` is a SimpleFactor (its depth-``quadrature_depth``
-    refinement and digit set are used) or a DiscreteMeasure (optionally
-    with explicit ``digits`` for the completeness check; without them that
-    check is skipped).  The isometry
-    and range-overlap residuals are evaluated against the *empirical*
-    transform of the measure, with the expansion derived from K inside
-    ``gamma`` -- nothing is taken from the measure's own provenance.
+    ``measure_source`` is a SimpleFactor (its refinement at the default
+    quadrature depth and its digit set are used) or a DiscreteMeasure
+    (optionally with explicit ``digits`` for the completeness check;
+    without them that check is skipped).  The isometry and range-overlap
+    residuals are evaluated against the *empirical* transform of the
+    measure at the dual(K) points within CLASSIFY_BOX_RADIUS, with the
+    expansion derived from K inside ``gamma`` -- nothing is taken from the
+    measure's own provenance.  Residuals above RELATION_TOLERANCE fail.
     Raises NotASublattice when K is not contained in ``gamma``.
 
     A depth-n empirical transform carries truncation error that grows
     linearly in the sampled frequency, roughly 2 pi |u| diam contraction^n,
-    so the default box keeps that error under the tolerance at the default
-    quadrature depth; enlarge the box and the depth together.
+    so the box keeps that error under the tolerance at the default
+    quadrature depth.
     """
     inclusion_matrix(K, gamma)  # raises NotASublattice
 
     if isinstance(measure_source, SimpleFactor):
         if digits is None:
             digits = measure_source.digits
-        measure = _cached_measure(measure_source, quadrature_depth)
+        measure = _cached_measure(measure_source, TransformSettings().quadrature_depth)
     elif isinstance(measure_source, DiscreteMeasure):
         measure = measure_source
     else:
@@ -329,22 +332,15 @@ def classify_measure(
         ) / len(digits)
 
     isometry, range_orth, completeness = _relation_maxima(
-        lattice_points_in_box(k_dual, box_radius),
+        lattice_points_in_box(k_dual, CLASSIFY_BOX_RADIUS),
         partial(exact.mat_vec, exact.transpose(e)),
         freq_digits,
         lambda points: [integrate_exponential(measure, p) for p in points],
         None if digits is None else lambda points: [digit_mask(p) for p in points],
     )
-
-    residuals_ok = isometry <= tolerance and range_orth <= tolerance and (
-        completeness is None or completeness <= tolerance
-    )
-    consistent = residuals_ok and all(c.passed for c in structure)
     return ConsistencyReport(
-        consistent=consistent,
         structure=tuple(structure),
         isometry=isometry,
         range_orthogonality=range_orth,
         completeness=completeness,
-        tolerance=tolerance,
     )

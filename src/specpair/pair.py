@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
-from .boxes import Box, BoxUnion, difference_measure
+from .boxes import Box, BoxUnion, difference_measure, equal_almost_everywhere
 from .cyclotomic import exp_sum_is_zero
 from .errors import BudgetExceeded, NotEmbeddable
 from .exact import Vector
@@ -129,6 +129,16 @@ def spectrum_candidates(system: SimpleFactor, radius) -> int:
     """How many points ``truncate_spectrum`` tries: |L| per dual(Gamma) candidate."""
     search = _search_radius(system, exact.as_rational(radius))
     return len(system.freq_digits) * box_candidates(system.Gamma_dual, search)
+
+
+def difference_candidates(system: SimpleFactor, radius) -> int:
+    """A bound on the distinct differences of ``truncate_spectrum``'s points,
+    the entries ``orthogonality_matrix`` transforms: |{l' - l}| per
+    dual(Gamma) candidate in twice the search box."""
+    search = _search_radius(system, exact.as_rational(radius))
+    digits = system.freq_digits
+    shifts = {exact.vec_sub(b, a) for a in digits for b in digits}
+    return len(shifts) * box_candidates(system.Gamma_dual, 2 * search)
 
 
 def truncate_spectrum(system: SimpleFactor, radius) -> TruncatedSpectrum:
@@ -404,11 +414,8 @@ def tiling_check(
 
     union_matches: bool | None = None
     if omega_prime is not None:
-        all_boxes = [b for u in shifted for b in u.boxes]
-        union_matches = (
-            difference_measure(all_boxes, omega_prime.boxes) == 0
-            and difference_measure(omega_prime.boxes, all_boxes) == 0
-        )
+        union_matches = equal_almost_everywhere(
+            [b for u in shifted for b in u.boxes], omega_prime.boxes)
         if not union_matches:
             detail.append("union of translates differs from the reduced domain")
 

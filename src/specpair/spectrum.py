@@ -37,6 +37,7 @@ from .transform import (
     mu_hat_values,
 )
 
+# a truncated product above this in modulus witnesses non-orthogonality
 WITNESS_THRESHOLD = 1e-6
 # most frequencies one enumeration may build, checked before it builds any
 SPECTRUM_BUDGET = 2**18
@@ -160,20 +161,16 @@ class AllOrthogonal:
     threshold: float
 
 
-def maximality_probe(
-    system: SimpleFactor,
-    s,
-    enum_depth: int,
-    product_depth: int = 30,
-    threshold: float = WITNESS_THRESHOLD,
-):
+def maximality_probe(system: SimpleFactor, s, enum_depth: int):
     """Search for a frequency the probe point is *not* orthogonal to.
 
-    A Witness supports maximality (s cannot be adjoined to the orthogonal
-    family); AllOrthogonal only reports that this truncation found none.
-    Raises MemberOfSpectrum when s is already enumerated.
+    A frequency is a witness when the product transform at the default
+    depth exceeds WITNESS_THRESHOLD in modulus.  A Witness supports
+    maximality (s cannot be adjoined to the orthogonal family);
+    AllOrthogonal only reports that this truncation found none.  Raises
+    MemberOfSpectrum when s is already enumerated.
     """
-    settings = TransformSettings(product_depth=product_depth)
+    settings = TransformSettings()
     point, is_exact = exact.as_point(s, system.dim)
     enum = enumerate_spectrum(system, enum_depth)
     if is_exact:
@@ -193,6 +190,6 @@ def maximality_probe(
             mu_hat_values(system, shifted[k:k + CHUNK_ROWS], settings).tolist()
             for k in range(0, len(order), CHUNK_ROWS))
     for i, value in zip(order, values):
-        if abs(value) > threshold:
+        if abs(value) > WITNESS_THRESHOLD:
             return Witness(xi=enum.elements[i], value=value)
-    return AllOrthogonal(enum_depth=enum_depth, threshold=threshold)
+    return AllOrthogonal(enum_depth=enum_depth, threshold=WITNESS_THRESHOLD)

@@ -37,24 +37,15 @@ def _expand_row(row: Mapping[str, object]) -> dict[str, object]:
     return out
 
 
-def render_table(
-    rows: Sequence[Mapping[str, object]],
-    fmt: str = "csv",
-    fieldnames: Sequence[str] | None = None,
-) -> str:
-    """Serialize homogeneous rows; pass fieldnames to get a header-only CSV
-    from an empty row list."""
+def render_table(rows: Sequence[Mapping[str, object]], fmt: str = "csv") -> str:
+    """Serialize homogeneous rows; the CSV columns are the keys in order of
+    first appearance."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
     expanded = [_expand_row(r) for r in rows]
-    if fieldnames is None:
-        fieldnames = []
-        for row in expanded:
-            for key in row:
-                if key not in fieldnames:
-                    fieldnames.append(key)
     if fmt == "json":
         return json.dumps(expanded, indent=2, sort_keys=True) + "\n"
+    fieldnames = list(dict.fromkeys(key for row in expanded for key in row))
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fieldnames)
     writer.writeheader()
@@ -66,10 +57,9 @@ def emit_table(
     rows: Sequence[Mapping[str, object]],
     fmt: str = "csv",
     path: str | Path | None = None,
-    fieldnames: Sequence[str] | None = None,
 ) -> str:
     """Render rows and, when a path is given, write them as UTF-8."""
-    text = render_table(rows, fmt, fieldnames)
+    text = render_table(rows, fmt)
     if path is not None:
         Path(path).write_text(text, encoding="utf-8", newline="")
     return text

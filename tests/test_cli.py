@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib
 import io
 import json
 import re
@@ -276,10 +277,11 @@ def no_box_enumeration(monkeypatch):
         monkeypatch.setattr(module, "lattice_points_in_box", enumerated)
 
 
-# pair: (|L| * (2b+1)^d)^2 / 2 Gram entries of |omega| * 2^d terms each;
-# scale4x2 has b = floor((box+1)/4) + 1 and 4 * 2^2 = 16 terms per entry.
+# pair: (|L| * (2b+1)^d)^2 / 2 Gram cells, plus |{l' - l}| * (2c+1)^d distinct
+# differences of |omega| * 2^d terms each; scale4x2 has b = floor((box+1)/4) + 1,
+# c = floor((2*box+2)/4) + 1, 9 digit differences and 4 * 2^2 = 16 terms.
 # cuntz: (2b+1)^d * (2 + |L|(|L|-1)) transform values; scale4x2 has b = box + 1.
-@pytest.mark.parametrize("command, largest", [("pair", 14), ("cuntz", 135)])
+@pytest.mark.parametrize("command, largest", [("pair", 30), ("cuntz", 135)])
 def test_box_requests_are_budgeted_before_enumerating(capsys, no_box_enumeration,
                                                       command, largest):
     with pytest.raises(Enumerated):
@@ -310,6 +312,18 @@ def test_readme_lists_each_subcommands_options():
         for name, usage in re.findall(r"^- `([a-z]+)\b(.*)`$", text, re.M)
     }
     assert listed == _registered_options()
+
+
+def test_readme_float_verdicts_name_their_constants():
+    text = README.read_text(encoding="utf-8")
+    verdicts = text.split("These verdicts are still float comparisons")[1]
+    named = re.findall(r"`([a-z]+)\.([A-Z_]+)` \(([^)]+)\)", verdicts)
+    assert {f"{module}.{name}" for module, name, _ in named} >= {
+        "operators.RELATION_TOLERANCE", "spectrum.WITNESS_THRESHOLD",
+        "cli.ORTHOGONALITY_TOLERANCE", "measure.SEPARATION_TOLERANCE"}
+    for module, name, value in named:
+        held = getattr(importlib.import_module(f"specpair.{module}"), name)
+        assert held == float(value), f"{module}.{name} is {held}, README says {value}"
 
 
 def test_readme_commands_parse():

@@ -10,7 +10,7 @@ from specpair.lattice import is_expansive, lattice_points_in_box
 
 
 def test_dual_of_integers_is_integers():
-    z2 = sp.Lattice.scaled_integers(2)
+    z2 = sp.Lattice([[1, 0], [0, 1]])
     assert sp.dual_lattice(z2).basis == z2.basis
 
 
@@ -77,16 +77,13 @@ def test_digit_section_examples(scale4, digits, detail):
 
 
 def test_coset_representatives_2d_count():
-    reps = sp.coset_representatives(
-        sp.Lattice.scaled_integers(2), sp.Lattice.scaled_integers(2, "1/2")
-    )
+    z2 = sp.Lattice([[1, 0], [0, 1]])
+    reps = sp.coset_representatives(z2, sp.Lattice([["1/2", 0], [0, "1/2"]]))
     assert len(reps) == 4
     for a in reps:
         for b in reps:
             if a != b:
-                assert not sp.Lattice.scaled_integers(2).contains(
-                    exact.vec_sub(a, b)
-                )
+                assert not z2.contains(exact.vec_sub(a, b))
 
 
 def test_expansion_map_examples(scale4, scale4x2):

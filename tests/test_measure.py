@@ -59,11 +59,12 @@ def test_refine_measure_atoms(scale4):
     assert two.weight == 0.25
 
 
-def test_refine_measure_budget(scale4):
+def test_refine_measure_budget(scale4, monkeypatch):
     ifs = sp.build_ifs(scale4.system)
+    monkeypatch.setattr(sp.measure, "ATOM_BUDGET", 16)
     with pytest.raises(sp.DepthTooLarge):
-        sp.refine_measure(ifs, 5, atom_budget=16)
-    sp.refine_measure(ifs, 4, atom_budget=16)  # exactly at budget is fine
+        sp.refine_measure(ifs, 5)
+    sp.refine_measure(ifs, 4)  # exactly at budget is fine
 
 
 def test_atom_nesting_is_exact(scale4):

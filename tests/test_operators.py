@@ -105,7 +105,7 @@ def test_relation_residuals_scale4(scale4):
 def test_relation_residuals_middlethird(middlethird):
     report = sp.relation_residuals(middlethird.system, box_radius=8)
     assert report.completeness > 0.4
-    assert report.failures(1e-6)
+    assert report.failures()
 
 
 def test_relation_residuals_degenerate():

@@ -458,12 +458,13 @@ def test_classify_measure_matches_per_sample_fold(monkeypatch, name):
     system = CONSUMER_SYSTEMS[name]
     measure_ = sp.refine_measure(sp.build_ifs(system), 6)
     args = (measure_, system.K, system.Gamma, system.freq_digits)
-    batched = [sp.classify_measure(*args, digits=system.digits, box_radius=2),
-               sp.classify_measure(*args, box_radius=2)]
+    monkeypatch.setattr(sp.operators, "CLASSIFY_BOX_RADIUS", 2)
+    batched = [sp.classify_measure(*args, digits=system.digits),
+               sp.classify_measure(*args)]
     monkeypatch.setattr(sp.operators, "_relation_maxima", oracle_relation_maxima)
     assert repr(batched) == repr([
-        sp.classify_measure(*args, digits=system.digits, box_radius=2),
-        sp.classify_measure(*args, box_radius=2)])
+        sp.classify_measure(*args, digits=system.digits),
+        sp.classify_measure(*args)])
 
 
 coefficients = st.one_of(
@@ -609,16 +610,17 @@ def test_float_consumers_match_scalar_oracle(monkeypatch):
     values = [oracle_float_mu_hat_value(system, s - float(enum.elements[i][0]), 30)
               for i in order]
     threshold = max(abs(v) for v in values[:4])
-    probe = sp.maximality_probe(system, s, 6, threshold=threshold)
+    monkeypatch.setattr(sp.spectrum, "WITNESS_THRESHOLD", threshold)
+    probe = sp.maximality_probe(system, s, 6)
     assert abs(values[4]) > threshold
     assert probe.xi == enum.elements[order[4]]
     assert_same_values([probe.value], [values[4]])
 
 
-def scalar_witnesses(system, x, y, radius, tol):
+def scalar_witnesses(system, x, y, radius):
     """separation_witness per pair, as the index separation_witnesses reports."""
     candidates = [s for s, _ in measure._dual_candidates(system, radius)]
-    found = [sp.separation_witness(system, tuple(a), tuple(b), radius, tol)
+    found = [sp.separation_witness(system, tuple(a), tuple(b), radius)
              for a, b in zip(x, y)]
     return [-1 if isinstance(w, sp.NoWitness) else candidates.index(w) for w in found]
 
@@ -642,13 +644,14 @@ def test_separation_witnesses_match_scalar(name, data):
     y = np.array(data.draw(points), dtype=float).reshape(m, system.dim)
     radius = data.draw(st.sampled_from((0, 1, 2, 3)))
     tol = data.draw(st.sampled_from((1e-9, 0.05)))
-    try:
-        expected = scalar_witnesses(system, x, y, radius, tol)
-    except sp.IdenticalPoints:
-        with pytest.raises(sp.IdenticalPoints):
-            sp.separation_witnesses(system, x, y, radius, tol)
-        return
-    candidates, witness = sp.separation_witnesses(system, x, y, radius, tol)
+    with mock.patch.object(measure, "SEPARATION_TOLERANCE", tol):
+        try:
+            expected = scalar_witnesses(system, x, y, radius)
+        except sp.IdenticalPoints:
+            with pytest.raises(sp.IdenticalPoints):
+                sp.separation_witnesses(system, x, y, radius)
+            return
+        candidates, witness = sp.separation_witnesses(system, x, y, radius)
     assert candidates == tuple(s for s, _ in measure._dual_candidates(system, radius))
     assert witness.tolist() == expected
 
@@ -658,7 +661,7 @@ def test_separation_witnesses_across_chunks(monkeypatch):
     rng = np.random.default_rng(7)
     x = rng.integers(-16, 16, size=(40, 2)) / 8
     y = x + rng.integers(1, 4, size=(40, 2)) / rng.choice([1, 2, 8], size=(40, 1))
-    expected = scalar_witnesses(system, x, y, 2, 1e-9)
+    expected = scalar_witnesses(system, x, y, 2)
     monkeypatch.setattr(measure, "SEPARATION_CHUNK", 3)
     _, witness = sp.separation_witnesses(system, x, y, 2)
     assert witness.tolist() == expected

@@ -136,10 +136,11 @@ def test_maximality_probe_member_raises(scale4):
         sp.maximality_probe(scale4.system, 5, 6)
 
 
-def test_maximality_probe_inconclusive_at_threshold_one(scale4):
+def test_maximality_probe_inconclusive_at_threshold_one(scale4, monkeypatch):
     # with an absurd threshold nothing can witness, exercising the
     # inconclusive (not disproven) verdict
-    result = sp.maximality_probe(scale4.system, 2, 3, threshold=2.0)
+    monkeypatch.setattr(spectrum, "WITNESS_THRESHOLD", 2.0)
+    result = sp.maximality_probe(scale4.system, 2, 3)
     assert isinstance(result, AllOrthogonal)
     assert result.enum_depth == 3
 

@@ -6,11 +6,6 @@ import pytest
 from specpair.tables import emit_table, render_table
 
 
-def test_empty_rows_with_fieldnames_gives_header_only_csv():
-    text = render_table([], "csv", fieldnames=["depth", "sigma", "increment"])
-    assert text == "depth,sigma,increment\r\n"
-
-
 def test_complex_values_split_into_two_columns():
     text = render_table([{"t": 1.0, "value": 0.5 - 0.25j}], "csv")
     lines = text.splitlines()

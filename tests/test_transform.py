@@ -126,7 +126,6 @@ def test_mask_is_mean_of_characters(scale4x2):
 
 @pytest.mark.parametrize("call", [
     lambda system, depth: sp.completeness_table(system, 2, [4], depth),
-    lambda system, depth: sp.maximality_probe(system, 2, 4, depth),
     lambda system, depth: sp.relation_residuals(system, 4, depth),
     lambda system, depth: sp.state_eval(system, (0,), (), depth),
 ])
