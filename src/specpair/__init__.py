@@ -34,7 +34,6 @@ from .lattice import (
     dual_lattice,
     frequency_map,
     inclusion_matrix,
-    same_lattice,
     validate_simple_factor,
 )
 from .measure import (
@@ -51,12 +50,10 @@ from .operators import (
     ConsistencyReport,
     ExponentialVector,
     RelationReport,
-    Word,
     apply_adjoint,
     apply_generator,
     apply_word,
     apply_word_adjoint,
-    as_word,
     classify_measure,
     relation_residuals,
     state_eval,
@@ -111,8 +108,8 @@ __all__ = [
     "RelationReport", "SimpleFactor", "SpectralPairError",
     "SpectrumEnumeration", "TilingReport", "TransformSettings",
     "TruncatedSpectrum", "UnknownDigit", "ValidationFailed",
-    "ValidationReport", "Witness", "Word", "apply_adjoint",
-    "apply_generator", "apply_word", "apply_word_adjoint", "as_word",
+    "ValidationReport", "Witness", "apply_adjoint",
+    "apply_generator", "apply_word", "apply_word_adjoint",
     "build_ifs", "builtin_names", "classify_measure",
     "completeness_table",
     "coset_representatives", "document_from", "dual_lattice", "dumps_spec",
@@ -121,7 +118,7 @@ __all__ = [
     "indicator_transform", "integrate_exponential", "mask",
     "maximality_probe", "mu_hat_value", "mu_hat_values", "orthogonality_matrix",
     "parse_document", "parse_spec", "reduce_mod_lattice", "refine_measure",
-    "relation_residuals", "render_table", "same_lattice",
+    "relation_residuals", "render_table",
     "separation_witness", "separation_witnesses", "state_eval", "tiling_check",
     "translation_membership", "truncate_spectrum", "validate_simple_factor",
     "word_frequency",

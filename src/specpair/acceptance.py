@@ -23,7 +23,7 @@ from .measure import build_ifs, integrate_exponential, refine_measure, separatio
 from .operators import classify_measure, relation_residuals, state_eval
 from .pair import tiling_check
 from .specfile import document_from, parse_document, parse_spec
-from .spectrum import completeness_table, enumerate_spectrum
+from .spectrum import BESSEL_SLACK, completeness_table, enumerate_spectrum
 from .transform import TransformSettings, mask, mu_hat_value, mu_hat_values
 from . import exact
 
@@ -92,7 +92,7 @@ def criterion_1_sigma_reproduction() -> CriterionResult:
     for row in rows:
         if row.increment < 0:
             problems.append(f"decreasing at depth {row.depth}")
-        if row.sigma > 1 + 1e-9:
+        if row.sigma > 1 + BESSEL_SLACK:
             problems.append(f"Bessel bound violated at depth {row.depth}")
         gap = abs(row.sigma - GOLDEN_SIGMA[row.depth])
         if gap > SIGMA_CALIBRATION_TOLERANCE:

@@ -72,9 +72,9 @@ class BoxUnion:
         dim = boxes[0].dim
         if any(b.dim != dim for b in boxes):
             raise ValueError("boxes have mismatched dimensions")
-        for a, b in itertools.combinations(boxes, 2):
-            if a.intersect(b) is not None:
-                raise ValueError(f"boxes overlap: {a} and {b}")
+        overlap = first_overlap(boxes)
+        if overlap is not None:
+            raise ValueError("boxes overlap: {} and {}".format(*overlap))
 
     @property
     def dim(self) -> int:
@@ -89,6 +89,15 @@ class BoxUnion:
 
     def contains_point(self, x: Sequence[float]) -> bool:
         return any(b.contains_point(x) for b in self.boxes)
+
+
+def first_overlap(boxes: Sequence[Box]) -> tuple[Box, Box] | None:
+    """The first pair of boxes, in itertools.combinations order, that
+    overlap on positive measure; None when they are pairwise disjoint."""
+    for a, b in itertools.combinations(boxes, 2):
+        if a.intersect(b) is not None:
+            return a, b
+    return None
 
 
 def subtract_box(a: Box, b: Box) -> list[Box]:

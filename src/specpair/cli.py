@@ -26,7 +26,7 @@ from .pair import (
 )
 from .measure import build_ifs, refine_measure
 from .specfile import builtin_names, parse_spec
-from .spectrum import completeness_table, enumerate_spectrum
+from .spectrum import BESSEL_SLACK, completeness_table, enumerate_spectrum
 from .tables import emit_table
 from .transform import TransformSettings, check_product_depth, mu_hat_value, mu_hat_values
 
@@ -188,7 +188,7 @@ def cmd_spectrum(args) -> int:
     rows = completeness_table(system, s, range(0, args.enum_depth + 1),
                               args.product_depth)
     _emit(args, [asdict(r) for r in rows])
-    return 0 if all(r.sigma <= 1 + 1e-9 for r in rows) else 1
+    return 0 if all(r.sigma <= 1 + BESSEL_SLACK for r in rows) else 1
 
 
 def cmd_cuntz(args) -> int:

@@ -98,6 +98,11 @@ def dual_lattice(lat: Lattice) -> Lattice:
     return Lattice(exact.transpose(lat.inverse))
 
 
+def expansion_matrix(K: Lattice, gamma: Lattice) -> Matrix:
+    """E = K Gamma^-1, the expansion that maps the basis of gamma onto K's."""
+    return exact.mat_mul(K.basis, gamma.inverse)
+
+
 def same_lattice(a: Lattice, b: Lattice) -> bool:
     """Whether two bases span the same lattice (mutual containment)."""
     return all(b.contains(g) for g in a.generators) and all(
@@ -228,7 +233,7 @@ class SimpleFactor:
 
     @cached_property
     def E(self) -> Matrix:
-        return exact.mat_mul(self.K.basis, self.Gamma.inverse)
+        return expansion_matrix(self.K, self.Gamma)
 
     @cached_property
     def E_transpose(self) -> Matrix:

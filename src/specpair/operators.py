@@ -35,6 +35,7 @@ from .lattice import (
     Lattice,
     SimpleFactor,
     dual_lattice,
+    expansion_matrix,
     expansive_check,
     frequency_digit_check,
     frequency_map,
@@ -87,23 +88,6 @@ class ExponentialVector:
         return cls(coeff=1.0, freq=freq)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite word over the frequency digits (possibly empty)."""
-
-    letters: tuple[Vector, ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-def as_word(system: SimpleFactor, letters) -> Word:
-    """Normalize a sequence of digits into a validated Word."""
-    if isinstance(letters, Word):
-        return letters
-    return Word(letters=tuple(system.freq_digit(l) for l in letters))
-
-
 def apply_generator(
     system: SimpleFactor, ell, v: ExponentialVector
 ) -> ExponentialVector:
@@ -128,17 +112,13 @@ def apply_adjoint(
 
 def word_frequency(system: SimpleFactor, word) -> Vector:
     """The exact frequency sum  sum_k (E^T)^{k-1} l_k  of a word."""
-    word = as_word(system, word)
-    freq = exact.zero_vector(system.dim)
-    for letter in reversed(word.letters):
-        freq = frequency_map(system, letter, freq)
-    return freq
+    vacuum = ExponentialVector.basis(exact.zero_vector(system.dim))
+    return apply_word(system, word, vacuum).freq
 
 
 def apply_word(system: SimpleFactor, word, v: ExponentialVector) -> ExponentialVector:
     """T_{l_1} ... T_{l_n} applied to v (innermost letter first)."""
-    word = as_word(system, word)
-    for letter in reversed(word.letters):
+    for letter in reversed(word):
         v = apply_generator(system, letter, v)
     return v
 
@@ -147,11 +127,8 @@ def apply_word_adjoint(
     system: SimpleFactor, word, v: ExponentialVector
 ) -> ExponentialVector:
     """(T_{l_1} ... T_{l_n})* applied to v (outermost adjoint first)."""
-    word = as_word(system, word)
-    for letter in word.letters:
+    for letter in word:
         v = apply_adjoint(system, letter, v)
-        if v.is_zero:
-            return v
     return v
 
 
@@ -320,7 +297,7 @@ def classify_measure(
 
     freq_digits = tuple(exact.as_vector(l, K.dim) for l in freq_digits)
     k_dual = dual_lattice(K)
-    e = exact.mat_mul(K.basis, gamma.inverse)
+    e = expansion_matrix(K, gamma)
     structure = [
         frequency_digit_check(freq_digits, k_dual, dual_lattice(gamma)),
         expansive_check(e),

@@ -21,11 +21,13 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from . import exact
-from .boxes import Box, BoxUnion, difference_measure, equal_almost_everywhere
+from .boxes import (Box, BoxUnion, difference_measure, equal_almost_everywhere,
+                    first_overlap)
 from .cyclotomic import exp_sum_is_zero
 from .errors import BudgetExceeded, NotEmbeddable
 from .exact import Vector
@@ -36,8 +38,7 @@ from .lattice import (Lattice, SimpleFactor, box_candidates, coset_representativ
 MEMBERSHIP_COSET_BUDGET = 2**10
 MONTE_CARLO_SAMPLES = 100_000
 MONTE_CARLO_DEFECT = 1e-3  # smallest relative defect the bound speaks about
-# most sampled points tested at once; chunks grow 1, 2, 4, ... up to it,
-# so a sampler that fails at its first point pays for one point
+# most sampled points tested at once
 SAMPLE_CHUNK = 4096
 
 
@@ -200,10 +201,10 @@ def rectangular_cell(lat: Lattice) -> Vector | None:
     return tuple(sides)  # type: ignore[arg-type]
 
 
-def _reduce(omega: BoxUnion, cell: Vector) -> list[Box]:
-    """Split the boxes of a union into pieces translated into the cell [0, cell)."""
+def _reduce(boxes: Iterable[Box], cell: Vector) -> list[Box]:
+    """Split boxes into pieces translated into the cell [0, cell)."""
     pieces: list[Box] = []
-    for box in omega.boxes:
+    for box in boxes:
         per_axis: list[list[tuple[Fraction, Fraction]]] = []
         for lo, hi, side in zip(box.lo, box.hi, cell):
             axis = []
@@ -231,13 +232,13 @@ def reduce_mod_lattice(omega: BoxUnion, lat: Lattice) -> BoxUnion:
         raise ValueError(
             "reduction is implemented for rectangular lattices only"
         )
-    pieces = _reduce(omega, cell)
-    for a, b in itertools.combinations(pieces, 2):
-        if a.intersect(b) is not None:
-            raise NotEmbeddable(
-                f"reductions overlap on positive measure: {a} and {b}"
-            )
-    return BoxUnion(tuple(pieces))
+    pieces = _reduce(omega.boxes, cell)
+    try:
+        return BoxUnion(tuple(pieces))
+    except ValueError:
+        a, b = first_overlap(pieces)
+        raise NotEmbeddable(
+            f"reductions overlap on positive measure: {a} and {b}") from None
 
 
 @lru_cache(maxsize=32)
@@ -299,16 +300,6 @@ def _check_samples(samples) -> None:
         raise ValueError(f"samples must be a positive int, got {samples!r}")
 
 
-def _chunk_sizes(samples: int):
-    """Sizes 1, 2, 4, ... capped at SAMPLE_CHUNK, summing to ``samples``."""
-    size = 1
-    while samples > 0:
-        size = min(size, samples)
-        yield size
-        samples -= size
-        size = min(2 * size, SAMPLE_CHUNK)
-
-
 def _monte_carlo_failure_bound(samples: int) -> float:
     return float((1.0 - MONTE_CARLO_DEFECT) ** samples)
 
@@ -360,62 +351,43 @@ def tiling_check(
     _check_samples(samples)
     translates = tuple(exact.as_vector(v, d_prime.dim) for v in translates)
     cell_measure = abs(gamma.det)
-    measure_ok = d_prime.measure == cell_measure
+    fundamental = d_prime.measure == cell_measure
     detail = []
+    if not fundamental:
+        detail.append(f"measure {d_prime.measure} != |det gamma| = {cell_measure}")
     failure_probability = 0.0
 
     cell = rectangular_cell(gamma)
-    if cell is not None:
-        method = "exact"
-        if measure_ok:
-            try:
-                reduce_mod_lattice(d_prime, gamma)
-                fundamental = True
-            except NotEmbeddable as exc:
-                fundamental = False
-                detail.append(str(exc))
-        else:
+    method = "monte_carlo" if cell is None else "exact"
+    if fundamental and cell is not None:
+        try:
+            reduce_mod_lattice(d_prime, gamma)
+        except NotEmbeddable as exc:
             fundamental = False
-            detail.append(
-                f"measure {d_prime.measure} != |det gamma| = {cell_measure}"
-            )
-    else:
-        method = "monte_carlo"
-        fundamental = measure_ok
-        if not measure_ok:
-            detail.append(
-                f"measure {d_prime.measure} != |det gamma| = {cell_measure}"
-            )
-        else:
-            rng = np.random.default_rng(seed)
-            cover = _LatticeCover(d_prime, gamma)
-            bad = 0
-            for size in _chunk_sizes(samples):
-                points = rng.random((size, gamma.dim)) @ cover.basis.T
-                bad += int((cover.counts(points) != 1).sum())
-            fundamental = bad == 0
-            failure_probability = _monte_carlo_failure_bound(samples)
-            if bad:
-                detail.append(f"{bad}/{samples} sampled points not covered once")
+            detail.append(str(exc))
+    elif fundamental:  # not rectangular: sample the cover
+        rng = np.random.default_rng(seed)
+        cover = _LatticeCover(d_prime, gamma)
+        bad = 0
+        for start in range(0, samples, SAMPLE_CHUNK):
+            size = min(SAMPLE_CHUNK, samples - start)
+            points = rng.random((size, gamma.dim)) @ cover.basis.T
+            bad += int((cover.counts(points) != 1).sum())
+        fundamental = bad == 0
+        failure_probability = _monte_carlo_failure_bound(samples)
+        if bad:
+            detail.append(f"{bad}/{samples} sampled points not covered once")
 
-    shifted = [d_prime.translate(a) for a in translates]
-    disjoint = True
-    for x, y in itertools.combinations(shifted, 2):
-        for bx in x.boxes:
-            for by in y.boxes:
-                if bx.intersect(by) is not None:
-                    disjoint = False
-                    detail.append(f"translates overlap: {bx} and {by}")
-                    break
-            if not disjoint:
-                break
-        if not disjoint:
-            break
+    # the boxes of one translate are disjoint: an overlap is between two translates
+    shifted = [box.translate(a) for a in translates for box in d_prime.boxes]
+    overlap = first_overlap(shifted)
+    disjoint = overlap is None
+    if not disjoint:
+        detail.append("translates overlap: {} and {}".format(*overlap))
 
     union_matches: bool | None = None
     if omega_prime is not None:
-        union_matches = equal_almost_everywhere(
-            [b for u in shifted for b in u.boxes], omega_prime.boxes)
+        union_matches = equal_almost_everywhere(shifted, omega_prime.boxes)
         if not union_matches:
             detail.append("union of translates differs from the reduced domain")
 
@@ -444,5 +416,7 @@ def translation_membership(omega: BoxUnion, lat: Lattice, a) -> bool:
     if lat.contains(a):
         return True
     cell, reps = _rectangular_sublattice(lat)
-    cover = [p for r in reps for p in _reduce(omega.translate(r), cell)]
-    return difference_measure(_reduce(omega.translate(a), cell), cover) == 0
+    cover = [p for r in reps
+             for p in _reduce((box.translate(r) for box in omega.boxes), cell)]
+    target = _reduce((box.translate(a) for box in omega.boxes), cell)
+    return difference_measure(target, cover) == 0

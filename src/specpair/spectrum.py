@@ -39,6 +39,9 @@ from .transform import (
 
 # a truncated product above this in modulus witnesses non-orthogonality
 WITNESS_THRESHOLD = 1e-6
+# how far a completeness partial sum, a float sum of |mu_hat|^2, may pass 1
+# by rounding before it breaks the Bessel bound
+BESSEL_SLACK = 1e-9
 # most frequencies one enumeration may build, checked before it builds any
 SPECTRUM_BUDGET = 2**18
 

@@ -7,6 +7,7 @@ from specpair.boxes import (
     BoxUnion,
     difference_measure,
     equal_almost_everywhere,
+    first_overlap,
     subtract_box,
 )
 
@@ -32,6 +33,11 @@ def test_union_requires_disjoint_boxes():
         BoxUnion((Box((0,), (1,)), Box(("1/2",), (2,))))
     union = BoxUnion((Box((0,), ("1/4",)), Box(("1/2",), ("3/4",))))
     assert union.measure == F(1, 2)
+    assert first_overlap(union.boxes) is None
+    boxes = (Box((0,), (1,)), Box((1,), (2,)), Box(("3/2",), (3,)),
+             Box(("1/2",), (2,)))
+    # boxes 0 and 1 only touch; pairs 0-3 and 1-2 overlap, and 0-3 comes first
+    assert first_overlap(boxes) == (boxes[0], boxes[3])
 
 
 def test_subtract_box_partition():

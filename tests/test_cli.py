@@ -320,7 +320,8 @@ def test_readme_float_verdicts_name_their_constants():
     named = re.findall(r"`([a-z]+)\.([A-Z_]+)` \(([^)]+)\)", verdicts)
     assert {f"{module}.{name}" for module, name, _ in named} >= {
         "operators.RELATION_TOLERANCE", "spectrum.WITNESS_THRESHOLD",
-        "cli.ORTHOGONALITY_TOLERANCE", "measure.SEPARATION_TOLERANCE"}
+        "cli.ORTHOGONALITY_TOLERANCE", "measure.SEPARATION_TOLERANCE",
+        "spectrum.BESSEL_SLACK"}
     for module, name, value in named:
         held = getattr(importlib.import_module(f"specpair.{module}"), name)
         assert held == float(value), f"{module}.{name} is {held}, README says {value}"

@@ -63,9 +63,10 @@ def test_word_frequency_matches_folded_generators(scale4x2):
 
 def test_word_validation(scale4):
     with pytest.raises(sp.UnknownDigit):
-        sp.as_word(scale4.system, ((2,),))
-    word = sp.as_word(scale4.system, (1, 0))
-    assert word.letters == ((F(1),), (F(0),))
+        sp.word_frequency(scale4.system, ((2,),))
+    # the adjoint of 1 kills the vacuum; the letter after it is still checked
+    with pytest.raises(sp.UnknownDigit):
+        apply_word_adjoint(scale4.system, (1, 2), E0)
 
 
 def test_state_values(scale4):

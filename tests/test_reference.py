@@ -771,7 +771,7 @@ ORACLE_SEEDS = (0, 3, 11)
 @pytest.mark.parametrize("k", SHEARS)
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_sampled_tiling_matches_scalar_oracle(monkeypatch, k, seed):
-    monkeypatch.setattr(pair, "SAMPLE_CHUNK", 64)  # 1, 2, ..., 64, 64, ...
+    monkeypatch.setattr(pair, "SAMPLE_CHUNK", 64)  # 64, 64, 64, 64, 44
     gamma = sp.Lattice([[1, k], [0, 1]])
     samples = 300
     for d_prime in TILING_DOMAINS:

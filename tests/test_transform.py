@@ -128,14 +128,15 @@ def test_mask_is_mean_of_characters(scale4x2):
     lambda system, depth: sp.completeness_table(system, 2, [4], depth),
     lambda system, depth: sp.relation_residuals(system, 4, depth),
     lambda system, depth: sp.state_eval(system, (0,), (), depth),
-])
+], ids=["completeness_table", "relation_residuals", "state_eval"])
 @pytest.mark.parametrize("depth", [0, 201])
 def test_consumers_refuse_out_of_range_product_depths(scale4, monkeypatch, call, depth):
     def no_transform(*args, **kwargs):
         raise AssertionError("transform evaluated before the depth check")
 
     for module in (sp.spectrum, sp.operators):
-        monkeypatch.setattr(module, "mu_hat_value", no_transform)
+        for name in ("mu_hat_value", "_exact_products"):
+            monkeypatch.setattr(module, name, no_transform)
     with pytest.raises(sp.BudgetExceeded, match="product depth"):
         call(scale4.system, depth)
 
