@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .lattice import Lattice, SimpleFactor, dual_lattice, validate_simple_factor
+from .lattice import Lattice, dual_lattice, validate_simple_factor
 from .measure import build_ifs, integrate_exponential, refine_measure, separation_witnesses
 from .operators import classify_measure, relation_residuals, state_eval
 from .pair import tiling_check
 from .specfile import document_from, parse_document, parse_spec
 from .spectrum import BESSEL_SLACK, completeness_table, enumerate_spectrum
-from .transform import TransformSettings, mask, mu_hat_value, mu_hat_values
+from .transform import TransformSettings, _exact_products, mask, mu_hat_value, mu_hat_values
 from . import exact
 
 SEED = 20260808
@@ -74,12 +74,9 @@ def criterion_1_sigma_reproduction() -> CriterionResult:
     rows = completeness_table(system, 2, depths, product_depth=30)
 
     # re-run the quadrature oracle and hold it to the frozen golden data
-    measure = refine_measure(build_ifs(system), 12)
     enum = enumerate_spectrum(system, 12)
-    terms = [
-        abs(integrate_exponential(measure, (2.0 - float(xi[0]),))) ** 2
-        for xi in enum.elements
-    ]
+    quad = TransformSettings(backend="quadrature", quadrature_depth=12)
+    terms = [abs(v) ** 2 for v in mu_hat_values(system, 2.0 - enum.floats, quad).tolist()]
     oracle_drift = 0.0
     for depth in depths:
         indices = enum.depth_slice(depth)
@@ -112,26 +109,17 @@ def criterion_1_sigma_reproduction() -> CriterionResult:
 def criterion_2_orthogonality_zeros() -> CriterionResult:
     """Transform vanishes exactly on differences of enumerated frequencies."""
     system = _scale4().system
-    settings = TransformSettings(product_depth=30)
-    enum6 = enumerate_spectrum(system, 6)
-    nonzero = 0
-    pairs = 0
-    for i, j in itertools.combinations(range(len(enum6)), 2):
-        xi, xj = enum6.elements[i], enum6.elements[j]
-        for diff in (exact.vec_sub(xj, xi), exact.vec_sub(xi, xj)):
-            pairs += 1
-            if mu_hat_value(system, diff, settings) != 0:
-                nonzero += 1
-    enum5 = enumerate_spectrum(system, 5)
-    n = len(enum5)
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            value = mu_hat_value(
-                system, exact.vec_sub(enum5.elements[j], enum5.elements[i]), settings
-            )
-            target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(value - target))
+    enum = enumerate_spectrum(system, 6)
+    n = len(enum)
+    # values[i * n + j] is the transform at xi_j - xi_i
+    values = _exact_products(system, (exact.vec_sub(xj, xi) for xi in enum.elements
+                                      for xj in enum.elements), 30)
+    pairs = n * (n - 1)
+    nonzero = sum(values[i * n + j] != 0 for i in range(n) for j in range(n) if i != j)
+    # the depth-5 frequencies are every N-th depth-6 one
+    depth5 = enum.depth_slice(5)
+    worst = max(abs(values[i * n + j] - (1.0 if i == j else 0.0))
+                for i in depth5 for j in depth5)
     passed = nonzero == 0 and worst < 1e-8
     return CriterionResult(
         2, "orthogonality zeros and Gram identity",
@@ -244,16 +232,9 @@ def criterion_7_separation() -> CriterionResult:
 def criterion_8_negative_control() -> CriterionResult:
     """The ternary datum fails validation and classification by design."""
     problems = []
-    third = Fraction(1, 3)
+    mt = parse_spec("middlethird", require_valid=False).system
     for ell in (1, 2, 3):
-        system = SimpleFactor(
-            K=Lattice([[1]]),
-            A=Lattice([[third]]),
-            Gamma=Lattice([[third]]),
-            digits=((Fraction(0),), (Fraction(2, 3),)),
-            freq_digits=((Fraction(0),), (Fraction(ell),)),
-            name=f"middlethird-L{ell}",
-        )
+        system = replace(mt, freq_digits=((0,), (ell,)), name=f"middlethird-L{ell}")
         report = validate_simple_factor(system)
         pairing_broken = not (
             report.check("separation").passed
@@ -261,7 +242,6 @@ def criterion_8_negative_control() -> CriterionResult:
         )
         if report.ok or not pairing_broken:
             problems.append(f"L = {{0, {ell}}} not rejected")
-    mt = parse_spec("middlethird", require_valid=False).system
     verdict = classify_measure(mt, mt.K, mt.Gamma, mt.freq_digits)
     if verdict.consistent:
         problems.append("ternary measure classified consistent")
@@ -282,15 +262,14 @@ def criterion_9_self_similarity() -> CriterionResult:
     for name in ("scale4", "scale4x2"):
         system = parse_spec(name).system
         ifs = build_ifs(system)
-        freqs = rng.uniform(-8.0, 8.0, size=(20, system.dim))
-        pull = np.array(exact.matrix_to_floats(system.E_transpose_inverse))
-        masks = [mask(system, tuple(t)) for t in freqs]
+        freqs = [tuple(t) for t in rng.uniform(-8.0, 8.0, size=(20, system.dim))]
+        masks = [mask(system, t) for t in freqs]
         previous = refine_measure(ifs, 0)
         for depth in range(1, 11):
             current = refine_measure(ifs, depth)
             for t, factor in zip(freqs, masks):
-                lhs = integrate_exponential(current, tuple(t))
-                rhs = factor * integrate_exponential(previous, tuple(pull @ t))
+                lhs = integrate_exponential(current, t)
+                rhs = factor * integrate_exponential(previous, system.pull(t))
                 worst = max(worst, abs(lhs - rhs))
             previous = current
     return CriterionResult(

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: validate, pair, measure, transform, spectrum, cuntz, accept.
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error
+(an unwritable --out path included).
 Every output is deterministic given the flags and the seed.
 """
 
@@ -306,7 +307,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:  # OSError: an unwritable --out path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpectralPairError as exc:

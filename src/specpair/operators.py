@@ -48,6 +48,7 @@ from .transform import (
     TransformSettings,
     _cached_measure,
     _exact_products,
+    _root_means,
     check_product_depth,
     mask,
     mu_hat_value,
@@ -303,17 +304,18 @@ def classify_measure(
         expansive_check(e),
     ]
 
-    def digit_mask(s):
-        return sum(
-            np.exp(2j * np.pi * float(exact.dot(b, s))) for b in digits
-        ) / len(digits)
+    def digit_masks(points):
+        points = list(points)
+        phases = np.array([[float(exact.dot(b, s)) for s in points] for b in digits])
+        re, im = _root_means(phases, len(digits))
+        return [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
 
     isometry, range_orth, completeness = _relation_maxima(
         lattice_points_in_box(k_dual, CLASSIFY_BOX_RADIUS),
         partial(exact.mat_vec, exact.transpose(e)),
         freq_digits,
         lambda points: [integrate_exponential(measure, p) for p in points],
-        None if digits is None else lambda points: [digit_mask(p) for p in points],
+        None if digits is None else digit_masks,
     )
     return ConsistencyReport(
         structure=tuple(structure),

@@ -220,13 +220,23 @@ def _reduce(boxes: Iterable[Box], cell: Vector) -> list[Box]:
     return pieces
 
 
+def _check_dims(omega: BoxUnion, *others) -> None:
+    """Raise ValueError unless each lattice or union in ``others``, None
+    aside, has the union's dimension."""
+    for other in others:
+        if other is not None and other.dim != omega.dim:
+            raise ValueError(f"dimension {other.dim} does not match the box "
+                             f"union's dimension {omega.dim}")
+
+
 def reduce_mod_lattice(omega: BoxUnion, lat: Lattice) -> BoxUnion:
     """The reduction of the union into the fundamental cell of the lattice.
 
     Exact, for rectangular lattices; raises NotEmbeddable when reductions
     of the boxes overlap on positive measure (the torus embedding is not
-    injective).
+    injective), and ValueError when the dimensions differ.
     """
+    _check_dims(omega, lat)
     cell = rectangular_cell(lat)
     if cell is None:
         raise ValueError(
@@ -295,11 +305,6 @@ class _LatticeCover:
         return hits
 
 
-def _check_samples(samples) -> None:
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-        raise ValueError(f"samples must be a positive int, got {samples!r}")
-
-
 def _monte_carlo_failure_bound(samples: int) -> float:
     return float((1.0 - MONTE_CARLO_DEFECT) ** samples)
 
@@ -337,18 +342,20 @@ def tiling_check(
     gamma: Lattice,
     translates,
     omega_prime: BoxUnion | None = None,
-    samples: int = MONTE_CARLO_SAMPLES,
     seed: int = 0,
 ) -> TilingReport:
     """Verify the tiling decomposition behind a factor system.
 
     (a) ``d_prime`` is a fundamental domain for ``gamma``: its measure is
     |det gamma| and its reduction covers the cell without overlap -- exact
-    for rectangular lattices, seeded sampling otherwise; (b) the translated
-    copies are pairwise disjoint and, when ``omega_prime`` is given, their
-    union equals it up to measure zero (always exact).
+    for rectangular lattices, MONTE_CARLO_SAMPLES seeded samples otherwise;
+    (b) the translated copies are pairwise disjoint and, when
+    ``omega_prime`` is given, their union equals it up to measure zero
+    (always exact).  Raises ValueError when ``gamma`` or ``omega_prime``
+    has another dimension than ``d_prime``.
     """
-    _check_samples(samples)
+    _check_dims(d_prime, gamma, omega_prime)
+    samples = MONTE_CARLO_SAMPLES
     translates = tuple(exact.as_vector(v, d_prime.dim) for v in translates)
     cell_measure = abs(gamma.det)
     fundamental = d_prime.measure == cell_measure
@@ -412,6 +419,7 @@ def translation_membership(omega: BoxUnion, lat: Lattice, a) -> bool:
     that is: omega + a reduced into M's cell is covered by the reductions
     of omega + r, r over representatives of lat/M.
     """
+    _check_dims(omega, lat)
     a = exact.as_vector(a, omega.dim)
     if lat.contains(a):
         return True

@@ -165,6 +165,19 @@ def test_written_file_matches_stdout(tmp_path, capsys):
     assert out_path.read_bytes().decode("utf-8") == out
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "--spec", "scale4"),
+    ("measure", "--spec", "scale4", "--quadrature-depth", "2"),
+], ids=["json", "table"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    missing = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(missing) in err
+
+
 def test_vector_flag_parses_rationals(capsys):
     code, out, _ = run(capsys, "transform", "--spec", "scale4x2",
                        "--s", "1/2,3/4")

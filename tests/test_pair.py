@@ -163,6 +163,23 @@ def test_tiling_check_overlapping_translates(scale4):
     assert not report.translates_disjoint
 
 
+SQUARE = BoxUnion((Box((0, 0), (1, 1)),))
+LINE = sp.Lattice([[1]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sp.tiling_check(SQUARE, LINE, []),
+    lambda: sp.tiling_check(SQUARE, sp.Lattice([[1, 0], [0, 1]]), [(0, 0)],
+                            omega_prime=BoxUnion((Box((0,), (1,)),))),
+    lambda: sp.reduce_mod_lattice(SQUARE, LINE),
+    lambda: sp.translation_membership(SQUARE, LINE, (0, 0)),
+], ids=["tiling-lattice", "tiling-omega-prime", "reduce", "membership"])
+def test_box_unions_refuse_other_dimensions(call):
+    # a shorter cell would drop a coordinate of every box
+    with pytest.raises(ValueError, match="dimension 1 does not match"):
+        call()
+
+
 def test_translation_membership_examples(scale4):
     z = sp.Lattice([[1]])
     omega = scale4.omega
@@ -253,7 +270,7 @@ def test_membership_takes_no_sampling_options():
                                       **{option: 1})
 
 
-def test_monte_carlo_fallback_agrees(scale4):
+def test_monte_carlo_fallback_agrees(scale4, monkeypatch):
     # a sheared basis of the integer lattice spans the same lattice, but
     # defeats the rectangular fast path and exercises the sampling route
     sheared = sp.Lattice([[1, 1], [0, 1]])
@@ -262,27 +279,15 @@ def test_monte_carlo_fallback_agrees(scale4):
     ))
     assert sp.translation_membership(omega, sheared, ("1/2", 0))
     assert not sp.translation_membership(omega, sheared, ("1/4", 0))
-    report = sp.tiling_check(
-        BoxUnion((Box((0, 0), (1, 1)),)), sheared, [(0, 0)], samples=20_000, seed=3,
-    )
+    monkeypatch.setattr(pair, "MONTE_CARLO_SAMPLES", 20_000)
+    report = sp.tiling_check(BoxUnion((Box((0, 0), (1, 1)),)), sheared, [(0, 0)], seed=3)
     assert report.method == "monte_carlo"
     assert report.fundamental_domain
     assert 0 < report.failure_probability < 1e-6
 
 
-@pytest.mark.parametrize("samples", [0, -5, True, False, 2.0, "10", np.int64(10)])
-def test_sampled_checks_reject_bad_sample_counts(samples):
+def test_one_sample_is_enough_to_run(monkeypatch):
     sheared = sp.Lattice([[1, 1], [0, 1]])
-    square = BoxUnion((Box((0, 0), (1, 1)),))
-    with pytest.raises(ValueError, match="samples"):
-        sp.tiling_check(square, sheared, [(0, 0)], samples=samples)
-    # the check does not depend on which path would answer
-    with pytest.raises(ValueError, match="samples"):
-        sp.tiling_check(square, sp.Lattice([[1, 0], [0, 1]]), [(0, 0)], samples=samples)
-
-
-def test_one_sample_is_enough_to_run():
-    sheared = sp.Lattice([[1, 1], [0, 1]])
-    report = sp.tiling_check(BoxUnion((Box((0, 0), (1, 1)),)), sheared, [(0, 0)],
-                             samples=1, seed=3)
+    monkeypatch.setattr(pair, "MONTE_CARLO_SAMPLES", 1)
+    report = sp.tiling_check(BoxUnion((Box((0, 0), (1, 1)),)), sheared, [(0, 0)], seed=3)
     assert report.ok and report.failure_probability == 1.0 - MONTE_CARLO_DEFECT

@@ -772,10 +772,11 @@ ORACLE_SEEDS = (0, 3, 11)
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_sampled_tiling_matches_scalar_oracle(monkeypatch, k, seed):
     monkeypatch.setattr(pair, "SAMPLE_CHUNK", 64)  # 64, 64, 64, 64, 44
-    gamma = sp.Lattice([[1, k], [0, 1]])
     samples = 300
+    monkeypatch.setattr(pair, "MONTE_CARLO_SAMPLES", samples)
+    gamma = sp.Lattice([[1, k], [0, 1]])
     for d_prime in TILING_DOMAINS:
-        report = sp.tiling_check(d_prime, gamma, [(0, 0)], samples=samples, seed=seed)
+        report = sp.tiling_check(d_prime, gamma, [(0, 0)], seed=seed)
         bad = oracle_tiling_bad(d_prime, gamma, samples, seed)
         assert report.method == "monte_carlo"
         assert report.fundamental_domain is (bad == 0)
