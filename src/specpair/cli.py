@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: validate, pair, measure, transform, spectrum, cuntz, accept.
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error
-(an unwritable --out path included).
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error.
 Every output is deterministic given the flags and the seed.
 """
 

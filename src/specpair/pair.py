@@ -221,8 +221,8 @@ def _reduce(boxes: Iterable[Box], cell: Vector) -> list[Box]:
 
 
 def _check_dims(omega: BoxUnion, *others) -> None:
-    """Raise ValueError unless each lattice or union in ``others``, None
-    aside, has the union's dimension."""
+    """Raise ValueError unless each lattice or union in ``others`` that is
+    not None has the union's dimension."""
     for other in others:
         if other is not None and other.dim != omega.dim:
             raise ValueError(f"dimension {other.dim} does not match the box "
@@ -419,7 +419,6 @@ def translation_membership(omega: BoxUnion, lat: Lattice, a) -> bool:
     that is: omega + a reduced into M's cell is covered by the reductions
     of omega + r, r over representatives of lat/M.
     """
-    _check_dims(omega, lat)
     a = exact.as_vector(a, omega.dim)
     if lat.contains(a):
         return True

@@ -172,8 +172,7 @@ LINE = sp.Lattice([[1]])
     lambda: sp.tiling_check(SQUARE, sp.Lattice([[1, 0], [0, 1]]), [(0, 0)],
                             omega_prime=BoxUnion((Box((0,), (1,)),))),
     lambda: sp.reduce_mod_lattice(SQUARE, LINE),
-    lambda: sp.translation_membership(SQUARE, LINE, (0, 0)),
-], ids=["tiling-lattice", "tiling-omega-prime", "reduce", "membership"])
+], ids=["tiling-lattice", "tiling-omega-prime", "reduce"])
 def test_box_unions_refuse_other_dimensions(call):
     # a shorter cell would drop a coordinate of every box
     with pytest.raises(ValueError, match="dimension 1 does not match"):
