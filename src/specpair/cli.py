@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -30,7 +31,6 @@ from .spectrum import BESSEL_SLACK, completeness_table, enumerate_spectrum
 from .tables import emit_table
 from .transform import TransformSettings, check_product_depth, mu_hat_value, mu_hat_values
 
-ORTHOGONALITY_TOLERANCE = 1e-12
 # transform grid points (transform), transform evaluations (cuntz) or Gram
 # cells plus transform terms (pair) one request may make, checked before
 # anything is enumerated or allocated
@@ -40,6 +40,15 @@ EVALUATION_BUDGET = 2**20
 def _check_budget(evaluations: int, what: str) -> None:
     if evaluations > EVALUATION_BUDGET:
         raise BudgetExceeded(f"{what} exceed the budget {EVALUATION_BUDGET}")
+
+
+def _check_writable(path: str | None) -> None:
+    """Refuse an --out path whose directory cannot take a file, before any work."""
+    if path is None:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise OSError(f"cannot write {path}: {parent} is not a writable directory")
 
 
 def _parse_vector(text: str, dim: int) -> tuple[Fraction, ...]:
@@ -113,7 +122,7 @@ def cmd_pair(args) -> int:
         loaded.d_prime, loaded.system.Gamma, loaded.system.digits,
         omega_prime=omega_reduced, seed=args.seed,
     )
-    orthogonal = worst < ORTHOGONALITY_TOLERANCE
+    orthogonal = exact_zeros == len(spectrum) * (len(spectrum) - 1)
     _emit_json(args, {
         "name": loaded.name,
         "spectrum_points": len(spectrum),
@@ -305,6 +314,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_writable(args.out)
         return args.func(args)
     except (ParseError, OSError) as exc:  # OSError: an unwritable --out path
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ import numpy as np
 from . import exact
 from .boxes import (Box, BoxUnion, difference_measure, equal_almost_everywhere,
                     first_overlap)
-from .cyclotomic import exp_sum_is_zero
+from .cyclotomic import residue_sum_is_zero
 from .errors import BudgetExceeded, NotEmbeddable
 from .exact import Vector
 from .lattice import (Lattice, SimpleFactor, box_candidates, coset_representatives,
@@ -50,31 +50,45 @@ def _axis_factor(t: float, lo: float, hi: float) -> complex:
     )
 
 
-def _exact_zero(omega: BoxUnion, t: tuple[Fraction, ...]) -> bool:
-    """Exact vanishing of the transform at a rational frequency.
-
-    With J = {j : t_j != 0}, the transform equals a common nonzero factor
-    times  sum_boxes prod_{j not in J} (hi_j - lo_j)
-                     prod_{j in J} (e^{i 2 pi t_j hi_j} - e^{i 2 pi t_j lo_j}),
-    a rational combination of roots of unity.
-    """
-    live = [j for j, tj in enumerate(t) if tj != 0]
-    terms: list[tuple[Fraction, Fraction]] = []
+def _closed_form(omega: BoxUnion, t: tuple[float, ...]) -> complex:
+    """The transform at a float frequency, box by box and axis by axis."""
+    total = 0j
     for box in omega.boxes:
-        base = Fraction(1)
-        for j in range(omega.dim):
-            if j not in live:
-                base *= box.hi[j] - box.lo[j]
-        for picks in itertools.product((1, 0), repeat=len(live)):
-            coeff = base
-            phase = Fraction(0)
-            for j, hi_pick in zip(live, picks):
-                corner = box.hi[j] if hi_pick else box.lo[j]
-                phase += t[j] * corner
-                if not hi_pick:
-                    coeff = -coeff
-            terms.append((coeff, phase))
-    return exp_sum_is_zero(terms)
+        factor = 1 + 0j
+        for tj, lo, hi in zip(t, box.lo, box.hi):
+            factor *= _axis_factor(tj, float(lo), float(hi))
+        total += factor
+    return total
+
+
+def _corner_numerators(omega: BoxUnion):
+    """Each box's (lo, hi) as integers over the corners' common denominator."""
+    rows, den = exact.over_common_denominator([box.lo + box.hi for box in omega.boxes])
+    return [(row[:omega.dim], row[omega.dim:]) for row in rows], den
+
+
+def _vanishes(corners, corner_den: int, row: tuple[int, ...], den: int) -> bool:
+    """Exact vanishing of the transform at the nonzero frequency row / den.
+
+    With t = row / den and J = {j : t_j != 0}, the transform equals a
+    common nonzero factor times
+        sum_boxes prod_{j not in J} (hi_j - lo_j)
+                  prod_{j in J} (e^{i 2 pi t_j hi_j} - e^{i 2 pi t_j lo_j}),
+    a sum of roots of unity: over the corners' denominator its weights are
+    integers and its phases integer residues mod den * corner_den.
+    """
+    modulus = den * corner_den
+    weights: dict[int, int] = {}
+    for lo, hi in corners:
+        terms = [(0, math.prod(h - l for l, h, n in zip(lo, hi, row) if not n))]
+        for n, l, h in zip(row, lo, hi):
+            if n:
+                terms = [(r + n * c, s * w) for r, w in terms
+                         for c, s in ((h, 1), (l, -1))]
+        for r, w in terms:
+            r %= modulus
+            weights[r] = weights.get(r, 0) + w
+    return residue_sum_is_zero(weights, modulus)
 
 
 def indicator_transform(omega: BoxUnion, t) -> complex:
@@ -87,15 +101,10 @@ def indicator_transform(omega: BoxUnion, t) -> complex:
     if is_exact:
         if all(v == 0 for v in t):
             return complex(float(omega.measure))
-        if _exact_zero(omega, t):
+        [row], den = exact.over_common_denominator([t])
+        if _vanishes(*_corner_numerators(omega), row, den):
             return 0j
-    total = 0j
-    for box in omega.boxes:
-        factor = 1 + 0j
-        for tj, lo, hi in zip(t, box.lo, box.hi):
-            factor *= _axis_factor(float(tj), float(lo), float(hi))
-        total += factor
-    return total
+    return _closed_form(omega, tuple(map(float, t)))
 
 
 @dataclass(frozen=True)
@@ -160,23 +169,31 @@ def truncate_spectrum(system: SimpleFactor, radius) -> TruncatedSpectrum:
 def orthogonality_matrix(omega: BoxUnion, spectrum: TruncatedSpectrum) -> np.ndarray:
     """Normalized pairings: entry (i, j) is transform(lambda_j - lambda_i) / measure.
 
-    Each distinct difference is transformed once; the lower triangle is
-    the conjugate of the upper.
+    The points are put over one denominator; the upper triangle's
+    differences are integer rows (int64 while the numerators stay under
+    2^62, so no difference overflows, Python integers past that), each
+    distinct row is decided once by the exact zero test, and only the
+    rows that do not vanish are evaluated in floats.  The lower triangle
+    is the conjugate of the upper.
     """
     measure = float(omega.measure)
-    points = spectrum.points
-    n = len(points)
-    gram = np.empty((n, n), dtype=complex)
-    entries: dict[Vector, complex] = {}
-    for i in range(n):
-        gram[i, i] = 1.0
-        for j in range(i + 1, n):
-            diff = exact.vec_sub(points[j], points[i])
-            value = entries.get(diff)
-            if value is None:
-                value = entries[diff] = indicator_transform(omega, diff) / measure
-            gram[i, j] = value
-            gram[j, i] = value.conjugate()
+    rows, den = exact.over_common_denominator(spectrum.points)
+    n = len(rows)
+    small = max(abs(c) for row in rows for c in row) < 2**62
+    points = np.array(rows, dtype=np.int64 if small else object)
+    upper = np.triu_indices(n, 1)
+    index: dict[tuple[int, ...], int] = {}
+    diffs = zip(*(points[upper[1]] - points[upper[0]]).T.tolist())
+    inverse = [index.setdefault(diff, len(index)) for diff in diffs]
+    corners, corner_den = _corner_numerators(omega)
+    values = np.array([
+        0j if _vanishes(corners, corner_den, diff, den)
+        else _closed_form(omega, tuple(c / den for c in diff)) / measure
+        for diff in index
+    ], dtype=complex)[inverse]
+    gram = np.eye(n, dtype=complex)
+    gram[upper] = values
+    gram[upper[::-1]] = values.conj()
     return gram
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specpair.cli
 import specpair.exact
 import specpair.operators
 import specpair.pair
@@ -168,8 +169,15 @@ def test_written_file_matches_stdout(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("validate", "--spec", "scale4"),
     ("measure", "--spec", "scale4", "--quadrature-depth", "2"),
-], ids=["json", "table"])
-def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    ("accept",),
+    ("pair", "--spec", "scale4", "--box", "1430"),
+], ids=["json", "table", "accept", "pair"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    def unreachable(args):
+        raise AssertionError(f"{argv[0]} ran before its --out path was checked")
+
+    # the path is refused before the subcommand does any work
+    monkeypatch.setattr(specpair.cli, f"cmd_{argv[0]}", unreachable)
     missing = tmp_path / "missing" / "out.txt"
     code, out, err = run(capsys, *argv, "--out", str(missing))
     assert code == 2
@@ -333,7 +341,7 @@ def test_readme_float_verdicts_name_their_constants():
     named = re.findall(r"`([a-z]+)\.([A-Z_]+)` \(([^)]+)\)", verdicts)
     assert {f"{module}.{name}" for module, name, _ in named} >= {
         "operators.RELATION_TOLERANCE", "spectrum.WITNESS_THRESHOLD",
-        "cli.ORTHOGONALITY_TOLERANCE", "measure.SEPARATION_TOLERANCE",
+        "measure.SEPARATION_TOLERANCE",
         "spectrum.BESSEL_SLACK"}
     for module, name, value in named:
         held = getattr(importlib.import_module(f"specpair.{module}"), name)

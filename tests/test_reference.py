@@ -33,9 +33,12 @@ replaced (``OracleCover``, ``oracle_tiling_bad``): the same seed must give
 the same bad count, detail, verdict and failure bound.  Translation
 membership, exact on every lattice, is held to a second exact argument
 (``oracle_membership``): omega + a minus the lattice translates of omega
-must be null.  The Gram matrix is held to one ``indicator_transform`` per
-entry.  Coset representatives, read off a Hermite form, are held to the
-scan of [0, index)^d they replaced (``oracle_coset_representatives``).
+must be null.  The Gram matrix and ``indicator_transform`` are held to
+one transform per entry whose zero test is the Fraction expansion
+``pair`` used before it decided zeros on integer rows
+(``oracle_exact_zero``).  Coset representatives, read off a Hermite
+form, are held to the scan of [0, index)^d they replaced
+(``oracle_coset_representatives``).
 """
 
 import cmath
@@ -832,6 +835,49 @@ def test_cover_corner_tests_are_exact():
         assert pair._LatticeCover(omega, lat).counts(np.array([[x, 0.5]])).tolist() == [hits]
 
 
+def oracle_exact_zero(omega, t):
+    """Exact vanishing of the box union's transform at a rational frequency,
+    as ``pair`` decided it before its zero test moved to integer rows.
+
+    With J = {j : t_j != 0}, the transform equals a common nonzero factor
+    times  sum_boxes prod_{j not in J} (hi_j - lo_j)
+                     prod_{j in J} (e^{i 2 pi t_j hi_j} - e^{i 2 pi t_j lo_j}),
+    a rational combination of roots of unity.
+    """
+    live = [j for j, tj in enumerate(t) if tj != 0]
+    terms = []
+    for box in omega.boxes:
+        base = Fraction(1)
+        for j in range(omega.dim):
+            if j not in live:
+                base *= box.hi[j] - box.lo[j]
+        for picks in itertools.product((1, 0), repeat=len(live)):
+            coeff = base
+            phase = Fraction(0)
+            for j, hi_pick in zip(live, picks):
+                corner = box.hi[j] if hi_pick else box.lo[j]
+                phase += t[j] * corner
+                if not hi_pick:
+                    coeff = -coeff
+            terms.append((coeff, phase))
+    return exp_sum_is_zero(terms)
+
+
+def oracle_indicator_transform(omega, t):
+    t = exact.as_vector(t, omega.dim)
+    if all(v == 0 for v in t):
+        return complex(float(omega.measure))
+    if oracle_exact_zero(omega, t):
+        return 0j
+    total = 0j
+    for box in omega.boxes:
+        factor = 1 + 0j
+        for tj, lo, hi in zip(t, box.lo, box.hi):
+            factor *= pair._axis_factor(float(tj), float(lo), float(hi))
+        total += factor
+    return total
+
+
 def oracle_orthogonality_matrix(omega, spectrum):
     measure_ = float(omega.measure)
     points = spectrum.points
@@ -840,10 +886,15 @@ def oracle_orthogonality_matrix(omega, spectrum):
     for i in range(n):
         gram[i, i] = 1.0
         for j in range(i + 1, n):
-            value = sp.indicator_transform(omega, exact.vec_sub(points[j], points[i]))
+            value = oracle_indicator_transform(omega, exact.vec_sub(points[j], points[i]))
             gram[i, j] = value / measure_
             gram[j, i] = gram[i, j].conjugate()
     return gram
+
+
+def assert_same_bytes(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signs of zero
 
 
 @pytest.mark.parametrize("name, radius", [("scale4", 40), ("scale4x2", 6)])
@@ -851,9 +902,51 @@ def test_orthogonality_matrix_matches_per_entry_oracle(name, radius):
     loaded = sp.parse_spec(name)
     spectrum = sp.truncate_spectrum(loaded.system, radius)
     got = sp.orthogonality_matrix(loaded.omega, spectrum)
-    want = oracle_orthogonality_matrix(loaded.omega, spectrum)
-    assert np.array_equal(got, want)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signs of zero
+    assert_same_bytes(got, oracle_orthogonality_matrix(loaded.omega, spectrum))
+
+
+# corners and frequencies over small denominators, so that many
+# transforms vanish
+grid_rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+@st.composite
+def cell_unions(draw, dim):
+    """A union of cells of a grid with rational lines on each axis."""
+    axes = [sorted(draw(st.sets(grid_rationals, min_size=2, max_size=4)))
+            for _ in range(dim)]
+    cells = list(itertools.product(*(range(len(a) - 1) for a in axes)))
+    chosen = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4, unique=True))
+    return union(*(([a[k] for a, k in zip(axes, cell)], [a[k + 1] for a, k in zip(axes, cell)])
+                   for cell in chosen))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from((1, 2)), st.data())
+def test_gram_and_transform_match_fraction_zero_oracle(dim, data):
+    omega = data.draw(cell_unions(dim))
+    points = data.draw(st.lists(st.tuples(*[grid_rationals] * dim), max_size=6, unique=True))
+    spectrum = pair.TruncatedSpectrum(
+        tuple({exact.zero_vector(dim), *map(exact.as_vector, points)}))
+    got = sp.orthogonality_matrix(omega, spectrum)
+    assert_same_bytes(got, oracle_orthogonality_matrix(omega, spectrum))
+    for p in spectrum.points:
+        value = sp.indicator_transform(omega, p)
+        assert_same_bytes(np.array([value]), np.array([oracle_indicator_transform(omega, p)]))
+
+
+@pytest.mark.parametrize("n", [2**62 - 1, 2**62 + 1], ids=["int64", "object"])
+def test_gram_rows_past_int64_match_oracle(n):
+    # over the common denominator 3 the numerators reach n; their
+    # differences reach 2n, which overflows int64 on the object side
+    # the transform vanishes at the difference 2, not at 1/3
+    omega = union(((0,), ("1/2",)), ((1,), ("3/2",)))
+    points = (0, 2, Fraction(1, 3), Fraction(n, 3), Fraction(-n, 3))
+    spectrum = pair.TruncatedSpectrum(tuple((p,) for p in points))
+    got = sp.orthogonality_matrix(omega, spectrum)
+    want = oracle_orthogonality_matrix(omega, spectrum)
+    assert (want == 0).any() and (want[~np.eye(len(points), dtype=bool)] != 0).any()
+    assert_same_bytes(got, want)
 
 
 def test_sampled_membership_verdict_follows_the_draws():
