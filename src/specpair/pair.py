@@ -170,17 +170,14 @@ def orthogonality_matrix(omega: BoxUnion, spectrum: TruncatedSpectrum) -> np.nda
     """Normalized pairings: entry (i, j) is transform(lambda_j - lambda_i) / measure.
 
     The points are put over one denominator; the upper triangle's
-    differences are integer rows (int64 while the numerators stay under
-    2^62, so no difference overflows, Python integers past that), each
-    distinct row is decided once by the exact zero test, and only the
-    rows that do not vanish are evaluated in floats.  The lower triangle
-    is the conjugate of the upper.
+    differences are rows of Python integers, each distinct row is decided
+    once by the exact zero test, and only the rows that do not vanish are
+    evaluated in floats.  The lower triangle is the conjugate of the upper.
     """
     measure = float(omega.measure)
     rows, den = exact.over_common_denominator(spectrum.points)
     n = len(rows)
-    small = max(abs(c) for row in rows for c in row) < 2**62
-    points = np.array(rows, dtype=np.int64 if small else object)
+    points = np.array(rows, dtype=object)
     upper = np.triu_indices(n, 1)
     index: dict[tuple[int, ...], int] = {}
     diffs = zip(*(points[upper[1]] - points[upper[0]]).T.tolist())
