@@ -31,9 +31,9 @@ from .spectrum import BESSEL_SLACK, completeness_table, enumerate_spectrum
 from .tables import emit_table
 from .transform import TransformSettings, check_product_depth, mu_hat_value, mu_hat_values
 
-# transform grid points (transform), transform evaluations (cuntz) or Gram
-# cells plus transform terms (pair) one request may make, checked before
-# anything is enumerated or allocated
+# transform grid points (transform), transform evaluations (cuntz), Gram
+# cells plus transform terms (pair) or exported atoms (measure) one request
+# may make, checked before anything is enumerated, refined or allocated
 EVALUATION_BUDGET = 2**20
 
 
@@ -43,10 +43,12 @@ def _check_budget(evaluations: int, what: str) -> None:
 
 
 def _check_writable(path: str | None) -> None:
-    """Refuse an --out path whose directory cannot take a file, before any work."""
+    """Refuse, before any work, an --out path no file can be written at."""
     if path is None:
         return
     parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise OSError(f"cannot write {path}: {parent} is not a writable directory")
 
@@ -136,7 +138,9 @@ def cmd_pair(args) -> int:
 
 def cmd_measure(args) -> int:
     loaded = parse_spec(args.spec, require_valid=False)
-    measure = refine_measure(build_ifs(loaded.system), args.quadrature_depth)
+    system, depth = loaded.system, args.quadrature_depth
+    _check_budget(system.N**depth, f"{system.N}^{depth} atom rows")
+    measure = refine_measure(build_ifs(system), depth)
     rows = [
         {**{f"x{i}": float(c) for i, c in enumerate(point)},
          "weight": measure.weight}

@@ -131,26 +131,32 @@ def dot(u: Sequence, v: Sequence):
     return sum(x * y for x, y in zip(u, v, strict=True))
 
 
-def det(m: Matrix) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
+def _gauss_jordan(m: Matrix) -> tuple[Fraction, Matrix] | None:
+    """Determinant and inverse by one fraction-exact Gauss-Jordan
+    elimination, or None when the matrix is singular."""
     n = len(m)
-    a = [list(row) for row in m]
-    result = Fraction(1)
+    a = [list(row) + list(unit) for row, unit in zip(m, identity(n))]
+    determinant = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return None
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        result *= a[col][col]
+            determinant = -determinant
+        determinant *= a[col][col]
         inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return result
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return determinant, tuple(tuple(row[n:]) for row in a)
+
+
+def det(m: Matrix) -> Fraction:
+    eliminated = _gauss_jordan(m)
+    return Fraction(0) if eliminated is None else eliminated[0]
 
 
 def characteristic_polynomial(m: Matrix) -> list[Fraction]:
@@ -170,22 +176,11 @@ def characteristic_polynomial(m: Matrix) -> list[Fraction]:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Matrix inverse by Gauss-Jordan; raises ValueError on a singular input."""
-    n = len(m)
-    a = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    """Raises ValueError on a singular input."""
+    eliminated = _gauss_jordan(m)
+    if eliminated is None:
+        raise ValueError("matrix is singular")
+    return eliminated[1]
 
 
 def is_integral(values: Iterable[Fraction]) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -41,11 +41,17 @@ class Lattice:
     """
 
     basis: Matrix
+    # one elimination of the basis gives both, and the singularity check
+    det: Fraction = field(init=False, repr=False, compare=False)
+    inverse: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", exact.as_matrix(self.basis))
-        if exact.det(self.basis) == 0:
+        eliminated = exact._gauss_jordan(self.basis)
+        if eliminated is None:
             raise ValueError("lattice basis is singular")
+        object.__setattr__(self, "det", eliminated[0])
+        object.__setattr__(self, "inverse", eliminated[1])
 
     # the hash is computed once per object: lru_cache lookups keyed on a
     # lattice or a system would otherwise re-hash every Fraction in it
@@ -59,14 +65,6 @@ class Lattice:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def inverse(self) -> Matrix:
-        return exact.inverse(self.basis)
-
-    @cached_property
-    def det(self) -> Fraction:
-        return exact.det(self.basis)
 
     @property
     def generators(self) -> tuple[Vector, ...]:
@@ -245,7 +243,7 @@ class SimpleFactor:
 
     @cached_property
     def E_transpose_inverse(self) -> Matrix:
-        return exact.inverse(self.E_transpose)
+        return exact.transpose(self.E_inverse)
 
     @cached_property
     def _float_maps(self) -> tuple:

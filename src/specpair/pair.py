@@ -198,21 +198,12 @@ def rectangular_cell(lat: Lattice) -> Vector | None:
     """Cell side lengths when the lattice is a product of scaled axes.
 
     Returns None when the basis is not diagonal up to column order and
-    sign, in which case tiling_check samples.
+    sign, in which case tiling_check samples.  A diagonal basis spans its
+    own largest diagonal sublattice M, so the cell is M's.
     """
-    d = lat.dim
-    sides: list[Fraction | None] = [None] * d
-    for j in range(d):
-        column = [lat.basis[i][j] for i in range(d)]
-        support = [i for i, v in enumerate(column) if v != 0]
-        if len(support) != 1:
-            return None
-        i = support[0]
-        if sides[i] is not None:
-            return None
-        sides[i] = abs(column[i])
-    assert all(s is not None for s in sides)
-    return tuple(sides)  # type: ignore[arg-type]
+    if any(sum(v != 0 for v in generator) != 1 for generator in lat.generators):
+        return None
+    return _rectangular_sublattice(lat)[0]
 
 
 def _reduce(boxes: Iterable[Box], cell: Vector) -> list[Box]:

@@ -60,19 +60,11 @@ class SpectrumEnumeration:
         arr.setflags(write=False)
         return arr
 
-    @cached_property
-    def _index(self) -> dict[Vector, int]:
-        return {e: i for i, e in enumerate(self.elements)}
-
     def __len__(self) -> int:
         return len(self.elements)
 
     def word(self, index: int) -> tuple[int, ...]:
         return word_at(index, self.base, self.depth)
-
-    def index_of(self, xi) -> int | None:
-        point, is_exact = exact.as_point(xi, len(self.elements[0]))
-        return self._index.get(point) if is_exact else None
 
     def depth_slice(self, depth: int) -> range:
         """Indices of the sub-enumeration at a smaller depth."""
@@ -176,11 +168,7 @@ def maximality_probe(system: SimpleFactor, s, enum_depth: int):
     settings = TransformSettings()
     point, is_exact = exact.as_point(s, system.dim)
     enum = enumerate_spectrum(system, enum_depth)
-    if is_exact:
-        member = enum.index_of(point) is not None
-    else:
-        member = any(tuple(row) == point for row in enum.floats)
-    if member:
+    if point in (enum.elements if is_exact else map(tuple, enum.floats)):
         raise MemberOfSpectrum(f"{s!r} is in the depth-{enum_depth} enumeration")
     order = np.argsort(np.linalg.norm(enum.floats, axis=1), kind="stable").tolist()
     if is_exact:

@@ -28,7 +28,7 @@ Float frequencies go through one batched kernel, ``mu_hat_values``: an
 (M, d) array of points runs the product level by level in numpy, each
 operation the one Python's scalar complex arithmetic performs, so every
 value is the float the scalar loop gives.  A single float point is a
-batch of one.
+batch of one, and so is every quadrature request.
 """
 
 from __future__ import annotations
@@ -260,17 +260,13 @@ def mu_hat_value(
     """The transform of the invariant measure at frequency ``t``.
 
     Backend "product" returns the truncated mask product; "quadrature"
-    integrates against the cached refinement.  A float ``t`` runs the
-    product as a batch of one through mu_hat_values.
+    integrates against the cached refinement.  Only the product at an
+    exact ``t`` is scalar; the rest is a batch of one for mu_hat_values.
     """
-    if settings.backend == "quadrature":
-        return integrate_exponential(
-            _cached_measure(system, settings.quadrature_depth), t
-        )
     point, is_exact = exact.as_point(t, system.dim)
-    if not is_exact:
-        return mu_hat_values(system, [point], settings).tolist()[0]
-    return _exact_product(system, point, settings.product_depth)
+    if is_exact and settings.backend == "product":
+        return _exact_product(system, point, settings.product_depth)
+    return mu_hat_values(system, [point], settings).tolist()[0]
 
 
 def mu_hat_values(

@@ -178,12 +178,13 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
 
     # the path is refused before the subcommand does any work
     monkeypatch.setattr(specpair.cli, f"cmd_{argv[0]}", unreachable)
-    missing = tmp_path / "missing" / "out.txt"
-    code, out, err = run(capsys, *argv, "--out", str(missing))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(missing) in err
+    # a path in a missing directory, and a path that is a directory
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
 
 
 def test_vector_flag_parses_rationals(capsys):
@@ -258,6 +259,25 @@ def test_transform_grid_is_budgeted_before_allocation(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error: BudgetExceeded") and err.count("\n") == 1
+
+
+def test_measure_rows_are_budgeted_before_refining(capsys, monkeypatch):
+    class Refined(Exception):
+        pass
+
+    def no_refine(ifs, depth):
+        raise Refined
+
+    monkeypatch.setattr(specpair.cli, "refine_measure", no_refine)
+    # the default depth 12 on scale4x2 would be 4^12 rows
+    for argv in (("--spec", "scale4x2"), ("--spec", "scale4", "--quadrature-depth", "21")):
+        code, out, err = run(capsys, "measure", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: BudgetExceeded") and err.count("\n") == 1
+    assert specpair.cli.EVALUATION_BUDGET == 2**20
+    with pytest.raises(Refined):
+        main(["measure", "--spec", "scale4", "--quadrature-depth", "20"])
 
 
 def test_spectrum_enumeration_is_budgeted_before_building(capsys, monkeypatch):
@@ -346,6 +366,19 @@ def test_readme_float_verdicts_name_their_constants():
     for module, name, value in named:
         held = getattr(importlib.import_module(f"specpair.{module}"), name)
         assert held == float(value), f"{module}.{name} is {held}, README says {value}"
+
+
+def test_readme_states_each_budget():
+    text = README.read_text(encoding="utf-8")
+    # each power of two is bound to the first constant named after it
+    stated = re.findall(r"2\^(\d+)\b[^`]*?\(`([a-z]+)\.([A-Z_]+_BUDGET)`\)", text)
+    assert {f"{module}.{name}" for _, module, name in stated} == {
+        "cli.EVALUATION_BUDGET", "spectrum.SPECTRUM_BUDGET", "measure.ATOM_BUDGET",
+        "pair.MEMBERSHIP_COSET_BUDGET"}
+    assert len(stated) == len(re.findall(r"`[a-z]+\.[A-Z_]+_BUDGET`", text))
+    for power, module, name in stated:
+        held = getattr(importlib.import_module(f"specpair.{module}"), name)
+        assert held == 2 ** int(power), f"{module}.{name} is {held}, README says 2^{power}"
 
 
 def test_readme_commands_parse():

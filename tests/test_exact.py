@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -50,6 +51,54 @@ def test_singular_matrix_rejected():
     with pytest.raises(ValueError):
         exact.inverse(exact.as_matrix([[1, 2], [2, 4]]))
     assert exact.det(exact.as_matrix([[1, 2], [2, 4]])) == 0
+
+
+def oracle_det(m):
+    """Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * oracle_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def oracle_inverse(m):
+    """The adjugate over the determinant: entry (i, j) is the (j, i) cofactor / det."""
+    n, d = len(m), oracle_det(m)
+    if n == 1:
+        return ((1 / d,),)
+    return tuple(tuple((-1) ** (i + j) * oracle_det(
+        [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j]) / d
+        for j in range(n)) for i in range(n))
+
+
+def _seeded_matrices():
+    rng = random.Random(20261019)
+    # a zero leading pivot forces a row swap, which flips the sign
+    yield exact.as_matrix([[0, 1], [1, 0]])
+    yield exact.as_matrix([[0, 2, 1], [0, 1, "1/2"], [3, 0, 1]])  # singular
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        entries = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n * n)]
+        yield exact.as_matrix([entries[i * n:(i + 1) * n] for i in range(n)])
+
+
+def test_elimination_matches_cofactor_oracle():
+    singular = swapped = 0
+    for m in _seeded_matrices():
+        expected = oracle_det(m)
+        assert exact.det(m) == expected
+        if expected == 0:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                exact.inverse(m)
+            with pytest.raises(ValueError, match="singular"):
+                sp.Lattice(m)
+            continue
+        swapped += m[0][0] == 0
+        assert exact.inverse(m) == oracle_inverse(m)
+        lattice = sp.Lattice(m)
+        assert (lattice.det, lattice.inverse) == (expected, oracle_inverse(m))
+    assert singular >= 2 and swapped >= 2
 
 
 def test_mat_vec_and_dot():

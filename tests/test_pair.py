@@ -95,6 +95,12 @@ def test_rectangular_cell_detection():
     # permuted/negated columns: axis 0 is spanned by the -1/2 generator
     assert rectangular_cell(sp.Lattice([[0, "-1/2"], ["1/4", 0]])) == (F(1, 2), F(1, 4))
     assert rectangular_cell(sp.Lattice([[2, 1], [0, 1]])) is None
+    # a unimodular shear of diag(1/4, 1/6) spans the rectangular lattice, but
+    # the test is on the basis, so tiling_check still samples it
+    shear = sp.Lattice([["1/4", "1/2"], [0, "1/6"]])
+    assert rectangular_cell(shear) is None
+    cell, reps = pair._rectangular_sublattice(shear)
+    assert cell == (F(1, 4), F(1, 6)) and len(reps) == 1
 
 
 def test_reduce_mod_lattice_examples(scale4):

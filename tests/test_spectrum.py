@@ -129,11 +129,14 @@ def test_maximality_probe_witnesses(scale4):
     assert probe3.xi == (F(1),)
 
 
-def test_maximality_probe_member_raises(scale4):
-    with pytest.raises(sp.MemberOfSpectrum):
-        sp.maximality_probe(scale4.system, 1, 6)
-    with pytest.raises(sp.MemberOfSpectrum):
-        sp.maximality_probe(scale4.system, 5, 6)
+def test_maximality_probe_member_raises(scale4, scale4x2):
+    for s in (1, 5, 1.0, 5.0):
+        with pytest.raises(sp.MemberOfSpectrum):
+            sp.maximality_probe(scale4.system, s, 6)
+    xi = sp.enumerate_spectrum(scale4x2.system, 3).elements[-1]
+    for s in (xi, exact.to_floats(xi)):
+        with pytest.raises(sp.MemberOfSpectrum):
+            sp.maximality_probe(scale4x2.system, s, 3)
 
 
 def test_maximality_probe_inconclusive_at_threshold_one(scale4, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 import specpair as sp
 from specpair import transform
 from specpair.cyclotomic import residue_sum_is_zero
+from specpair.measure import build_ifs, integrate_exponential, refine_measure
 from specpair.transform import TransformSettings
 
 
@@ -169,6 +170,11 @@ def test_mu_hat_values_quadrature_is_the_scalar_backend(scale4x2):
     points = [(0.5, -1.25), (3.0, 0.0)]
     values = sp.mu_hat_values(scale4x2.system, points, settings).tolist()
     assert values == [sp.mu_hat_value(scale4x2.system, t, settings) for t in points]
+    # the exact copies give the same bits, and so does one pass over the atoms
+    exact_points = [("1/2", "-5/4"), (3, 0)]
+    assert values == [sp.mu_hat_value(scale4x2.system, t, settings) for t in exact_points]
+    measure = refine_measure(build_ifs(scale4x2.system), 3)
+    assert values == [integrate_exponential(measure, t) for t in points]
 
 
 def test_half_plane_exit_decides_every_nonzero_two_digit_factor(scale4, monkeypatch):
