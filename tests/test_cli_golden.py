@@ -23,6 +23,8 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 DATA = "{data}"
 N3 = f"{DATA}/n3.json"
 SHEARED = f"{DATA}/scale4x2_sheared.json"
+SHEAR3 = f"{DATA}/shear3.json"
+TRI2 = f"{DATA}/tri2.json"
 
 CASES = {
     "validate-scale4": ["validate", "--spec", "scale4"],
@@ -58,6 +60,14 @@ CASES = {
     "spectrum-n3": ["spectrum", "--spec", N3, "--s", "1/2", "--enum-depth", "5"],
     "cuntz-n3": ["cuntz", "--spec", N3, "--box", "6"],
     "pair-scale4x2-sheared": ["pair", "--spec", SHEARED, "--box", "4", "--seed", "3"],
+    "validate-shear3": ["validate", "--spec", SHEAR3],
+    "cuntz-shear3": ["cuntz", "--spec", SHEAR3, "--box", "2"],
+    "transform-shear3": ["transform", "--spec", SHEAR3, "--s", "1/3,1/5,1/7"],
+    "measure-shear3": ["measure", "--spec", SHEAR3, "--quadrature-depth", "3"],
+    "validate-tri2": ["validate", "--spec", TRI2],
+    "cuntz-tri2": ["cuntz", "--spec", TRI2, "--box", "4"],
+    "transform-tri2": ["transform", "--spec", TRI2, "--s", "1/2,1/5"],
+    "measure-tri2": ["measure", "--spec", TRI2, "--quadrature-depth", "3"],
 }
 
 
