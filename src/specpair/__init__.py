@@ -37,7 +37,6 @@ from .lattice import (
     validate_simple_factor,
 )
 from .measure import (
-    AffineIFS,
     DiscreteMeasure,
     NoWitness,
     build_ifs,
@@ -98,7 +97,7 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineIFS", "AllOrthogonal", "Box",
+    "AllOrthogonal", "Box",
     "BoxUnion", "BudgetExceeded", "CheckResult", "CollisionDetected",
     "CompletenessRow", "ConsistencyReport", "DepthTooLarge",
     "DiscreteMeasure", "ExponentialVector", "IdenticalPoints", "Lattice",

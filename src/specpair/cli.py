@@ -293,17 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("transform", cmd_transform, "evaluate the measure transform on a grid",
             "--spec", "--format", "--out", "--product-depth", "--quadrature-depth")
-    p.add_argument("--grid", default=None, help="lo:hi:count per axis")
-    p.add_argument("--s", default=None, help="single frequency, comma separated")
+    points = p.add_mutually_exclusive_group()
+    points.add_argument("--grid", default=None, help="lo:hi:count per axis")
+    points.add_argument("--s", default=None, help="single frequency, comma separated")
     p.add_argument("--backend", choices=("product", "quadrature", "both"),
                    default="product")
 
     p = add("spectrum", cmd_spectrum, "completeness table or frequency list",
             "--spec", "--format", "--out", "--product-depth")
-    p.add_argument("--s", default=None, help="probe frequency, comma separated")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--s", default=None, help="probe frequency, comma separated")
     p.add_argument("--enum-depth", type=_nonnegative, default=8)
-    p.add_argument("--frequencies", action="store_true",
-                   help="emit the enumerated frequencies instead of the table")
+    output.add_argument("--frequencies", action="store_true",
+                        help="emit the enumerated frequencies instead of the table")
 
     p = add("cuntz", cmd_cuntz, "relation residuals and state table (JSON)",
             "--spec", "--out", "--product-depth")

@@ -470,7 +470,7 @@ def validate_simple_factor(system: SimpleFactor) -> ValidationReport:
     # b.(l' - l) mod q.  The pair is separated unless every residue is 0.
     # Its columns of H = N^{-1/2} e(b.l) are orthogonal exactly when
     # sum_b e(b.(l' - l)) vanishes, and every column of H has norm 1.
-    digits, digit_den = exact.over_common_denominator(system.digits)
+    digits, digit_den = system._integer_maps[:2]
     freqs, freq_den = exact.over_common_denominator(system.freq_digits)
     q = digit_den * freq_den
     unseparated, unorthogonal = [], []

@@ -1,4 +1,4 @@
-"""The affine contraction system and its depth-n invariant measure.
+"""The depth-n invariant measure of a datum's contraction system.
 
 Refinement is the deterministic full tree: depth n holds one atom per
 digit word of length n, uniformly weighted.  Atoms are floats (the digit
@@ -13,13 +13,13 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from . import exact
 from .errors import DepthTooLarge, IdenticalPoints, NonFinitePoint, NotExpansive
-from .exact import Matrix, Vector
+from .exact import Vector
 from .lattice import SimpleFactor, is_expansive, lattice_points_in_box
 
 # most atoms one refinement may hold, checked before it builds any
@@ -32,54 +32,10 @@ SEPARATION_CHUNK = 1 << 20
 _SCALARS = (float, int, Fraction, numbers.Number)
 
 
-@dataclass(frozen=True, eq=False)
-class AffineIFS:
-    """The maps x -> E^{-1} x + b indexed by the digit set."""
-
-    e_inverse: Matrix
-    digits: tuple[Vector, ...]
-
-    @property
-    def N(self) -> int:
-        return len(self.digits)
-
-    @property
-    def dim(self) -> int:
-        return len(self.e_inverse)
-
-    @cached_property
-    def e_inverse_float(self) -> np.ndarray:
-        return np.array(exact.matrix_to_floats(self.e_inverse))
-
-    @cached_property
-    def digits_float(self) -> np.ndarray:
-        return np.array([exact.to_floats(b) for b in self.digits])
-
-    @cached_property
-    def contraction_norm(self) -> float:
-        """Operator 2-norm of the contraction, < 1 for expansive systems."""
-        return float(np.linalg.norm(self.e_inverse_float, 2))
-
-    @cached_property
-    def attractor_radius(self) -> float:
-        """A ball radius containing every atom: max |b| / (1 - norm)."""
-        biggest = max(
-            (float(np.linalg.norm(exact.to_floats(b))) for b in self.digits),
-        )
-        return biggest / (1.0 - self.contraction_norm)
-
-    def exact_atom(self, word: tuple[int, ...]) -> Vector:
-        """Exact re-evaluation of the atom for a digit-index word."""
-        point = exact.zero_vector(self.dim)
-        for index in reversed(word):
-            point = exact.vec_add(
-                exact.mat_vec(self.e_inverse, point), self.digits[index]
-            )
-        return point
-
-
-def build_ifs(system: SimpleFactor) -> AffineIFS:
-    """The contraction system of a factor datum; requires expansive E."""
+def build_ifs(system: SimpleFactor) -> SimpleFactor:
+    """The datum itself, once it is checked to give a contraction system:
+    E must be expansive and 0 a digit.  The maps x -> E^{-1} x + b, one
+    per digit b, are read from the datum's own cached copies."""
     expansive, smallest = is_expansive(system.E)
     if not expansive:
         raise NotExpansive(
@@ -87,7 +43,7 @@ def build_ifs(system: SimpleFactor) -> AffineIFS:
         )
     if exact.zero_vector(system.dim) not in system.digits:
         raise ValueError("digit set must contain 0")
-    return AffineIFS(e_inverse=system.E_inverse, digits=system.digits)
+    return system
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +84,7 @@ def word_at(index: int, base: int, depth: int) -> tuple[int, ...]:
     return tuple(reversed(letters))
 
 
-def refine_measure(ifs: AffineIFS, depth: int) -> DiscreteMeasure:
+def refine_measure(system: SimpleFactor, depth: int) -> DiscreteMeasure:
     """The depth-n discrete approximation of the invariant measure.
 
     Depth 0 is the point mass at 0; each step replaces every atom x by
@@ -136,20 +92,21 @@ def refine_measure(ifs: AffineIFS, depth: int) -> DiscreteMeasure:
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if ifs.N**depth > ATOM_BUDGET:
+    if system.N**depth > ATOM_BUDGET:
         raise DepthTooLarge(
-            f"{ifs.N}^{depth} atoms exceed the budget of {ATOM_BUDGET}"
+            f"{system.N}^{depth} atoms exceed the budget of {ATOM_BUDGET}"
         )
-    points = np.zeros((1, ifs.dim))
-    e_inv_t = ifs.e_inverse_float.T
+    points = np.zeros((1, system.dim))
+    # rows times (E^{-1})^T, which is the pull (E^T)^{-1}
+    pull = np.array(system._float_maps[1])
     for _ in range(depth):
-        contracted = points @ e_inv_t
+        contracted = points @ pull
         points = (
-            ifs.digits_float[:, None, :] + contracted[None, :, :]
-        ).reshape(-1, ifs.dim)
+            system._float_digits[:, None, :] + contracted[None, :, :]
+        ).reshape(-1, system.dim)
     points.setflags(write=False)
     return DiscreteMeasure(
-        depth=depth, base=ifs.N, points=points, weight=1.0 / len(points)
+        depth=depth, base=system.N, points=points, weight=1.0 / len(points)
     )
 
 

@@ -118,6 +118,8 @@ class TruncatedSpectrum:
         object.__setattr__(self, "points", points)
         if len(set(points)) != len(points):
             raise ValueError("spectrum points must be pairwise distinct")
+        if len(set(map(len, points))) > 1:
+            raise ValueError("spectrum points must share one dimension")
         if not points or exact.zero_vector(len(points[0])) not in points:
             raise ValueError("a truncated spectrum must contain 0")
 
@@ -173,7 +175,11 @@ def orthogonality_matrix(omega: BoxUnion, spectrum: TruncatedSpectrum) -> np.nda
     differences are rows of Python integers, each distinct row is decided
     once by the exact zero test, and only the rows that do not vanish are
     evaluated in floats.  The lower triangle is the conjugate of the upper.
+    Raises ValueError when the points and the union differ in dimension.
     """
+    if len(spectrum.points[0]) != omega.dim:
+        raise ValueError(f"dimension {len(spectrum.points[0])} does not match "
+                         f"the box union's dimension {omega.dim}")
     measure = float(omega.measure)
     rows, den = exact.over_common_denominator(spectrum.points)
     n = len(rows)

@@ -83,13 +83,13 @@ def mask(system: SimpleFactor, t) -> complex:
 
     mask(0) = 1.  At rational ``t`` the value is pinned exactly when it
     is a structural 1 (all phases integral) or a structural 0 (the root
-    of unity sum vanishes in its cyclotomic field).  A float ``t`` is a
-    batch of one for the float kernel.
+    of unity sum vanishes in its cyclotomic field).  A float ``t`` is the
+    depth-1 float product on a batch of one.
     """
     point, is_exact = exact.as_point(t, system.dim)
     if is_exact:
         return _exact_product(system, point, 1)
-    re, im = _float_masks(system, np.array([point]).T)
+    re, im = _float_product(system, np.array([point]), 1)
     return complex(re[0], im[0])
 
 
@@ -129,20 +129,6 @@ def _exact_product(system: SimpleFactor, freq: tuple, depth: int) -> complex:
     return value
 
 
-def _float_masks(system: SimpleFactor, columns) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the mask at float points given as d
-    coordinate columns, as Python computes
-    sum(cmath.exp(2j * math.pi * sum(b_j * t_j)) for b in digits) / N.
-
-    Each phase sum starts from the int 0, which is the ``0.0 +``.
-    """
-    digits = system._float_digits
-    phases = 0.0 + digits[:, :1] * columns[0]
-    for j in range(1, len(columns)):
-        phases += digits[:, j:j + 1] * columns[j]
-    return _root_means(phases, system.N)
-
-
 def _root_means(phases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of each column's
     sum(cmath.exp(2j * math.pi * phase) for phase in column) / n, for an
@@ -168,13 +154,16 @@ def _float_product(
     """Real and imaginary parts of the depth-``depth`` product at each row
     of ``points``.
 
-    Python's complex multiply is written out in real operations, because
-    numpy's complex multiply fuses them and rounds differently; pull is
-    exact.mat_vec on floats, each row summed left to right from the int 0.
-    A row whose factor is an exact zero is 0j, the scalar loop's early
-    exit.
+    Each level's mask is what Python computes as
+    sum(cmath.exp(2j * math.pi * sum(b_j * t_j)) for b in digits) / N on
+    the level's coordinate columns t_j.  Python's complex multiply is
+    written out in real operations, because numpy's complex multiply fuses
+    them and rounds differently; pull is exact.mat_vec on floats.  Every
+    phase and pull row is summed left to right from the int 0, which is
+    the ``0.0``.  A row whose factor is an exact zero is 0j, the scalar
+    loop's early exit.
     """
-    pull = system._float_maps[1]
+    digits, pull = system._float_digits, system._float_maps[1]
     columns = list(points.T)
     re = np.ones(len(points))
     im = np.zeros(len(points))
@@ -182,7 +171,8 @@ def _float_product(
     for level in range(depth):
         if level:
             columns = [sum((m * c for m, c in zip(row, columns)), 0.0) for row in pull]
-        f_re, f_im = _float_masks(system, columns)
+        phases = sum((b[:, None] * c for b, c in zip(digits.T, columns)), 0.0)
+        f_re, f_im = _root_means(phases, system.N)
         zero |= (f_re == 0) & (f_im == 0)
         re, im = re * f_re - im * f_im, re * f_im + im * f_re
     re[zero] = 0.0

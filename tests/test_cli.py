@@ -239,6 +239,9 @@ def test_each_subcommand_registers_only_the_options_it_reads():
     ["spectrum", "--spec", "scale4x2", "--s", "2"],
     ["transform", "--spec", "scale4", "--grid=nan:inf:3"],
     ["transform", "--spec", "scale4", "--grid=0:inf:3"],
+    # options that exclude each other, where one would be dropped unread
+    ["transform", "--spec", "scale4", "--s", "1/3", "--grid=0:1:3"],
+    ["spectrum", "--spec", "scale4", "--s", "2", "--frequencies"],
 ])
 def test_bad_flags_are_usage_errors(capsys, argv):
     try:

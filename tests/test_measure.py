@@ -17,9 +17,30 @@ def _degenerate_expansive():
     )
 
 
+def _exact_atom(system, word):
+    """Exact re-evaluation of the atom for a digit-index word."""
+    point = exact.zero_vector(system.dim)
+    for index in reversed(word):
+        point = exact.vec_add(exact.mat_vec(system.E_inverse, point),
+                              system.digits[index])
+    return point
+
+
+def _contraction_norm(system):
+    """Operator 2-norm of E^{-1}, < 1 for expansive systems."""
+    return float(np.linalg.norm(np.array(exact.matrix_to_floats(system.E_inverse)), 2))
+
+
+def _attractor_radius(system):
+    """A ball radius containing every atom: max |b| / (1 - norm)."""
+    biggest = max(float(np.linalg.norm(exact.to_floats(b))) for b in system.digits)
+    return biggest / (1.0 - _contraction_norm(system))
+
+
 def test_build_ifs_scale4(scale4):
     ifs = sp.build_ifs(scale4.system)
-    assert ifs.e_inverse == ((F(1, 4),),)
+    assert ifs is scale4.system
+    assert ifs.E_inverse == ((F(1, 4),),)
     assert ifs.digits == ((F(0),), (F(1, 2),))
     assert ifs.N == 2
 
@@ -27,8 +48,8 @@ def test_build_ifs_scale4(scale4):
 def test_build_ifs_degenerate_single_map():
     ifs = sp.build_ifs(_degenerate_expansive())
     assert ifs.N == 1
-    assert ifs.e_inverse == ((F(1, 4),),)
-    assert ifs.exact_atom((0, 0, 0)) == (F(0),)  # fixed point at the origin
+    assert ifs.E_inverse == ((F(1, 4),),)
+    assert _exact_atom(ifs, (0, 0, 0)) == (F(0),)  # fixed point at the origin
 
 
 def test_build_ifs_2d(scale4x2):
@@ -46,6 +67,15 @@ def test_build_ifs_rejects_non_expansive():
     )
     with pytest.raises(sp.NotExpansive):
         sp.build_ifs(flat)
+
+
+def test_build_ifs_rejects_digits_without_zero():
+    shifted = sp.SimpleFactor(
+        K=sp.Lattice([[1]]), A=sp.Lattice([["1/2"]]), Gamma=sp.Lattice([["1/4"]]),
+        digits=[("1/2",), (1,)], freq_digits=[(0,), (1,)],
+    )
+    with pytest.raises(ValueError, match="contain 0"):
+        sp.build_ifs(shifted)
 
 
 def test_refine_measure_atoms(scale4):
@@ -80,7 +110,7 @@ def test_word_decoding_matches_exact_atom(scale4x2):
     for index in (0, 1, 17, 63):
         word = measure.word(index)
         assert len(word) == 3
-        exact_point = ifs.exact_atom(word)
+        exact_point = _exact_atom(ifs, word)
         assert np.allclose(measure.points[index], exact.to_floats(exact_point))
 
 
@@ -89,7 +119,7 @@ def test_atoms_within_attractor_radius(scale4, scale4x2):
         ifs = sp.build_ifs(loaded.system)
         measure = sp.refine_measure(ifs, 6)
         radii = np.linalg.norm(measure.points, axis=1)
-        assert radii.max() <= ifs.attractor_radius + 1e-12
+        assert radii.max() <= _attractor_radius(ifs) + 1e-12
 
 
 def test_integrate_exponential_values(scale4):
@@ -116,7 +146,7 @@ def test_quadrature_convergence_bound(scale4):
     system = scale4.system
     ifs = sp.build_ifs(system)
     diameter = 2.0 / 3.0
-    rho = ifs.contraction_norm
+    rho = _contraction_norm(ifs)
     for t in (1.3, 3.7, 7.1):
         for depth in (2, 4, 6):
             a = sp.integrate_exponential(sp.refine_measure(ifs, depth), t)

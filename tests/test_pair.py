@@ -90,6 +90,24 @@ def test_empty_truncated_spectrum_is_rejected():
         sp.TruncatedSpectrum(())
 
 
+def test_truncated_spectrum_rejects_points_of_two_dimensions():
+    with pytest.raises(ValueError, match="one dimension"):
+        sp.TruncatedSpectrum(((0,), (1, 2)))
+
+
+@pytest.mark.parametrize("omega, points", [
+    (BoxUnion((Box((0,), ("1/4",)), Box(("1/2",), ("3/4",)))),
+     ((0, 0), (1, 0), (0, "1/2"))),
+    (BoxUnion((Box((0, 0), (1, 1)),)), ((0,), (1,))),
+], ids=["1d-union-2d-points", "2d-union-1d-points"])
+def test_orthogonality_matrix_refuses_a_spectrum_of_another_dimension(
+        omega, points, monkeypatch):
+    # zipping rows of two lengths would drop coordinates without a word
+    monkeypatch.setattr(sp.pair, "_corner_numerators", None)
+    with pytest.raises(ValueError, match="does not match the box union's dimension"):
+        sp.orthogonality_matrix(omega, sp.TruncatedSpectrum(points))
+
+
 def test_rectangular_cell_detection():
     assert rectangular_cell(sp.Lattice([["1/4", 0], [0, "1/2"]])) == (F(1, 4), F(1, 2))
     # permuted/negated columns: axis 0 is spanned by the -1/2 generator

@@ -96,9 +96,16 @@ FAMILY_SYSTEMS = {
     "prod_e4_e6": family_system([(2, 4, (0, 1)), (2, 6, (0, 3))]),
     "prod_e6_e4": family_system([(2, 6, (0, 3)), (2, 4, (0, 1))]),
 }
-EXACT_SYSTEMS = {**SYSTEMS, **FAMILY_SYSTEMS}
+# d = 3 with a pull row of three nonzero entries, where the order of a
+# float row sum shows, and a cyclic digit group Z/3 in the plane
+DATA_SYSTEMS = {
+    name: sp.parse_spec(Path(__file__).with_name("data") / f"{name}.json").system
+    for name in ("shear3", "tri2")
+}
+EXACT_SYSTEMS = {**SYSTEMS, **FAMILY_SYSTEMS, **DATA_SYSTEMS}
 FLOAT_SYSTEMS = {
     **SYSTEMS,
+    **DATA_SYSTEMS,
     "scale4x2_sheared": sp.parse_spec(
         Path(__file__).with_name("data") / "scale4x2_sheared.json").system,
 }
@@ -331,6 +338,9 @@ def test_mask_matches_fraction_oracle(name, data):
     ("prod_e4_e6", (Fraction(1), Fraction(1, 2))),
     ("prod_e4_e6", (Fraction(10**40, 7), Fraction(-(10**41), 9))),
     ("prod_e6_e4", (Fraction(3**80, 2), Fraction(2**130 + 1, 11))),
+    ("shear3", (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7))),
+    ("tri2", (Fraction(1, 2), Fraction(1, 5))),
+    ("tri2", (Fraction(1), Fraction(0))),  # a zero of the Z/3 digit sum
 ])
 def test_pinned_frequencies_match_fraction_oracle(name, t):
     system = EXACT_SYSTEMS[name]
@@ -578,6 +588,9 @@ def test_mu_hat_values_match_scalar_float_oracle(name, data):
     ("scale4x2", (1.0, 0.0)),
     ("scale4", (-0.0,)),
     ("n3", (1.0,)),
+    # the pull's row (1/4, 1/4, 1/4) sums three terms, so its order shows
+    ("shear3", (0.1, 0.2, -0.3)),
+    ("tri2", (0.5, 0.2)),
 ])
 def test_pinned_float_frequencies_match_scalar_oracle(monkeypatch, name, t):
     system = FLOAT_SYSTEMS[name]
