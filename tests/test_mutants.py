@@ -20,8 +20,3 @@ def test_each_mutant_applies_once_and_names_existing_tests(mutant):
     for node in mutant["kill"]:
         path, _, name = node.partition("::")
         assert f"\ndef {name}(" in (ROOT / path).read_text(encoding="utf-8"), node
-
-
-def test_mutant_names_are_distinct():
-    names = [m["name"] for m in MUTANTS]
-    assert len(set(names)) == len(names)

@@ -83,16 +83,13 @@ def test_truncated_spectrum_invariants():
         sp.TruncatedSpectrum(((F(1),), (F(2),)))  # zero missing
     with pytest.raises(ValueError):
         sp.TruncatedSpectrum(((F(0),), (F(0),)))  # duplicate
+    with pytest.raises(ValueError, match="one dimension"):
+        sp.TruncatedSpectrum(((0,), (1, 2)))
 
 
 def test_empty_truncated_spectrum_is_rejected():
     with pytest.raises(ValueError, match="0"):
         sp.TruncatedSpectrum(())
-
-
-def test_truncated_spectrum_rejects_points_of_two_dimensions():
-    with pytest.raises(ValueError, match="one dimension"):
-        sp.TruncatedSpectrum(((0,), (1, 2)))
 
 
 @pytest.mark.parametrize("omega, points", [
