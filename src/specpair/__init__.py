@@ -27,7 +27,6 @@ from .errors import (
 from .lattice import (
     CheckResult,
     Lattice,
-    LatticeInclusion,
     SimpleFactor,
     ValidationReport,
     coset_representatives,
@@ -101,8 +100,7 @@ __all__ = [
     "BoxUnion", "BudgetExceeded", "CheckResult", "CollisionDetected",
     "CompletenessRow", "ConsistencyReport", "DepthTooLarge",
     "DiscreteMeasure", "ExponentialVector", "IdenticalPoints", "Lattice",
-    "LatticeInclusion", "LoadedSpec", "MemberOfSpectrum", "NoWitness",
-    "NonFinitePoint",
+    "LoadedSpec", "MemberOfSpectrum", "NoWitness", "NonFinitePoint",
     "NotASublattice", "NotEmbeddable", "NotExpansive", "ParseError",
     "RelationReport", "SimpleFactor", "SpectralPairError",
     "SpectrumEnumeration", "TilingReport", "TransformSettings",

@@ -1,4 +1,4 @@
-"""Lattices, lattice inclusions, and the factor-system datum.
+"""Lattices, their inclusion matrices, and the factor-system datum.
 
 Conventions, fixed once for the whole package:
 
@@ -77,20 +77,6 @@ class Lattice:
         return exact.is_integral(self.coordinates(x))
 
 
-@dataclass(frozen=True)
-class LatticeInclusion:
-    """A verified inclusion sub <= sup with its integer inclusion matrix."""
-
-    sub: Lattice
-    sup: Lattice
-    R: tuple[tuple[int, ...], ...]
-
-    @property
-    def index(self) -> int:
-        """The subgroup index [sup : sub] = |det R|."""
-        return abs(int(exact.det(exact.as_matrix(self.R))))
-
-
 def dual_lattice(lat: Lattice) -> Lattice:
     """The dual lattice: all vectors with integral pairing against lat."""
     return Lattice(exact.transpose(lat.inverse))
@@ -102,41 +88,36 @@ def expansion_matrix(K: Lattice, gamma: Lattice) -> Matrix:
 
 
 def same_lattice(a: Lattice, b: Lattice) -> bool:
-    """Whether two bases span the same lattice (mutual containment)."""
-    return all(b.contains(g) for g in a.generators) and all(
-        a.contains(g) for g in b.generators
-    )
+    """Whether two bases span the same lattice: a lies in b with index
+    |det a / det b| = 1."""
+    return abs(a.det) == abs(b.det) and all(b.contains(g) for g in a.generators)
 
 
-def inclusion_matrix(sub: Lattice, sup: Lattice) -> LatticeInclusion:
-    """Express the generators of ``sub`` over those of ``sup``.
+def inclusion_matrix(sub: Lattice, sup: Lattice) -> tuple[tuple[int, ...], ...]:
+    """The integer matrix R expressing the generators of ``sub`` over those
+    of ``sup``; the index [sup : sub] is |det R| = |sub.det / sup.det|.
 
     Raises NotASublattice if any coordinate fails to be an integer.
     """
     if sub.dim != sup.dim:
         raise NotASublattice("dimension mismatch")
-    rt = exact.mat_mul(sup.inverse, sub.basis)  # R^T, columns = sub coords
-    r = exact.transpose(rt)
-    for row in r:
-        if not exact.is_integral(row):
-            raise NotASublattice(
-                "generator coordinates over the ambient lattice are not integral"
-            )
-    return LatticeInclusion(
-        sub=sub, sup=sup, R=tuple(tuple(int(x) for x in row) for row in r)
-    )
+    r = [sup.coordinates(g) for g in sub.generators]  # row i: generator i of sub
+    if not all(exact.is_integral(row) for row in r):
+        raise NotASublattice(
+            "generator coordinates over the ambient lattice are not integral"
+        )
+    return tuple(tuple(int(x) for x in row) for row in r)
 
 
 def coset_representatives(sub: Lattice, sup: Lattice) -> tuple[Vector, ...]:
     """Representatives of sup/sub, lexicographically canonical, 0 first."""
-    inclusion = inclusion_matrix(sub, sup)
-
-    # sup/sub is isomorphic to Z^d / R^T Z^d via z -> sup.basis z.  Take
-    # R^T Z^d in lower-triangular Hermite form H: with z_0 .. z_{i-1} fixed,
-    # z_i moves only by multiples of h_ii, so each class has exactly one
-    # member in the box prod_i [0, h_ii), its lexicographically least one
-    # in [0, index)^d, and the box is listed in lexicographic order.
-    sides = _hermite_diagonal(inclusion.R)  # the rows of R are the columns of R^T
+    # sup/sub is isomorphic to Z^d / R^T Z^d via z -> sup.basis z, and the
+    # rows of R are the columns of R^T.  Take R^T Z^d in lower-triangular
+    # Hermite form H: with z_0 .. z_{i-1} fixed, z_i moves only by multiples
+    # of h_ii, so each class has exactly one member in the box
+    # prod_i [0, h_ii), its lexicographically least one in [0, index)^d,
+    # and the box is listed in lexicographic order.
+    sides = _hermite_diagonal(inclusion_matrix(sub, sup))
     return tuple(exact.mat_vec(sup.basis, tuple(Fraction(c) for c in z))
                  for z in itertools.product(*map(range, sides)))
 
@@ -239,7 +220,8 @@ class SimpleFactor:
 
     @cached_property
     def E_inverse(self) -> Matrix:
-        return exact.inverse(self.E)
+        """E^-1 = Gamma K^-1, from the inverse K already holds."""
+        return exact.mat_mul(self.Gamma.basis, self.K.inverse)
 
     @cached_property
     def E_transpose_inverse(self) -> Matrix:
@@ -277,10 +259,6 @@ class SimpleFactor:
     @cached_property
     def K_dual(self) -> Lattice:
         return dual_lattice(self.K)
-
-    @cached_property
-    def A_dual(self) -> Lattice:
-        return dual_lattice(self.A)
 
     @cached_property
     def Gamma_dual(self) -> Lattice:
@@ -429,23 +407,15 @@ def validate_simple_factor(system: SimpleFactor) -> ValidationReport:
     normalized digit matrix N^{-1/2} e^{i 2 pi b.l} is unitary; E is
     expansive.  Every check is exact: the pairing checks run on integer
     residues (cyclotomic.residue_sum_is_zero), expansiveness on the
-    characteristic polynomial.  The degenerate case K = A is flagged, not
-    failed.
+    characteristic polynomial.  The index [A : K] is |det K / det A|, read
+    once K <= A is known.  The degenerate case K = A (index 1) is flagged,
+    not failed.
     """
     checks: list[CheckResult] = []
 
-    index: int | None = None
-    try:
-        ka = inclusion_matrix(system.K, system.A)
-        ka_ok = True
-        index = ka.index
-    except NotASublattice:
-        ka_ok = False
-    try:
-        inclusion_matrix(system.A, system.Gamma)
-        ag_ok = True
-    except NotASublattice:
-        ag_ok = False
+    ka_ok = all(system.A.contains(g) for g in system.K.generators)
+    ag_ok = all(system.Gamma.contains(g) for g in system.A.generators)
+    index = int(abs(system.K.det / system.A.det)) if ka_ok else None
     checks.append(CheckResult(
         "chain", ka_ok and ag_ok,
         "K <= A <= Gamma" if ka_ok and ag_ok else
@@ -492,6 +462,4 @@ def validate_simple_factor(system: SimpleFactor) -> ValidationReport:
 
     checks.append(expansive_check(system.E))
 
-    return ValidationReport(
-        checks=tuple(checks), degenerate=same_lattice(system.K, system.A)
-    )
+    return ValidationReport(checks=tuple(checks), degenerate=index == 1)

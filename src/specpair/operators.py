@@ -29,6 +29,7 @@ from functools import partial
 import numpy as np
 
 from . import exact
+from .errors import BudgetExceeded
 from .exact import Vector
 from .lattice import (
     CheckResult,
@@ -59,6 +60,8 @@ from .transform import (
 RELATION_TOLERANCE = 1e-6
 # sup-norm radius of the dual(K) samples classify_measure checks
 CLASSIFY_BOX_RADIUS = 4
+# atoms times transform evaluations classify_measure may charge
+CLASSIFY_BUDGET = 2**30
 
 
 @dataclass(frozen=True)
@@ -276,7 +279,10 @@ def classify_measure(
     measure at the dual(K) points within CLASSIFY_BOX_RADIUS, with the
     expansion derived from K inside ``gamma`` -- nothing is taken from the
     measure's own provenance.  Residuals above RELATION_TOLERANCE fail.
-    Raises NotASublattice when K is not contained in ``gamma``.
+    Raises NotASublattice when K is not contained in ``gamma``, and
+    BudgetExceeded, before any refinement, when the atoms (N^depth of a
+    SimpleFactor, or the measure's count) times the transform evaluations
+    (2 + |L|(|L| - 1) per sample) exceed CLASSIFY_BUDGET.
 
     A depth-n empirical transform carries truncation error that grows
     linearly in the sampled frequency, roughly 2 pi |u| diam contraction^n,
@@ -285,12 +291,13 @@ def classify_measure(
     """
     inclusion_matrix(K, gamma)  # raises NotASublattice
 
+    depth = TransformSettings().quadrature_depth
     if isinstance(measure_source, SimpleFactor):
         if digits is None:
             digits = measure_source.digits
-        measure = _cached_measure(measure_source, TransformSettings().quadrature_depth)
+        atoms = measure_source.N**depth
     elif isinstance(measure_source, DiscreteMeasure):
-        measure = measure_source
+        atoms = measure_source.count
     else:
         raise TypeError("measure_source must be a SimpleFactor or DiscreteMeasure")
     if digits is not None:
@@ -298,6 +305,13 @@ def classify_measure(
 
     freq_digits = tuple(exact.as_vector(l, K.dim) for l in freq_digits)
     k_dual = dual_lattice(K)
+    samples = lattice_points_in_box(k_dual, CLASSIFY_BOX_RADIUS)
+    evaluations = len(samples) * (2 + len(freq_digits) * (len(freq_digits) - 1))
+    if atoms * evaluations > CLASSIFY_BUDGET:
+        raise BudgetExceeded(f"{atoms} atoms times {evaluations} transform "
+                             f"evaluations exceed the budget {CLASSIFY_BUDGET}")
+    measure = (measure_source if isinstance(measure_source, DiscreteMeasure)
+               else _cached_measure(measure_source, depth))
     e = expansion_matrix(K, gamma)
     structure = [
         frequency_digit_check(freq_digits, k_dual, dual_lattice(gamma)),
@@ -311,7 +325,7 @@ def classify_measure(
         return [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
 
     isometry, range_orth, completeness = _relation_maxima(
-        lattice_points_in_box(k_dual, CLASSIFY_BOX_RADIUS),
+        samples,
         partial(exact.mat_vec, exact.transpose(e)),
         freq_digits,
         lambda points: [integrate_exponential(measure, p) for p in points],

@@ -377,7 +377,7 @@ def test_readme_states_each_budget():
     stated = re.findall(r"2\^(\d+)\b[^`]*?\(`([a-z]+)\.([A-Z_]+_BUDGET)`\)", text)
     assert {f"{module}.{name}" for _, module, name in stated} == {
         "cli.EVALUATION_BUDGET", "spectrum.SPECTRUM_BUDGET", "measure.ATOM_BUDGET",
-        "pair.MEMBERSHIP_COSET_BUDGET"}
+        "pair.MEMBERSHIP_COSET_BUDGET", "operators.CLASSIFY_BUDGET"}
     assert len(stated) == len(re.findall(r"`[a-z]+\.[A-Z_]+_BUDGET`", text))
     for power, module, name in stated:
         held = getattr(importlib.import_module(f"specpair.{module}"), name)

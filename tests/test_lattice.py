@@ -6,7 +6,7 @@ import pytest
 
 import specpair as sp
 from specpair import exact, measure
-from specpair.lattice import is_expansive, lattice_points_in_box
+from specpair.lattice import is_expansive, lattice_points_in_box, same_lattice
 
 
 def test_dual_of_integers_is_integers():
@@ -35,14 +35,29 @@ def test_singular_basis_rejected():
         sp.Lattice([[1, 2], [2, 4]])
 
 
+def det_index(r) -> int:
+    """The index |det R| of the sublattice an inclusion matrix R gives."""
+    return abs(int(exact.det(exact.as_matrix(r))))
+
+
 def test_inclusion_matrix_examples():
-    inc = sp.inclusion_matrix(sp.Lattice([[1]]), sp.Lattice([["1/4"]]))
-    assert inc.R == ((4,),)
-    assert inc.index == 4
-    identity = sp.inclusion_matrix(sp.Lattice([[1]]), sp.Lattice([[1]]))
-    assert identity.R == ((1,),)
+    sub, sup = sp.Lattice([[1]]), sp.Lattice([["1/4"]])
+    assert sp.inclusion_matrix(sub, sup) == ((4,),)
+    assert det_index(sp.inclusion_matrix(sub, sup)) == abs(sub.det / sup.det) == 4
+    assert sp.inclusion_matrix(sp.Lattice([[1]]), sp.Lattice([[1]])) == ((1,),)
     with pytest.raises(sp.NotASublattice):
         sp.inclusion_matrix(sp.Lattice([[1]]), sp.Lattice([["2/3"]]))
+
+
+def test_same_lattice_examples():
+    z2 = sp.Lattice([[1, 0], [0, 1]])
+    assert same_lattice(z2, sp.Lattice([[1, 1], [0, 1]]))
+    # one inside the other, but not the same
+    half = sp.Lattice([["1/2", 0], [0, 1]])
+    assert not same_lattice(z2, half) and not same_lattice(half, z2)
+    # the same determinant, neither inside the other
+    wide, tall = sp.Lattice([[2, 0], [0, 1]]), sp.Lattice([[1, 0], [0, 2]])
+    assert not same_lattice(wide, tall) and not same_lattice(tall, wide)
 
 
 def test_inclusion_membership_consistency_random():
@@ -140,9 +155,10 @@ def test_frequency_map_accepts_floats(scale4):
 
 def test_dual_chain_reversal(scale4):
     system = scale4.system
+    a_dual = sp.dual_lattice(system.A)
     for g in system.Gamma_dual.generators:
-        assert system.A_dual.contains(g)
-    for g in system.A_dual.generators:
+        assert a_dual.contains(g)
+    for g in a_dual.generators:
         assert system.K_dual.contains(g)
 
 
@@ -150,14 +166,14 @@ def test_dual_inclusion_matrix_is_transpose(scale4x2):
     system = scale4x2.system
     forward = sp.inclusion_matrix(system.K, system.Gamma)
     backward = sp.inclusion_matrix(system.Gamma_dual, system.K_dual)
-    assert backward.R == tuple(zip(*forward.R))
-    assert backward.index == forward.index
+    assert backward == tuple(zip(*forward))
+    assert det_index(backward) == det_index(forward)
 
 
 def test_frequency_zero_map_lands_in_gamma_dual(scale4):
     system = scale4.system
-    index = sp.inclusion_matrix(system.K, system.Gamma).index
-    dual_index = sp.inclusion_matrix(system.Gamma_dual, system.K_dual).index
+    index = det_index(sp.inclusion_matrix(system.K, system.Gamma))
+    dual_index = det_index(sp.inclusion_matrix(system.Gamma_dual, system.K_dual))
     assert dual_index == index
     for g in system.K_dual.generators:
         image = exact.mat_vec(system.E_transpose, g)
@@ -209,6 +225,10 @@ def test_validate_degenerate_flag():
                  "separation", "hadamard_unitarity"):
         assert report.check(name).passed
     assert not report.check("expansive").passed  # identity expansion
+    # K = A inside a larger Gamma: the index [A : K] is 1, [Gamma : K] is 4
+    expansive = dataclasses.replace(degenerate, Gamma=sp.Lattice([["1/4"]]))
+    report = sp.validate_simple_factor(expansive)
+    assert report.degenerate and report.ok
 
 
 def test_unitarity_implies_separation_on_builtins(scale4, scale4x2, middlethird):

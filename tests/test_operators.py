@@ -174,6 +174,30 @@ def test_classify_external_measure_with_digits(scale4):
     assert report.completeness is not None
 
 
+def test_classify_refuses_past_its_budget_before_refining(scale4x2, monkeypatch):
+    def no_refinement(*args, **kwargs):
+        raise AssertionError("refined before the budget check")
+
+    monkeypatch.setattr(sp.transform, "refine_measure", no_refinement)
+    sp.transform._cached_measure.cache_clear()
+    system = scale4x2.system
+    # 4^12 atoms times 81 samples times 2 + 4 * 3 evaluations
+    with pytest.raises(sp.BudgetExceeded, match="16777216 atoms times 1134"):
+        sp.classify_measure(system, system.K, system.Gamma, system.freq_digits)
+
+
+def test_classify_budget_charges_a_measure_by_its_atoms(scale4, monkeypatch):
+    system = scale4.system
+    measure = sp.refine_measure(sp.build_ifs(system), 6)
+    args = (measure, system.K, system.Gamma, system.freq_digits)
+    # 2^6 atoms times 9 samples times 2 + 2 * 1 evaluations
+    monkeypatch.setattr(sp.operators, "CLASSIFY_BUDGET", 64 * 36)
+    assert isinstance(sp.classify_measure(*args), sp.ConsistencyReport)
+    monkeypatch.setattr(sp.operators, "CLASSIFY_BUDGET", 64 * 36 - 1)
+    with pytest.raises(sp.BudgetExceeded):
+        sp.classify_measure(*args)
+
+
 def test_classify_requires_sublattice(scale4):
     system = scale4.system
     with pytest.raises(sp.NotASublattice):

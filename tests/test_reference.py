@@ -57,6 +57,7 @@ import specpair as sp
 from specpair import exact, measure, pair, transform
 from specpair.boxes import Box, BoxUnion, subtract_union
 from specpair.cyclotomic import exp_sum_is_zero
+from specpair.lattice import same_lattice
 from specpair.transform import TransformSettings, mask, mu_hat_value
 
 SYSTEMS = {
@@ -209,9 +210,12 @@ def oracle_exp_sum_is_zero(terms, conductor_limit=ORACLE_CONDUCTOR_LIMIT):
     n = math.lcm(*(q.denominator for q in combined))
     if n > conductor_limit:
         return None
-    coeffs = [Fraction(0)] * n
+    # scaling every coefficient by one positive integer keeps the verdict,
+    # so the reduction mod Phi_n runs on Python integers
+    scale = math.lcm(*(c.denominator for c in combined.values()))
+    coeffs = [0] * n
     for q, coeff in combined.items():
-        coeffs[int(q * n) % n] += coeff
+        coeffs[int(q * n) % n] += int(coeff * scale)
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     rem = coeffs
@@ -1035,9 +1039,9 @@ def test_membership_matches_subtraction_oracle(name, omega, shift):
 def oracle_coset_representatives(sub, sup):
     """The lexicographically first member of each class of sup/sub in
     [0, index)^d, found by scanning that box in lexicographic order."""
-    inclusion = sp.inclusion_matrix(sub, sup)
-    index = inclusion.index
-    mt_inv = exact.inverse(exact.transpose(exact.as_matrix(inclusion.R)))
+    r = exact.as_matrix(sp.inclusion_matrix(sub, sup))
+    index = abs(int(exact.det(r)))
+    mt_inv = exact.inverse(exact.transpose(r))
     seen = {}
     for z in itertools.product(range(index), repeat=sup.dim):
         coords = exact.mat_vec(mt_inv, tuple(Fraction(c) for c in z))
@@ -1071,3 +1075,12 @@ def test_coset_representatives_match_scan_oracle(pair_):
     reps = sp.coset_representatives(sub, sup)
     assert reps == oracle_coset_representatives(sub, sup)
     assert all(type(c) is Fraction for v in reps for c in v)
+    # the index read off the two determinants is the number of classes and
+    # |det R|, R the inclusion matrix
+    r = exact.as_matrix(sp.inclusion_matrix(sub, sup))
+    assert len(reps) == abs(sub.det / sup.det) == abs(exact.det(r))
+    # sameness is mutual containment, in either order
+    for a, b in ((sub, sup), (sup, sub)):
+        mutual = all(b.contains(g) for g in a.generators) and all(
+            a.contains(g) for g in b.generators)
+        assert same_lattice(a, b) is mutual
