@@ -175,14 +175,6 @@ def characteristic_polynomial(m: Matrix) -> list[Fraction]:
     return coeffs
 
 
-def inverse(m: Matrix) -> Matrix:
-    """Raises ValueError on a singular input."""
-    eliminated = _gauss_jordan(m)
-    if eliminated is None:
-        raise ValueError("matrix is singular")
-    return eliminated[1]
-
-
 def is_integral(values: Iterable[Fraction]) -> bool:
     return all(v.denominator == 1 for v in values)
 

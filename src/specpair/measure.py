@@ -5,6 +5,12 @@ digit word of length n, uniformly weighted.  Atoms are floats (the digit
 word is the exact representation and can be re-evaluated exactly);
 refinement and quadrature are vectorized and deterministic, so measures
 with a million atoms stay cheap.
+
+Quadrature is one gemv per frequency, t.x for every atom, then (cos, sin)
+of 2 pi t.x written into one complex array and its mean: bit for bit the
+mean of the complex exponential, without its complex temporaries.  The
+frequencies are not stacked into one matrix product, which rounds the
+angles of 2-D atoms differently.
 """
 
 from __future__ import annotations
@@ -111,10 +117,33 @@ def refine_measure(system: SimpleFactor, depth: int) -> DiscreteMeasure:
 
 
 def integrate_exponential(measure: DiscreteMeasure, t) -> complex:
-    """The quadrature value of the transform: mean of e^{i 2 pi t.x}."""
-    t, _ = exact.as_point(t, measure.dim)
-    phases = measure.points @ np.array(t, dtype=float)
-    return complex(np.exp(2j * np.pi * phases).mean())
+    """The quadrature value of the transform: mean of e^{i 2 pi t.x}.
+
+    ``t`` is a point as exact.as_point reads it, or a float array of
+    length d, which skips that coercion (mu_hat_values passes its rows
+    so); a non-finite entry raises NonFinitePoint either way.
+
+    Bit for bit this is complex(np.exp(2j * np.pi * (points @ t)).mean()):
+    the imaginary part of 2j*pi*phase is 0.0*0.0 + 2pi*phase and its real
+    part is a zero, so the complex exponential is (cos, sin) of that
+    angle, written here into the halves of one complex array, whose mean
+    numpy sums pairwise as it sums the complex exponential's.
+    tests/test_reference.py::test_quadrature_matches_complex_exp_oracle
+    holds it to that formula.
+    """
+    if not isinstance(t, np.ndarray):
+        t = np.array(exact.as_point(t, measure.dim)[0], dtype=float)
+    elif not all(map(math.isfinite, t)):
+        raise NonFinitePoint(f"point {t!r} has a non-finite entry")
+    angles = measure.points @ t
+    angles *= 2 * math.pi
+    # -0.0 to 0.0, as 0.0*0.0 + 2pi*phase rounds it, so no sine is -0.0
+    # whichever zero numpy's sum starts from
+    angles += 0.0
+    values = np.empty(len(angles), dtype=complex)
+    np.cos(angles, out=values.real)
+    np.sin(angles, out=values.imag)
+    return complex(values.mean())
 
 
 @dataclass(frozen=True)

@@ -277,7 +277,7 @@ def mu_hat_values(
         raise NonFinitePoint("some point has a non-finite entry")
     if settings.backend == "quadrature":
         measure = _cached_measure(system, settings.quadrature_depth)
-        return np.array([integrate_exponential(measure, tuple(p)) for p in points],
+        return np.array([integrate_exponential(measure, p) for p in points],
                         dtype=complex)
     values = np.empty(len(points), dtype=complex)
     for start in range(0, len(points), CHUNK_ROWS):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import specpair as sp
@@ -32,9 +33,9 @@ def test_format_round_trip():
 def test_matrix_inverse_and_det():
     m = exact.as_matrix([[2, 1], [0, 1]])
     assert exact.det(m) == 2
-    inv = exact.inverse(m)
+    inv = sp.Lattice(m).inverse
     assert exact.mat_mul(m, inv) == exact.identity(2)
-    assert exact.inverse(inv) == m
+    assert sp.Lattice(inv).inverse == m
 
 
 def test_characteristic_polynomial():
@@ -48,9 +49,11 @@ def test_characteristic_polynomial():
 
 
 def test_singular_matrix_rejected():
+    singular = exact.as_matrix([[1, 2], [2, 4]])
+    assert exact._gauss_jordan(singular) is None
     with pytest.raises(ValueError):
-        exact.inverse(exact.as_matrix([[1, 2], [2, 4]]))
-    assert exact.det(exact.as_matrix([[1, 2], [2, 4]])) == 0
+        sp.Lattice(singular)
+    assert exact.det(singular) == 0
 
 
 def oracle_det(m):
@@ -89,13 +92,12 @@ def test_elimination_matches_cofactor_oracle():
         assert exact.det(m) == expected
         if expected == 0:
             singular += 1
-            with pytest.raises(ValueError, match="singular"):
-                exact.inverse(m)
+            assert exact._gauss_jordan(m) is None
             with pytest.raises(ValueError, match="singular"):
                 sp.Lattice(m)
             continue
         swapped += m[0][0] == 0
-        assert exact.inverse(m) == oracle_inverse(m)
+        assert exact._gauss_jordan(m) == (expected, oracle_inverse(m))
         lattice = sp.Lattice(m)
         assert (lattice.det, lattice.inverse) == (expected, oracle_inverse(m))
     assert singular >= 2 and swapped >= 2
@@ -136,12 +138,14 @@ _SCALE4 = sp.parse_spec("scale4").system
     lambda: sp.completeness_table(_SCALE4, float("nan"), [2]),
     lambda: sp.integrate_exponential(sp.refine_measure(sp.build_ifs(_SCALE4), 2),
                                      (float("-inf"),)),
+    lambda: sp.integrate_exponential(sp.refine_measure(sp.build_ifs(_SCALE4), 2),
+                                     np.array([float("nan")])),
     lambda: sp.separation_witness(_SCALE4, float("nan"), 0.0),
     lambda: sp.separation_witness(_SCALE4, 0.5, float("inf")),
     lambda: sp.separation_witnesses(_SCALE4, [[0.0], [float("nan")]], [[0.5], [0.0]]),
 ], ids=["as_point", "mu_hat_value", "mask", "completeness_table",
-        "integrate_exponential", "separation_witness-nan", "separation_witness-inf",
-        "separation_witnesses"])
+        "integrate_exponential", "integrate_exponential-array",
+        "separation_witness-nan", "separation_witness-inf", "separation_witnesses"])
 def test_non_finite_points_are_rejected(call):
     with pytest.raises(sp.NonFinitePoint) as info:
         call()

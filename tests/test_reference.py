@@ -26,7 +26,10 @@ is checked by ``independent_verdict``.
 
 The batched float product ``mu_hat_values`` is held to the scalar float
 loop it replaced (``oracle_float_*``), value by value, every sign of zero
-included.
+included.  The quadrature kernel ``integrate_exponential``, which writes
+(cos, sin) of real angles into one complex array, and the quadrature
+backend of ``mu_hat_values`` are held bit for bit to the mean of the
+complex exponential (``oracle_integrate_exponential``).
 
 The batched tiling sampler is held to the one-point-at-a-time loop it
 replaced (``OracleCover``, ``oracle_tiling_bad``): the same seed must give
@@ -637,6 +640,47 @@ def test_float_consumers_match_scalar_oracle(monkeypatch):
     assert_same_values([probe.value], [values[4]])
 
 
+def oracle_integrate_exponential(measure_, t):
+    """The quadrature kernel as a complex exponential: the mean of
+    e^{i 2 pi t.x} over the atoms, one complex array."""
+    return complex(np.exp(2j * np.pi * (measure_.points @ np.array(t, dtype=float))).mean())
+
+
+# N = 2, 4, 8 and 3 (a count that is no power of two), d = 1, 2 and 3,
+# from one atom to 2^20 of them
+QUADRATURE_CASES = [
+    ("scale4", 0), ("scale4", 1), ("scale4", 12), ("scale4", 20),
+    ("scale4x2", 6), ("scale4x2", 10), ("middlethird", 12),
+    ("shear3", 5), ("tri2", 10), ("n3", 10),
+]
+
+
+def quadrature_points(dim):
+    """Signed zeros, an entry of 1e-300, +-1e6 and seeded points."""
+    rng = np.random.default_rng(20261019)
+    pinned = [(0.0,) * dim, (-0.0,) * dim, (1e-300,) * dim, (1e6,) * dim,
+              (-1e6,) * dim, (-0.0, 1.0, -1e-300)[:dim]]
+    drawn = np.concatenate((rng.uniform(-50, 50, (4, dim)), rng.normal(0, 3, (2, dim))))
+    return pinned + [tuple(p) for p in drawn.tolist()]
+
+
+@pytest.mark.parametrize("name, depth", QUADRATURE_CASES)
+def test_quadrature_matches_complex_exp_oracle(name, depth):
+    system = CONSUMER_SYSTEMS.get(name) or DATA_SYSTEMS[name]
+    measure_ = sp.refine_measure(sp.build_ifs(system), depth)
+    points = quadrature_points(system.dim)
+    want = [oracle_integrate_exponential(measure_, t) for t in points]
+    assert_same_values([sp.integrate_exponential(measure_, t) for t in points], want)
+    # float rows skip the point coercion, an exact point takes it
+    rows = np.array(points)
+    assert_same_values([sp.integrate_exponential(measure_, row) for row in rows], want)
+    exact_t = (Fraction(-3, 7),) * system.dim
+    assert_same_values([sp.integrate_exponential(measure_, exact_t)],
+                       [oracle_integrate_exponential(measure_, exact.to_floats(exact_t))])
+    settings_ = TransformSettings(backend="quadrature", quadrature_depth=depth)
+    assert_same_values(sp.mu_hat_values(system, points, settings_).tolist(), want)
+    assert_same_values([mu_hat_value(system, t, settings_) for t in points[:3]], want[:3])
+
 def scalar_witnesses(system, x, y, radius):
     """separation_witness per pair, as the index separation_witnesses reports."""
     candidates = [s for s, _ in measure._dual_candidates(system, radius)]
@@ -1041,7 +1085,7 @@ def oracle_coset_representatives(sub, sup):
     [0, index)^d, found by scanning that box in lexicographic order."""
     r = exact.as_matrix(sp.inclusion_matrix(sub, sup))
     index = abs(int(exact.det(r)))
-    mt_inv = exact.inverse(exact.transpose(r))
+    mt_inv = sp.Lattice(exact.transpose(r)).inverse
     seen = {}
     for z in itertools.product(range(index), repeat=sup.dim):
         coords = exact.mat_vec(mt_inv, tuple(Fraction(c) for c in z))
