@@ -49,6 +49,8 @@ GOLDEN_SIGMA = {
 # of magnitude of slack without hiding real regressions.
 SIGMA_CALIBRATION_TOLERANCE = 1e-6
 SIGMA_ORACLE_TOLERANCE = 1e-9
+# most atom pairs criterion 7 hands separation_witnesses at once
+SEPARATION_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -214,14 +216,20 @@ def criterion_7_separation() -> CriterionResult:
     """One dual frequency separates every pair of depth-10 atoms."""
     system = _scale4().system
     atoms = refine_measure(build_ifs(system), 10).points
-    first, second = np.triu_indices(len(atoms), 1)  # every unordered pair once
-    candidates, witness = separation_witnesses(
-        system, atoms[first], atoms[second], search_radius=2
-    )
-    # index -1 (no witness) lands on the appended False
-    is_expected = np.array([s == (Fraction(1),) for s in candidates] + [False])
-    pairs = len(witness)
-    bad = pairs - int(is_expected[witness].sum())
+    n = len(atoms)
+    rows = SEPARATION_PAIRS // (n - 1)
+    pairs = bad = 0
+    # every unordered pair once, in np.triu_indices order, a block of rows
+    # at a time: the pairs (i, j) with start <= i < start + rows and j > i
+    for start in range(0, n - 1, rows):
+        first, second = np.triu_indices(min(rows, n - 1 - start), start + 1, n)
+        candidates, witness = separation_witnesses(
+            system, atoms[first + start], atoms[second], search_radius=2
+        )
+        # index -1 (no witness) lands on the appended False
+        is_expected = np.array([s == (Fraction(1),) for s in candidates] + [False])
+        pairs += len(witness)
+        bad += len(witness) - int(is_expected[witness].sum())
     return CriterionResult(
         7, "separation of depth-10 atoms",
         bad == 0,

@@ -7,10 +7,16 @@ refinement and quadrature are vectorized and deterministic, so measures
 with a million atoms stay cheap.
 
 Quadrature is one gemv per frequency, t.x for every atom, then (cos, sin)
-of 2 pi t.x written into one complex array and its mean: bit for bit the
-mean of the complex exponential, without its complex temporaries.  The
-frequencies are not stacked into one matrix product, which rounds the
-angles of 2-D atoms differently.
+of 2 pi t.x written into a complex array and summed: bit for bit the mean
+of the complex exponential, without its complex temporaries.  The atoms
+are taken in leaves of at most QUADRATURE_BLOCK, through buffers of that
+size reused by every leaf, and the leaves' sums are added where numpy's
+complex pairwise sum splits the whole array: a run of c atoms above the
+block splits into (c - c % 8) // 2 atoms and the rest.  So a call holds
+24 bytes per atom of one block, and the sum is numpy's over the whole
+array; tests/test_reference.py holds it to values.mean() at counts on
+either side of every split.  The frequencies are not stacked into one
+matrix product, which rounds the angles of 2-D atoms differently.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ from .lattice import SimpleFactor, is_expansive, lattice_points_in_box
 
 # most atoms one refinement may hold, checked before it builds any
 ATOM_BUDGET = 1 << 24
+# most atoms integrate_exponential holds angles and (cos, sin) values for
+# at once; at least the 64 atoms of numpy's pairwise leaf, so numpy splits
+# every longer run as the kernel does
+QUADRATURE_BLOCK = 1 << 16
 # a pairing farther than this from every integer separates two float atoms
 SEPARATION_TOLERANCE = 1e-9
 # pairs whose pairings separation_witnesses evaluates at once
@@ -126,24 +136,47 @@ def integrate_exponential(measure: DiscreteMeasure, t) -> complex:
     Bit for bit this is complex(np.exp(2j * np.pi * (points @ t)).mean()):
     the imaginary part of 2j*pi*phase is 0.0*0.0 + 2pi*phase and its real
     part is a zero, so the complex exponential is (cos, sin) of that
-    angle, written here into the halves of one complex array, whose mean
-    numpy sums pairwise as it sums the complex exponential's.
+    angle.  The atoms go in leaves of at most QUADRATURE_BLOCK through
+    one angle buffer and one complex buffer, 24 bytes per atom of a block,
+    and np.add.reduce sums each leaf as complex numbers (the real and
+    imaginary halves summed apart would be grouped otherwise).  Above the
+    block a run of c atoms splits where numpy's complex pairwise sum
+    splits its 2c scalars, after (c - c % 8) // 2 atoms, and the halves'
+    sums are added, so the total is numpy's sum of the whole array,
+    divided by the count as values.mean() divides it.
     tests/test_reference.py::test_quadrature_matches_complex_exp_oracle
-    holds it to that formula.
+    and ::test_quadrature_blocks_match_complex_exp_oracle hold it to that
+    formula on either side of every split.
     """
     if not isinstance(t, np.ndarray):
         t = np.array(exact.as_point(t, measure.dim)[0], dtype=float)
     elif not all(map(math.isfinite, t)):
         raise NonFinitePoint(f"point {t!r} has a non-finite entry")
-    angles = measure.points @ t
+    block = min(measure.count, QUADRATURE_BLOCK)
+    # passed down, not closed over: a recursive closure is a reference
+    # cycle, which would keep the buffers alive until a garbage collection
+    buffers = np.empty(block), np.empty(block, dtype=complex)
+    total = _exponential_sum(measure.points, t, buffers, 0, measure.count)
+    return complex(total / measure.count)
+
+
+def _exponential_sum(points, t, buffers, start: int, count: int) -> np.complex128:
+    """numpy's pairwise sum of e^{i 2 pi t.x} over points[start:start+count],
+    split as numpy splits it down to leaves of at most QUADRATURE_BLOCK,
+    each computed in the given angle and complex buffers."""
+    if count > QUADRATURE_BLOCK:
+        half = (count - count % 8) // 2
+        return (_exponential_sum(points, t, buffers, start, half)
+                + _exponential_sum(points, t, buffers, start + half, count - half))
+    angles, values = buffers[0][:count], buffers[1][:count]
+    np.matmul(points[start:start + count], t, out=angles)
     angles *= 2 * math.pi
     # -0.0 to 0.0, as 0.0*0.0 + 2pi*phase rounds it, so no sine is -0.0
     # whichever zero numpy's sum starts from
     angles += 0.0
-    values = np.empty(len(angles), dtype=complex)
     np.cos(angles, out=values.real)
     np.sin(angles, out=values.imag)
-    return complex(values.mean())
+    return np.add.reduce(values)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ acceptance module, and holds the line to the bytes ``specpair accept``
 printed before the gate's code was last changed.
 """
 
+import tracemalloc
+
 import pytest
 
 from specpair import acceptance
@@ -34,3 +36,15 @@ def test_acceptance_criterion(criterion, expected):
     print(result.line())
     assert result.passed, result.line()
     assert result.line() == expected
+
+
+def test_separation_memory_is_bounded():
+    # the 523,776 pairs of depth-10 atoms at once took about 47 MB
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        assert acceptance.criterion_7_separation().passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 12e6

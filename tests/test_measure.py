@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -129,6 +130,21 @@ def test_integrate_exponential_values(scale4):
     assert abs(sp.integrate_exponential(two, 1)) < 1e-15
     one = sp.refine_measure(ifs, 1)
     assert abs(sp.integrate_exponential(one, 2) - 1.0) < 1e-15
+
+
+def test_integrate_exponential_memory_is_one_block(scale4):
+    # 2^20 atoms; the whole-array kernel allocated 24 bytes per atom, 25 MB
+    measure = sp.refine_measure(sp.build_ifs(scale4.system), 20)
+    assert measure.count == 1 << 20
+    tracemalloc.start()
+    try:
+        sp.integrate_exponential(measure, 0.3)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    # the buffers go with the call, not with a later garbage collection
+    assert left < 1e5
 
 
 def test_self_similarity_identity_small(scale4):

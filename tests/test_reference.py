@@ -27,9 +27,12 @@ is checked by ``independent_verdict``.
 The batched float product ``mu_hat_values`` is held to the scalar float
 loop it replaced (``oracle_float_*``), value by value, every sign of zero
 included.  The quadrature kernel ``integrate_exponential``, which writes
-(cos, sin) of real angles into one complex array, and the quadrature
-backend of ``mu_hat_values`` are held bit for bit to the mean of the
-complex exponential (``oracle_integrate_exponential``).
+(cos, sin) of real angles into a complex buffer one block of atoms at a
+time and adds the blocks' sums as numpy's pairwise sum splits, and the
+quadrature backend of ``mu_hat_values`` are held bit for bit to the mean
+of the complex exponential over the whole array
+(``oracle_integrate_exponential``), at counts on either side of every
+split boundary.
 
 The batched tiling sampler is held to the one-point-at-a-time loop it
 replaced (``OracleCover``, ``oracle_tiling_bad``): the same seed must give
@@ -651,7 +654,7 @@ def oracle_integrate_exponential(measure_, t):
 QUADRATURE_CASES = [
     ("scale4", 0), ("scale4", 1), ("scale4", 12), ("scale4", 20),
     ("scale4x2", 6), ("scale4x2", 10), ("middlethird", 12),
-    ("shear3", 5), ("tri2", 10), ("n3", 10),
+    ("shear3", 5), ("tri2", 10), ("tri2", 11), ("n3", 10),
 ]
 
 
@@ -680,6 +683,28 @@ def test_quadrature_matches_complex_exp_oracle(name, depth):
     settings_ = TransformSettings(backend="quadrature", quadrature_depth=depth)
     assert_same_values(sp.mu_hat_values(system, points, settings_).tolist(), want)
     assert_same_values([mu_hat_value(system, t, settings_) for t in points[:3]], want[:3])
+
+
+# counts either side of numpy's 8-way unroll, its 64-atom pairwise leaf and
+# its split, and of the quadrature block; 3^11 and the prime 131,101 are
+# odd counts above the block, split unevenly more than once
+BLOCK = measure.QUADRATURE_BLOCK
+BLOCK_COUNTS = [1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129,
+                BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 8, 2 * BLOCK + 5, 3**11, 131_101]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_quadrature_blocks_match_complex_exp_oracle(count, dim):
+    rng = np.random.default_rng(count * 10 + dim)
+    points = rng.uniform(-2, 2, (count, dim))
+    points.setflags(write=False)
+    measure_ = measure.DiscreteMeasure(depth=0, base=1, points=points, weight=1.0 / count)
+    ts = [(0.0,) * dim, (-0.0,) * dim, (1e6,) * dim] + [
+        tuple(t) for t in rng.uniform(-50, 50, (3, dim)).tolist()]
+    assert_same_values([sp.integrate_exponential(measure_, np.array(t)) for t in ts],
+                       [oracle_integrate_exponential(measure_, t) for t in ts])
+
 
 def scalar_witnesses(system, x, y, radius):
     """separation_witness per pair, as the index separation_witnesses reports."""
