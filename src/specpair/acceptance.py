@@ -19,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import Lattice, dual_lattice, validate_simple_factor
-from .measure import build_ifs, integrate_exponential, refine_measure, separation_witnesses
+from .measure import (SEPARATION_CHUNK, build_ifs, integrate_exponential, refine_measure,
+                      separation_witnesses)
 from .operators import classify_measure, relation_residuals, state_eval
 from .pair import tiling_check
 from .specfile import document_from, parse_document, parse_spec
@@ -49,8 +50,6 @@ GOLDEN_SIGMA = {
 # of magnitude of slack without hiding real regressions.
 SIGMA_CALIBRATION_TOLERANCE = 1e-6
 SIGMA_ORACLE_TOLERANCE = 1e-9
-# most atom pairs criterion 7 hands separation_witnesses at once
-SEPARATION_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -134,15 +133,17 @@ def criterion_3_functional_equation() -> CriterionResult:
     """Transform functional equation on seeded points, both backends."""
     system = _scale4().system
     rng = np.random.default_rng(SEED)
-    points = rng.uniform(-8.0, 8.0, 100)
+    points = [(t,) for t in rng.uniform(-8.0, 8.0, 100).tolist()]
+    pushed = [system.push(t) for t in points]
+    masks = [mask(system, s) for s in pushed]
     quad = TransformSettings(backend="quadrature", quadrature_depth=12)
     prod = TransformSettings(backend="product", product_depth=30)
     worst = []
     for settings in (quad, prod):
-        pushed = mu_hat_values(system, 4.0 * points[:, None], settings).tolist()
-        values = mu_hat_values(system, points[:, None], settings).tolist()
-        worst.append(max(abs(left - mask(system, 4.0 * t) * right)
-                         for t, left, right in zip(points, pushed, values)))
+        lefts = mu_hat_values(system, pushed, settings).tolist()
+        rights = mu_hat_values(system, points, settings).tolist()
+        worst.append(max(abs(left - factor * right)
+                         for left, factor, right in zip(lefts, masks, rights)))
     worst_quad, worst_prod = worst
     passed = worst_quad < 1e-5 and worst_prod < 1e-13
     return CriterionResult(
@@ -217,7 +218,7 @@ def criterion_7_separation() -> CriterionResult:
     system = _scale4().system
     atoms = refine_measure(build_ifs(system), 10).points
     n = len(atoms)
-    rows = SEPARATION_PAIRS // (n - 1)
+    rows = SEPARATION_CHUNK // (n - 1)
     pairs = bad = 0
     # every unordered pair once, in np.triu_indices order, a block of rows
     # at a time: the pairs (i, j) with start <= i < start + rows and j > i
@@ -303,7 +304,8 @@ def criterion_10_property_sweep() -> CriterionResult:
             if abs(value) > 1 + 1e-12:
                 problems.append(f"{label}: |transform| exceeds 1 at t={t}")
     for u in range(-32, 33):
-        gap = abs(mu_hat_value(system, 4 * u, prod) - mu_hat_value(system, u, prod))
+        gap = abs(mu_hat_value(system, system.push((u,)), prod)
+                  - mu_hat_value(system, u, prod))
         if gap > 1e-9:
             problems.append(f"dual invariance fails at u={u}: {gap:.3e}")
     lattices = [

@@ -87,9 +87,6 @@ class BoxUnion:
     def translate(self, v) -> "BoxUnion":
         return BoxUnion(tuple(b.translate(v) for b in self.boxes))
 
-    def contains_point(self, x: Sequence[float]) -> bool:
-        return any(b.contains_point(x) for b in self.boxes)
-
 
 def first_overlap(boxes: Sequence[Box]) -> tuple[Box, Box] | None:
     """The first pair of boxes, in itertools.combinations order, that

@@ -154,11 +154,6 @@ def _gauss_jordan(m: Matrix) -> tuple[Fraction, Matrix] | None:
     return determinant, tuple(tuple(row[n:]) for row in a)
 
 
-def det(m: Matrix) -> Fraction:
-    eliminated = _gauss_jordan(m)
-    return Fraction(0) if eliminated is None else eliminated[0]
-
-
 def characteristic_polynomial(m: Matrix) -> list[Fraction]:
     """Coefficients of det(x I - m), ascending, by Faddeev-LeVerrier:
     M_k = m M_{k-1} + c_{d-k+1} I  and  c_{d-k} = -tr(m M_k) / k."""

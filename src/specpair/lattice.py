@@ -151,11 +151,6 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _map_point(m: Matrix, m_float, s) -> tuple:
-    """m s, through the float copy of m when s is a float point."""
-    return exact.mat_vec(m_float if isinstance(s[0], float) else m, s)
-
-
 @dataclass(frozen=True)
 class SimpleFactor:
     """The full datum behind a lattice spectral pair.
@@ -228,9 +223,9 @@ class SimpleFactor:
         return exact.transpose(self.E_inverse)
 
     @cached_property
-    def _float_maps(self) -> tuple:
-        return (exact.matrix_to_floats(self.E_transpose),
-                exact.matrix_to_floats(self.E_transpose_inverse))
+    def _float_pull(self) -> tuple:
+        """(E^T)^{-1} as floats, for the numpy kernels."""
+        return exact.matrix_to_floats(self.E_transpose_inverse)
 
     @cached_property
     def _float_digits(self) -> np.ndarray:
@@ -249,12 +244,13 @@ class SimpleFactor:
 
     def push(self, s) -> tuple:
         """E^T s for a point from exact.as_point, keeping its kind: exact
-        stays exact, floats stay floats."""
-        return _map_point(self.E_transpose, self._float_maps[0], s)
+        stays exact, and a float point gets floats, since Fraction * float
+        is float(Fraction) * float."""
+        return exact.mat_vec(self.E_transpose, s)
 
     def pull(self, s) -> tuple:
         """(E^T)^{-1} s, the inverse of push, keeping the point's kind."""
-        return _map_point(self.E_transpose_inverse, self._float_maps[1], s)
+        return exact.mat_vec(self.E_transpose_inverse, s)
 
     @cached_property
     def K_dual(self) -> Lattice:

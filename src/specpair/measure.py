@@ -42,8 +42,9 @@ ATOM_BUDGET = 1 << 24
 QUADRATURE_BLOCK = 1 << 16
 # a pairing farther than this from every integer separates two float atoms
 SEPARATION_TOLERANCE = 1e-9
-# pairs whose pairings separation_witnesses evaluates at once
-SEPARATION_CHUNK = 1 << 20
+# pairs whose pairings separation_witnesses evaluates at once, and the
+# most pairs criterion 7 hands it in one call
+SEPARATION_CHUNK = 1 << 16
 # concrete types ahead of the ABC, whose isinstance check is several times slower
 _SCALARS = (float, int, Fraction, numbers.Number)
 
@@ -112,14 +113,19 @@ def refine_measure(system: SimpleFactor, depth: int) -> DiscreteMeasure:
         raise DepthTooLarge(
             f"{system.N}^{depth} atoms exceed the budget of {ATOM_BUDGET}"
         )
+    digits = system._float_digits
     points = np.zeros((1, system.dim))
     # rows times (E^{-1})^T, which is the pull (E^T)^{-1}
-    pull = np.array(system._float_maps[1])
+    pull = np.array(system._float_pull)
     for _ in range(depth):
-        contracted = points @ pull
-        points = (
-            system._float_digits[:, None, :] + contracted[None, :, :]
-        ).reshape(-1, system.dim)
+        # image k of atom i is digit k + contracted atom i; the contracted
+        # atoms go into block 0 and digit 0 is added there last, so only
+        # the parent atoms and their images are held
+        images = np.empty((system.N, len(points), system.dim))
+        np.matmul(points, pull, out=images[0])
+        np.add(digits[1:, None, :], images[0], out=images[1:])
+        images[0] += digits[0]
+        points = images.reshape(-1, system.dim)
     points.setflags(write=False)
     return DiscreteMeasure(
         depth=depth, base=system.N, points=points, weight=1.0 / len(points)

@@ -166,10 +166,6 @@ class RelationReport:
     sample_count: int
     degenerate: bool
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.isometry, self.range_orthogonality, self.completeness)
-
     def failures(self) -> tuple[str, ...]:
         return _residual_failures(self)
 

@@ -81,11 +81,11 @@ def enumerate_spectrum(system: SimpleFactor, depth: int) -> SpectrumEnumeration:
     if system.N**depth > SPECTRUM_BUDGET:
         raise BudgetExceeded(f"{system.N}^{depth} frequencies exceed the budget")
     elements: list[Vector] = [exact.zero_vector(system.dim)]
-    power = exact.identity(system.dim)
+    # level k adds (E^T)^{k-1} l, the previous level's contribution pushed
+    contributions = system.freq_digits
     for level in range(1, depth + 1):
         if level > 1:
-            power = exact.mat_mul(system.E_transpose, power)
-        contributions = [exact.mat_vec(power, l) for l in system.freq_digits]
+            contributions = [system.push(c) for c in contributions]
         elements = [
             exact.vec_add(base, c) for base in elements for c in contributions
         ]

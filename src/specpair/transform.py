@@ -78,19 +78,19 @@ def check_product_depth(depth: int) -> None:
         raise BudgetExceeded(f"product depth {depth} outside [1, {MAX_PRODUCT_DEPTH}]")
 
 
+# mask is the product truncated after its first factor
+_MASK = TransformSettings(product_depth=1)
+
+
 def mask(system: SimpleFactor, t) -> complex:
-    """The digit mask (1/N) sum_b e^{i 2 pi b.t}.
+    """The digit mask (1/N) sum_b e^{i 2 pi b.t}: the depth-1 product.
 
     mask(0) = 1.  At rational ``t`` the value is pinned exactly when it
     is a structural 1 (all phases integral) or a structural 0 (the root
     of unity sum vanishes in its cyclotomic field).  A float ``t`` is the
     depth-1 float product on a batch of one.
     """
-    point, is_exact = exact.as_point(t, system.dim)
-    if is_exact:
-        return _exact_product(system, point, 1)
-    re, im = _float_product(system, np.array([point]), 1)
-    return complex(re[0], im[0])
+    return mu_hat_value(system, t, _MASK)
 
 
 def _exact_product(system: SimpleFactor, freq: tuple, depth: int) -> complex:
@@ -163,7 +163,7 @@ def _float_product(
     the ``0.0``.  A row whose factor is an exact zero is 0j, the scalar
     loop's early exit.
     """
-    digits, pull = system._float_digits, system._float_maps[1]
+    digits, pull = system._float_digits, system._float_pull
     columns = list(points.T)
     re = np.ones(len(points))
     im = np.zeros(len(points))

@@ -37,7 +37,7 @@ def test_singular_basis_rejected():
 
 def det_index(r) -> int:
     """The index |det R| of the sublattice an inclusion matrix R gives."""
-    return abs(int(exact.det(exact.as_matrix(r))))
+    return abs(int(sp.Lattice(r).det))
 
 
 def test_inclusion_matrix_examples():

@@ -147,6 +147,20 @@ def test_integrate_exponential_memory_is_one_block(scale4):
     assert left < 1e5
 
 
+def test_refinement_holds_the_parent_and_its_images(scale4x2):
+    # 4^10 atoms (16 MiB): the parent (4 MiB) and its images are all a
+    # step holds; a third array of contracted atoms made it 24 MiB
+    ifs = sp.build_ifs(scale4x2.system)
+    tracemalloc.start()
+    try:
+        measure = sp.refine_measure(ifs, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert measure.count == 1 << 20
+    assert peak < 1.3 * measure.points.nbytes
+
+
 def test_self_similarity_identity_small(scale4):
     system = scale4.system
     ifs = sp.build_ifs(system)

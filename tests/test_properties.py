@@ -54,7 +54,7 @@ def test_scaled_family_round_trips(c):
 @given(st.lists(small_fractions, min_size=4, max_size=4))
 def test_dual_involution_random(entries):
     matrix = exact.as_matrix([entries[:2], entries[2:]])
-    assume(exact.det(matrix) != 0)
+    assume(exact._gauss_jordan(matrix) is not None)
     lat = sp.Lattice(matrix)
     assert sp.dual_lattice(sp.dual_lattice(lat)).basis == lat.basis
 
@@ -63,7 +63,7 @@ def test_dual_involution_random(entries):
        st.lists(st.integers(-20, 20), min_size=2, max_size=2))
 def test_dual_pairing_is_integral(entries, coeffs):
     matrix = exact.as_matrix([entries[:2], entries[2:]])
-    assume(exact.det(matrix) != 0)
+    assume(exact._gauss_jordan(matrix) is not None)
     lat = sp.Lattice(matrix)
     dual = sp.dual_lattice(lat)
     point = exact.mat_vec(lat.basis, tuple(F(c) for c in coeffs))

@@ -34,6 +34,12 @@ of the complex exponential over the whole array
 (``oracle_integrate_exponential``), at counts on either side of every
 split boundary.
 
+``push`` and ``pull``, which read the exact E^T and (E^T)^-1 for every
+kind of point, are held at float points to the float copy of the matrix
+they once kept (``oracle_float_map``), and the refinement, which writes
+each step's images into one array, to the broadcast it replaced
+(``oracle_refine_measure``), atom by atom.
+
 The batched tiling sampler is held to the one-point-at-a-time loop it
 replaced (``OracleCover``, ``oracle_tiling_bad``): the same seed must give
 the same bad count, detail, verdict and failure bound.  Translation
@@ -643,6 +649,35 @@ def test_float_consumers_match_scalar_oracle(monkeypatch):
     assert_same_values([probe.value], [values[4]])
 
 
+def oracle_float_map(m, s):
+    """push and pull as they were at a float point: m s through a float
+    copy of the exact matrix m."""
+    return exact.mat_vec(exact.matrix_to_floats(m), s)
+
+
+@pytest.mark.parametrize("name", sorted(CONSUMER_SYSTEMS))
+def test_push_pull_match_float_matrix_oracle(name):
+    """push and pull read the exact E^T and (E^T)^-1 for every kind of
+    point; at a float point that is the float matrix, bit for bit."""
+    system = CONSUMER_SYSTEMS[name]
+    dim = system.dim
+    rng = np.random.default_rng(20261019)
+    pinned = [(0.0,) * dim, (-0.0,) * dim, (1e6,) * dim, (-1e6,) * dim,
+              (-0.0, 1e6, 0.0)[:dim], (0.1, -0.0, -1e6 + 0.5)[:dim]]
+    drawn = np.concatenate((rng.uniform(-8, 8, (100, dim)),
+                            rng.uniform(-1e6, 1e6, (50, dim)),
+                            1e6 + rng.normal(0, 1, (50, dim))))
+    for point in pinned + [tuple(p) for p in drawn.tolist()]:
+        assert repr(system.push(point)) == repr(oracle_float_map(system.E_transpose, point))
+        assert repr(system.pull(point)) == repr(
+            oracle_float_map(system.E_transpose_inverse, point))
+    for den in (1, 3, 7, 1024):
+        point = tuple(Fraction(k - 2 * dim, den) for k in range(dim))
+        pushed, pulled = system.push(point), system.pull(point)
+        assert all(type(c) is Fraction for c in pushed + pulled)
+        assert system.pull(pushed) == point == system.push(pulled)
+
+
 def oracle_integrate_exponential(measure_, t):
     """The quadrature kernel as a complex exponential: the mean of
     e^{i 2 pi t.x} over the atoms, one complex array."""
@@ -704,6 +739,33 @@ def test_quadrature_blocks_match_complex_exp_oracle(count, dim):
         tuple(t) for t in rng.uniform(-50, 50, (3, dim)).tolist()]
     assert_same_values([sp.integrate_exponential(measure_, np.array(t)) for t in ts],
                        [oracle_integrate_exponential(measure_, t) for t in ts])
+
+
+def oracle_refine_measure(system, depth):
+    """The refinement as it stood with a third array per step: the
+    contracted atoms, then every digit added to them by broadcasting."""
+    points = np.zeros((1, system.dim))
+    pull = np.array(exact.matrix_to_floats(system.E_transpose_inverse))
+    digits = np.array(exact.matrix_to_floats(system.digits)).reshape(system.N, system.dim)
+    for _ in range(depth):
+        contracted = points @ pull
+        points = (
+            digits[:, None, :] + contracted[None, :, :]
+        ).reshape(-1, system.dim)
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(CONSUMER_SYSTEMS))
+def test_refinement_matches_broadcast_oracle(name):
+    """Atom by atom, every sign of zero included, at every depth up to
+    about 2^16 atoms."""
+    system = CONSUMER_SYSTEMS[name]
+    depth = 0
+    while system.N ** depth <= 1 << 16:
+        got = sp.refine_measure(sp.build_ifs(system), depth).points
+        want = oracle_refine_measure(system, depth)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        depth += 1
 
 
 def scalar_witnesses(system, x, y, radius):
@@ -1108,9 +1170,9 @@ def test_membership_matches_subtraction_oracle(name, omega, shift):
 def oracle_coset_representatives(sub, sup):
     """The lexicographically first member of each class of sup/sub in
     [0, index)^d, found by scanning that box in lexicographic order."""
-    r = exact.as_matrix(sp.inclusion_matrix(sub, sup))
-    index = abs(int(exact.det(r)))
-    mt_inv = sp.Lattice(exact.transpose(r)).inverse
+    rt = sp.Lattice(exact.transpose(sp.inclusion_matrix(sub, sup)))
+    index = abs(int(rt.det))
+    mt_inv = rt.inverse
     seen = {}
     for z in itertools.product(range(index), repeat=sup.dim):
         coords = exact.mat_vec(mt_inv, tuple(Fraction(c) for c in z))
@@ -1122,6 +1184,12 @@ def oracle_coset_representatives(sub, sup):
     return tuple(seen.values())
 
 
+def _det(m):
+    """The determinant of a square matrix, 0 when it is singular."""
+    eliminated = exact._gauss_jordan(exact.as_matrix(m))
+    return 0 if eliminated is None else eliminated[0]
+
+
 @st.composite
 def sublattice_pairs(draw):
     """(sub, sup): a rational basis of dimension 1 to 3 and the sublattice
@@ -1129,10 +1197,9 @@ def sublattice_pairs(draw):
     d = draw(st.integers(1, 3))
     entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
     square = st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d)
-    sup = draw(square.filter(lambda m: exact.det(exact.as_matrix(m)) != 0))
+    sup = draw(square.filter(lambda m: _det(m) != 0))
     r = draw(st.lists(st.lists(st.integers(-5, 5), min_size=d, max_size=d),
-                      min_size=d, max_size=d).filter(
-        lambda m: 0 < abs(exact.det(exact.as_matrix(m))) <= 60))
+                      min_size=d, max_size=d).filter(lambda m: 0 < abs(_det(m)) <= 60))
     sup = sp.Lattice(sup)
     return sp.Lattice(exact.mat_mul(sup.basis, exact.transpose(exact.as_matrix(r)))), sup
 
@@ -1146,8 +1213,7 @@ def test_coset_representatives_match_scan_oracle(pair_):
     assert all(type(c) is Fraction for v in reps for c in v)
     # the index read off the two determinants is the number of classes and
     # |det R|, R the inclusion matrix
-    r = exact.as_matrix(sp.inclusion_matrix(sub, sup))
-    assert len(reps) == abs(sub.det / sup.det) == abs(exact.det(r))
+    assert len(reps) == abs(sub.det / sup.det) == abs(_det(sp.inclusion_matrix(sub, sup)))
     # sameness is mutual containment, in either order
     for a, b in ((sub, sup), (sup, sub)):
         mutual = all(b.contains(g) for g in a.generators) and all(

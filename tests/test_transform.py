@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from specpair import transform
 from specpair.cyclotomic import residue_sum_is_zero
 from specpair.measure import build_ifs, integrate_exponential, refine_measure
 from specpair.transform import TransformSettings
+
+DATA = Path(__file__).with_name("data")
 
 
 def test_mask_values(scale4):
@@ -68,6 +71,15 @@ def test_functional_equation_residual(scale4):
     prod = TransformSettings(product_depth=30)
     for t in (0.3, 1.9, -5.2):
         assert sp.functional_equation_residual(system, t, prod) < 1e-13
+
+
+@pytest.mark.parametrize("name", ["shear3", "scale4x2_sheared"])
+def test_functional_equation_on_sheared_data(name):
+    # E^T differs from E only off the diagonal, where a shear puts entries
+    system = sp.parse_spec(DATA / f"{name}.json").system
+    prod = TransformSettings(product_depth=30)
+    for t in ((0.3, -1.1, 2.6), (F(1, 3), F(-2, 5), F(7, 2)), (0.0, 1.7, -0.4)):
+        assert sp.functional_equation_residual(system, t[:system.dim], prod) < 1e-13
 
 
 def test_hermitian_symmetry_and_bound(scale4):
