@@ -40,6 +40,7 @@ from .measure import (
     NoWitness,
     build_ifs,
     integrate_exponential,
+    integrate_exponentials,
     refine_measure,
     separation_witness,
     separation_witnesses,
@@ -112,7 +113,8 @@ __all__ = [
     "coset_representatives", "document_from", "dual_lattice", "dumps_spec",
     "emit_table", "enumerate_spectrum", "frequency_map",
     "functional_equation_residual", "inclusion_matrix",
-    "indicator_transform", "integrate_exponential", "mask",
+    "indicator_transform", "integrate_exponential", "integrate_exponentials",
+    "mask",
     "maximality_probe", "mu_hat_value", "mu_hat_values", "orthogonality_matrix",
     "parse_document", "parse_spec", "reduce_mod_lattice", "refine_measure",
     "relation_residuals", "render_table",

@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import Lattice, dual_lattice, validate_simple_factor
-from .measure import (SEPARATION_CHUNK, build_ifs, integrate_exponential, refine_measure,
-                      separation_witnesses)
+from .measure import (SEPARATION_CHUNK, build_ifs, integrate_exponentials,
+                      refine_measure, separation_witnesses)
 from .operators import classify_measure, relation_residuals, state_eval
 from .pair import tiling_check
 from .specfile import document_from, parse_document, parse_spec
@@ -273,14 +273,14 @@ def criterion_9_self_similarity() -> CriterionResult:
         ifs = build_ifs(system)
         freqs = [tuple(t) for t in rng.uniform(-8.0, 8.0, size=(20, system.dim))]
         masks = [mask(system, t) for t in freqs]
-        previous = refine_measure(ifs, 0)
+        pulled = np.array([system.pull(t) for t in freqs], dtype=float)
         for depth in range(1, 11):
-            current = refine_measure(ifs, depth)
-            for t, factor in zip(freqs, masks):
-                lhs = integrate_exponential(current, t)
-                rhs = factor * integrate_exponential(previous, system.pull(t))
-                worst = max(worst, abs(lhs - rhs))
-            previous = current
+            # the depth d-1 measure goes before depth d is refined, so one
+            # refinement is held at a time
+            rhs = integrate_exponentials(refine_measure(ifs, depth - 1), pulled).tolist()
+            lhs = integrate_exponentials(refine_measure(ifs, depth), freqs).tolist()
+            for a, factor, b in zip(lhs, masks, rhs):
+                worst = max(worst, abs(a - factor * b))
     return CriterionResult(
         9, "refinement self-similarity identity",
         worst < 1e-12,

@@ -16,13 +16,17 @@ block splits into (c - c % 8) // 2 atoms and the rest.  So a call holds
 24 bytes per atom of one block, and the sum is numpy's over the whole
 array; tests/test_reference.py holds it to values.mean() at counts on
 either side of every split.  The frequencies are not stacked into one
-matrix product, which rounds the angles of 2-D atoms differently.
+matrix product, which rounds the angles of 2-D atoms differently; they
+are spread over the CPUs the process may run on as contiguous chunks of
+rows, one thread per chunk, and each value keeps its bits.  One row runs
+inline, in the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +40,7 @@ from .lattice import SimpleFactor, is_expansive, lattice_points_in_box
 
 # most atoms one refinement may hold, checked before it builds any
 ATOM_BUDGET = 1 << 24
-# most atoms integrate_exponential holds angles and (cos, sin) values for
+# most atoms integrate_exponentials holds angles and (cos, sin) values for
 # at once; at least the 64 atoms of numpy's pairwise leaf, so numpy splits
 # every longer run as the kernel does
 QUADRATURE_BLOCK = 1 << 16
@@ -136,10 +140,20 @@ def integrate_exponential(measure: DiscreteMeasure, t) -> complex:
     """The quadrature value of the transform: mean of e^{i 2 pi t.x}.
 
     ``t`` is a point as exact.as_point reads it, or a float array of
-    length d, which skips that coercion (mu_hat_values passes its rows
-    so); a non-finite entry raises NonFinitePoint either way.
+    length d, which skips that coercion; a non-finite entry raises
+    NonFinitePoint either way.  The value is integrate_exponentials' at
+    the one row ``t``.
+    """
+    if not isinstance(t, np.ndarray):
+        t = np.array(exact.as_point(t, measure.dim)[0], dtype=float)
+    return complex(integrate_exponentials(measure, t[None])[0])
 
-    Bit for bit this is complex(np.exp(2j * np.pi * (points @ t)).mean()):
+
+def integrate_exponentials(measure: DiscreteMeasure, rows) -> np.ndarray:
+    """integrate_exponential at every row of an (M, d) float array, as M
+    complex values in row order.
+
+    Bit for bit each value is complex(np.exp(2j * np.pi * (points @ t)).mean()):
     the imaginary part of 2j*pi*phase is 0.0*0.0 + 2pi*phase and its real
     part is a zero, so the complex exponential is (cos, sin) of that
     angle.  The atoms go in leaves of at most QUADRATURE_BLOCK through
@@ -153,17 +167,77 @@ def integrate_exponential(measure: DiscreteMeasure, t) -> complex:
     tests/test_reference.py::test_quadrature_matches_complex_exp_oracle
     and ::test_quadrature_blocks_match_complex_exp_oracle hold it to that
     formula on either side of every split.
+
+    The rows are cut into one contiguous chunk per CPU the process may
+    run on; the calling thread computes the first and a pool of worker
+    threads the rest (numpy releases the GIL in the gemv, cos, sin and
+    sum), each chunk with its own two buffers.  Every value is made by
+    the same operations whichever thread makes it.  One chunk -- one row,
+    or one CPU -- runs inline, with no thread.  Raises ValueError on
+    another shape and NonFinitePoint on a NaN or infinite entry, before
+    any work starts.
     """
-    if not isinstance(t, np.ndarray):
-        t = np.array(exact.as_point(t, measure.dim)[0], dtype=float)
-    elif not all(map(math.isfinite, t)):
-        raise NonFinitePoint(f"point {t!r} has a non-finite entry")
-    block = min(measure.count, QUADRATURE_BLOCK)
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != measure.dim:
+        raise ValueError(f"expected an (M, {measure.dim}) array of points")
+    if not np.isfinite(rows).all():
+        raise NonFinitePoint("some point has a non-finite entry")
+    chunks = min(_cpu_count(), len(rows))
+    if chunks <= 1:
+        return _exponential_means(measure.points, rows)
+    bounds = [len(rows) * k // chunks for k in range(chunks + 1)]
+    pool = _worker_pool(chunks - 1)
+    futures = [pool.submit(_exponential_means, measure.points, rows[a:b])
+               for a, b in zip(bounds[1:-1], bounds[2:])]
+    first = _exponential_means(measure.points, rows[:bounds[1]])
+    return np.concatenate([first] + [future.result() for future in futures])
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# integrate_exponentials' worker threads, made by the first batch that
+# needs them, so importing the package starts no thread
+_pool = None
+
+
+def _worker_pool(workers: int):
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(workers, thread_name_prefix="specpair-quadrature")
+    return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads; a pool it inherited
+    # would take work and never run it
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _exponential_means(points, rows) -> np.ndarray:
+    """The mean of e^{i 2 pi t.x} over the points for each row t, through
+    one angle buffer and one complex buffer; the only function the worker
+    threads run."""
+    count = len(points)
+    block = min(count, QUADRATURE_BLOCK)
     # passed down, not closed over: a recursive closure is a reference
     # cycle, which would keep the buffers alive until a garbage collection
     buffers = np.empty(block), np.empty(block, dtype=complex)
-    total = _exponential_sum(measure.points, t, buffers, 0, measure.count)
-    return complex(total / measure.count)
+    means = np.empty(len(rows), dtype=complex)
+    for i, t in enumerate(rows):
+        means[i] = _exponential_sum(points, t, buffers, 0, count) / count
+    return means
 
 
 def _exponential_sum(points, t, buffers, start: int, count: int) -> np.complex128:

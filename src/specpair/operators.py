@@ -44,7 +44,7 @@ from .lattice import (
     lattice_points_in_box,
     same_lattice,
 )
-from .measure import DiscreteMeasure, integrate_exponential
+from .measure import DiscreteMeasure, integrate_exponentials
 from .transform import (
     TransformSettings,
     _cached_measure,
@@ -314,6 +314,10 @@ def classify_measure(
         expansive_check(e),
     ]
 
+    def transforms(points):
+        rows = np.array(list(points), dtype=float).reshape(-1, measure.dim)
+        return integrate_exponentials(measure, rows).tolist()
+
     def digit_masks(points):
         points = list(points)
         phases = np.array([[float(exact.dot(b, s)) for s in points] for b in digits])
@@ -324,7 +328,7 @@ def classify_measure(
         samples,
         partial(exact.mat_vec, exact.transpose(e)),
         freq_digits,
-        lambda points: [integrate_exponential(measure, p) for p in points],
+        transforms,
         None if digits is None else digit_masks,
     )
     return ConsistencyReport(

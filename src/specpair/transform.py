@@ -47,7 +47,7 @@ from . import exact
 from .cyclotomic import in_open_half_circle, residue_sum_is_zero
 from .errors import BudgetExceeded, NonFinitePoint
 from .lattice import SimpleFactor
-from .measure import DiscreteMeasure, build_ifs, integrate_exponential, refine_measure
+from .measure import DiscreteMeasure, build_ifs, integrate_exponentials, refine_measure
 
 MAX_PRODUCT_DEPTH = 200
 # rows per numpy pass in mu_hat_values and _exact_products; bounds the
@@ -267,8 +267,9 @@ def mu_hat_values(
 
     Each value is bit for bit the one mu_hat_value gives at that row as a
     float point; the product runs CHUNK_ROWS rows per numpy pass and
-    the quadrature backend integrates row by row.  Raises ValueError on
-    another shape and NonFinitePoint on a NaN or infinite entry.
+    the quadrature backend hands every row to integrate_exponentials.
+    Raises ValueError on another shape and NonFinitePoint on a NaN or
+    infinite entry.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != system.dim:
@@ -276,9 +277,8 @@ def mu_hat_values(
     if not np.isfinite(points).all():
         raise NonFinitePoint("some point has a non-finite entry")
     if settings.backend == "quadrature":
-        measure = _cached_measure(system, settings.quadrature_depth)
-        return np.array([integrate_exponential(measure, p) for p in points],
-                        dtype=complex)
+        return integrate_exponentials(
+            _cached_measure(system, settings.quadrature_depth), points)
     values = np.empty(len(points), dtype=complex)
     for start in range(0, len(points), CHUNK_ROWS):
         chunk = slice(start, start + CHUNK_ROWS)

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import tracemalloc
 from fractions import Fraction as F
 
@@ -145,6 +146,67 @@ def test_integrate_exponential_memory_is_one_block(scale4):
     assert peak < 4e6
     # the buffers go with the call, not with a later garbage collection
     assert left < 1e5
+
+
+def test_quadrature_batch_memory_is_one_block_per_chunk(scale4, monkeypatch):
+    # 2^20 atoms in three chunks: each holds its own two buffers of one block
+    ifs = sp.build_ifs(scale4.system)
+    measure = sp.refine_measure(ifs, 20)
+    cpus = 3
+    monkeypatch.setattr(sp.measure, "_cpu_count", lambda: cpus)
+    # the first batch that needs the pool imports concurrent.futures and
+    # makes it, once in a process; that stays, but is no buffer
+    sp.integrate_exponentials(sp.refine_measure(ifs, 1), [[0.0], [1.0]])
+    tracemalloc.start()
+    try:
+        values = sp.integrate_exponentials(measure, np.linspace(-3, 3, 8)[:, None])
+        del values
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cpus * 4e6
+    assert left < 1e5
+
+
+def test_quadrature_batch_checks_every_row_before_any_work(scale4, monkeypatch):
+    measure = sp.refine_measure(sp.build_ifs(scale4.system), 4)
+    calls = []
+    monkeypatch.setattr(sp.measure, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sp.measure, "_exponential_means",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(sp.measure, "_worker_pool",
+                        lambda workers: pytest.fail("a worker was asked for"))
+    with pytest.raises(sp.NonFinitePoint):
+        sp.integrate_exponentials(measure, [[0.5], [1.0], [float("nan")]])
+    assert calls == []
+
+
+def _batch_in_child(measure, rows, connection):
+    connection.send_bytes(sp.integrate_exponentials(measure, rows).tobytes())
+
+
+def test_quadrature_batch_runs_in_a_forked_child(scale4, monkeypatch):
+    """A child forked after the parent made its worker pool makes its own;
+    the parent's threads do not exist in the child."""
+    measure = sp.refine_measure(sp.build_ifs(scale4.system), 10)
+    rows = np.linspace(-3, 3, 8)[:, None]
+    monkeypatch.setattr(sp.measure, "_cpu_count", lambda: 2)
+    want = sp.integrate_exponentials(measure, rows).tobytes()
+    assert sp.measure._pool is not None
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=_batch_in_child, args=(measure, rows, writer))
+    child.start()
+    try:
+        assert reader.poll(60), "the child's batch did not return"
+        assert reader.recv_bytes() == want
+        child.join(60)
+        assert not child.is_alive()
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
 
 
 def test_refinement_holds_the_parent_and_its_images(scale4x2):

@@ -32,7 +32,8 @@ time and adds the blocks' sums as numpy's pairwise sum splits, and the
 quadrature backend of ``mu_hat_values`` are held bit for bit to the mean
 of the complex exponential over the whole array
 (``oracle_integrate_exponential``), at counts on either side of every
-split boundary.
+split boundary; so is the batch ``integrate_exponentials``, row by row,
+whatever number of CPUs it spreads its rows over.
 
 ``push`` and ``pull``, which read the exact E^T and (E^T)^-1 for every
 kind of point, are held at float points to the float copy of the matrix
@@ -496,6 +497,29 @@ def test_classify_measure_matches_per_sample_fold(monkeypatch, name):
         sp.classify_measure(*args)])
 
 
+@pytest.mark.parametrize("name, depth", [("scale4", None), ("tri2", 8)])
+def test_classify_measure_matches_per_point_quadrature(monkeypatch, name, depth):
+    """classify_measure's batches of quadrature rows give the report the
+    per-point integrate_exponential gave; depth None is the datum's own
+    refinement at the default quadrature depth (for tri2 that is 3^12
+    atoms, about 15 s with the oracle, so tri2 passes a depth-8 measure)."""
+    system = CONSUMER_SYSTEMS[name]
+    source = system if depth is None else sp.refine_measure(sp.build_ifs(system), depth)
+    measure_ = (transform._cached_measure(system, TransformSettings().quadrature_depth)
+                if depth is None else source)
+    args = (source, system.K, system.Gamma, system.freq_digits)
+    batched = repr(sp.classify_measure(*args, digits=system.digits))
+    fold = sp.operators._relation_maxima
+
+    def per_point(samples, push, freq_digits, transforms, masks_at):
+        return fold(samples, push, freq_digits,
+                    lambda points: [sp.integrate_exponential(measure_, p) for p in points],
+                    masks_at)
+
+    monkeypatch.setattr(sp.operators, "_relation_maxima", per_point)
+    assert batched == repr(sp.classify_measure(*args, digits=system.digits))
+
+
 coefficients = st.one_of(
     st.integers(-2, 2),
     st.fractions(min_value=-3, max_value=3, max_denominator=6),
@@ -739,6 +763,29 @@ def test_quadrature_blocks_match_complex_exp_oracle(count, dim):
         tuple(t) for t in rng.uniform(-50, 50, (3, dim)).tolist()]
     assert_same_values([sp.integrate_exponential(measure_, np.array(t)) for t in ts],
                        [oracle_integrate_exponential(measure_, t) for t in ts])
+
+
+# counts either side of each split of the block test above; one to more
+# CPUs than rows, so the rows run inline, in chunks of several rows each,
+# and one row to a chunk
+@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   BLOCK + 8, 2 * BLOCK + 5, 131_101])
+def test_quadrature_batch_matches_per_row_oracle(monkeypatch, count, cpus):
+    """integrate_exponentials spread over the CPUs gives, in row order,
+    each row's complex-exponential mean and integrate_exponential's value
+    at that row, bit for bit."""
+    rng = np.random.default_rng(count)
+    points = rng.uniform(-2, 2, (count, 2))
+    points.setflags(write=False)
+    measure_ = measure.DiscreteMeasure(depth=0, base=1, points=points, weight=1.0 / count)
+    rows = np.concatenate(([(0.0, -0.0), (-0.0, 1e6)], rng.uniform(-50, 50, (9, 2))))
+    monkeypatch.setattr(measure, "_cpu_count", lambda: cpus)
+    got = measure.integrate_exponentials(measure_, rows)
+    want = np.array([oracle_integrate_exponential(measure_, t) for t in rows])
+    assert got.tobytes() == want.tobytes()
+    per_row = np.array([sp.integrate_exponential(measure_, t) for t in rows])
+    assert got.tobytes() == per_row.tobytes()
 
 
 def oracle_refine_measure(system, depth):
