@@ -274,13 +274,14 @@ def criterion_9_self_similarity() -> CriterionResult:
         freqs = [tuple(t) for t in rng.uniform(-8.0, 8.0, size=(20, system.dim))]
         masks = [mask(system, t) for t in freqs]
         pulled = np.array([system.pull(t) for t in freqs], dtype=float)
+        previous = refine_measure(ifs, 0)
         for depth in range(1, 11):
-            # the depth d-1 measure goes before depth d is refined, so one
-            # refinement is held at a time
-            rhs = integrate_exponentials(refine_measure(ifs, depth - 1), pulled).tolist()
-            lhs = integrate_exponentials(refine_measure(ifs, depth), freqs).tolist()
+            current = refine_measure(ifs, depth)
+            rhs = integrate_exponentials(previous, pulled).tolist()
+            lhs = integrate_exponentials(current, freqs).tolist()
             for a, factor, b in zip(lhs, masks, rhs):
                 worst = max(worst, abs(a - factor * b))
+            previous = current
     return CriterionResult(
         9, "refinement self-similarity identity",
         worst < 1e-12,

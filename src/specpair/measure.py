@@ -4,18 +4,26 @@ Refinement is the deterministic full tree: depth n holds one atom per
 digit word of length n, uniformly weighted.  Atoms are floats (the digit
 word is the exact representation and can be re-evaluated exactly);
 refinement and quadrature are vectorized and deterministic, so measures
-with a million atoms stay cheap.
+with a million atoms stay cheap.  A refinement holds only its core, at
+most QUADRATURE_BLOCK atoms of a smaller depth, and the maps that take
+them the rest of the way; every atom is the core atom taken through the
+maps of its prefix letters, with the float operations refinement uses,
+so it has the same bits wherever it is made.  ``points`` builds the whole
+array on demand; the quadrature never reads it, so the eight refinements
+transform._cached_measure keeps are eight cores of at most QUADRATURE_BLOCK
+atoms, 1.5 MiB each at d = 3.
 
 Quadrature is one gemv per frequency, t.x for every atom, then (cos, sin)
 of 2 pi t.x written into a complex array and summed: bit for bit the mean
 of the complex exponential, without its complex temporaries.  The atoms
-are taken in leaves of at most QUADRATURE_BLOCK, through buffers of that
+are made in leaves of at most QUADRATURE_BLOCK, through buffers of that
 size reused by every leaf, and the leaves' sums are added where numpy's
 complex pairwise sum splits the whole array: a run of c atoms above the
 block splits into (c - c % 8) // 2 atoms and the rest.  So a call holds
-24 bytes per atom of one block, and the sum is numpy's over the whole
-array; tests/test_reference.py holds it to values.mean() at counts on
-either side of every split.  The frequencies are not stacked into one
+24 bytes per atom of one block, plus two blocks of atoms when its leaves
+are made from a core, and the sum is numpy's over the whole array;
+tests/test_reference.py holds it to values.mean() at counts on either
+side of every split.  The frequencies are not stacked into one
 matrix product, which rounds the angles of 2-D atoms differently; they
 are spread over the CPUs the process may run on as contiguous chunks of
 rows, one thread per chunk, and each value keeps its bits.  One row runs
@@ -29,7 +37,7 @@ import numbers
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,11 +46,12 @@ from .errors import DepthTooLarge, IdenticalPoints, NonFinitePoint, NotExpansive
 from .exact import Vector
 from .lattice import SimpleFactor, is_expansive, lattice_points_in_box
 
-# most atoms one refinement may hold, checked before it builds any
+# most atoms one refinement may have, checked before it builds any
 ATOM_BUDGET = 1 << 24
-# most atoms integrate_exponentials holds angles and (cos, sin) values for
-# at once; at least the 64 atoms of numpy's pairwise leaf, so numpy splits
-# every longer run as the kernel does
+# most atoms a refinement's core holds, and integrate_exponentials makes
+# and holds angles and (cos, sin) values for at once; at least the 64
+# atoms of numpy's pairwise leaf, so numpy splits every longer run as the
+# kernel does
 QUADRATURE_BLOCK = 1 << 16
 # a pairing farther than this from every integer separates two float atoms
 SEPARATION_TOLERANCE = 1e-9
@@ -67,26 +76,49 @@ def build_ifs(system: SimpleFactor) -> SimpleFactor:
     return system
 
 
-@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """The depth-n refinement: one atom per digit word, uniform weights.
 
     Atom index i encodes its word in base N, most significant letter
     first, so the depth-(n-1) atoms sit at the indices divisible by N.
+
+    The measure holds its core: the atoms of its first depth - steps
+    letters, and the float pull and digits of the maps x -> E^{-1} x + b.
+    Atom p * len(core) + r is core atom r taken through the maps of the
+    letters of p, least significant letter first, as refinement takes it.
+    Built from an explicit point set, a measure is a core with no steps.
+    ``points`` builds every atom on its first read and keeps them; the
+    quadrature makes its atoms from the core, a leaf at a time.
     """
 
-    depth: int
-    base: int
-    points: np.ndarray
-    weight: float
+    def __init__(self, depth: int, base: int, points: np.ndarray, weight: float,
+                 steps: int = 0, pull: np.ndarray | None = None,
+                 digits: np.ndarray | None = None):
+        self.depth = depth
+        self.base = base
+        self.weight = weight
+        self.core = points
+        self.steps = steps
+        self.pull = pull
+        self.digits = digits
 
     @property
     def count(self) -> int:
-        return len(self.points)
+        return len(self.core) * self.base**self.steps
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1]
+        return self.core.shape[1]
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Every atom, in index order: the core, or the atoms refined from
+        it on first read."""
+        if not self.steps:
+            return self.core
+        points = _refined(self.core, self.pull, self.digits, self.steps)
+        points.setflags(write=False)
+        return points
 
     def word(self, index: int) -> tuple[int, ...]:
         """The digit-index word generating atom ``index``."""
@@ -109,7 +141,10 @@ def refine_measure(system: SimpleFactor, depth: int) -> DiscreteMeasure:
     """The depth-n discrete approximation of the invariant measure.
 
     Depth 0 is the point mass at 0; each step replaces every atom x by
-    its N images E^{-1} x + b.  Raises DepthTooLarge past ATOM_BUDGET.
+    its N images E^{-1} x + b.  The measure holds the atoms of the
+    largest depth m <= n with N^m <= QUADRATURE_BLOCK as its core, and
+    the maps for the n - m steps left.  Raises DepthTooLarge past
+    ATOM_BUDGET.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -117,23 +152,32 @@ def refine_measure(system: SimpleFactor, depth: int) -> DiscreteMeasure:
         raise DepthTooLarge(
             f"{system.N}^{depth} atoms exceed the budget of {ATOM_BUDGET}"
         )
+    core_depth = depth
+    while system.N**core_depth > QUADRATURE_BLOCK:
+        core_depth -= 1
     digits = system._float_digits
-    points = np.zeros((1, system.dim))
     # rows times (E^{-1})^T, which is the pull (E^T)^{-1}
     pull = np.array(system._float_pull)
-    for _ in range(depth):
-        # image k of atom i is digit k + contracted atom i; the contracted
-        # atoms go into block 0 and digit 0 is added there last, so only
-        # the parent atoms and their images are held
-        images = np.empty((system.N, len(points), system.dim))
+    core = _refined(np.zeros((1, system.dim)), pull, digits, core_depth)
+    core.setflags(write=False)
+    return DiscreteMeasure(depth=depth, base=system.N, points=core,
+                           weight=1.0 / system.N**depth,
+                           steps=depth - core_depth, pull=pull, digits=digits)
+
+
+def _refined(points, pull, digits, steps: int) -> np.ndarray:
+    """The atoms ``steps`` refinement steps below ``points``: image k of
+    atom i, digit k + the contracted atom, at index k * len(points) + i."""
+    dim = points.shape[1]
+    for _ in range(steps):
+        # the contracted atoms go into block 0 and digit 0 is added there
+        # last, so only the parent atoms and their images are held
+        images = np.empty((len(digits), len(points), dim))
         np.matmul(points, pull, out=images[0])
         np.add(digits[1:, None, :], images[0], out=images[1:])
         images[0] += digits[0]
-        points = images.reshape(-1, system.dim)
-    points.setflags(write=False)
-    return DiscreteMeasure(
-        depth=depth, base=system.N, points=points, weight=1.0 / len(points)
-    )
+        points = images.reshape(-1, dim)
+    return points
 
 
 def integrate_exponential(measure: DiscreteMeasure, t) -> complex:
@@ -157,8 +201,10 @@ def integrate_exponentials(measure: DiscreteMeasure, rows) -> np.ndarray:
     the imaginary part of 2j*pi*phase is 0.0*0.0 + 2pi*phase and its real
     part is a zero, so the complex exponential is (cos, sin) of that
     angle.  The atoms go in leaves of at most QUADRATURE_BLOCK through
-    one angle buffer and one complex buffer, 24 bytes per atom of a block,
-    and np.add.reduce sums each leaf as complex numbers (the real and
+    one angle buffer and one complex buffer, 24 bytes per atom of a block;
+    a leaf of a refinement is made from its core once and every row is
+    summed over it before the next leaf is made.  np.add.reduce sums each
+    leaf as complex numbers (the real and
     imaginary halves summed apart would be grouped otherwise).  Above the
     block a run of c atoms splits where numpy's complex pairwise sum
     splits its 2c scalars, after (c - c % 8) // 2 atoms, and the halves'
@@ -184,12 +230,12 @@ def integrate_exponentials(measure: DiscreteMeasure, rows) -> np.ndarray:
         raise NonFinitePoint("some point has a non-finite entry")
     chunks = min(_cpu_count(), len(rows))
     if chunks <= 1:
-        return _exponential_means(measure.points, rows)
+        return _exponential_means(measure, rows)
     bounds = [len(rows) * k // chunks for k in range(chunks + 1)]
     pool = _worker_pool(chunks - 1)
-    futures = [pool.submit(_exponential_means, measure.points, rows[a:b])
+    futures = [pool.submit(_exponential_means, measure, rows[a:b])
                for a, b in zip(bounds[1:-1], bounds[2:])]
-    first = _exponential_means(measure.points, rows[:bounds[1]])
+    first = _exponential_means(measure, rows[:bounds[1]])
     return np.concatenate([first] + [future.result() for future in futures])
 
 
@@ -225,38 +271,69 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _exponential_means(points, rows) -> np.ndarray:
-    """The mean of e^{i 2 pi t.x} over the points for each row t, through
-    one angle buffer and one complex buffer; the only function the worker
+def _exponential_means(measure: DiscreteMeasure, rows) -> np.ndarray:
+    """The mean of e^{i 2 pi t.x} over the atoms for each row t, through
+    one angle buffer, one complex buffer and, when the leaves are made
+    from the core, two atom buffers; the only function the worker
     threads run."""
-    count = len(points)
+    count = measure.count
     block = min(count, QUADRATURE_BLOCK)
+    shape = (block, measure.dim)
     # passed down, not closed over: a recursive closure is a reference
     # cycle, which would keep the buffers alive until a garbage collection
-    buffers = np.empty(block), np.empty(block, dtype=complex)
-    means = np.empty(len(rows), dtype=complex)
-    for i, t in enumerate(rows):
-        means[i] = _exponential_sum(points, t, buffers, 0, count) / count
-    return means
+    buffers = (np.empty(block), np.empty(block, dtype=complex)) + (
+        (np.empty(shape), np.empty(shape)) if measure.steps else ())
+    return _exponential_sums(measure, rows, buffers, 0, count) / count
 
 
-def _exponential_sum(points, t, buffers, start: int, count: int) -> np.complex128:
-    """numpy's pairwise sum of e^{i 2 pi t.x} over points[start:start+count],
-    split as numpy splits it down to leaves of at most QUADRATURE_BLOCK,
-    each computed in the given angle and complex buffers."""
+def _exponential_sums(measure: DiscreteMeasure, rows, buffers, start: int,
+                      count: int) -> np.ndarray:
+    """numpy's pairwise sum of e^{i 2 pi t.x} over atoms start .. start +
+    count - 1 for each row t, split as numpy splits it down to leaves of
+    at most QUADRATURE_BLOCK; each leaf's atoms are made once and every
+    row is summed over them in the given angle and complex buffers."""
     if count > QUADRATURE_BLOCK:
         half = (count - count % 8) // 2
-        return (_exponential_sum(points, t, buffers, start, half)
-                + _exponential_sum(points, t, buffers, start + half, count - half))
+        return (_exponential_sums(measure, rows, buffers, start, half)
+                + _exponential_sums(measure, rows, buffers, start + half, count - half))
+    atoms = _leaf_atoms(measure, buffers[2:], start, count)
     angles, values = buffers[0][:count], buffers[1][:count]
-    np.matmul(points[start:start + count], t, out=angles)
-    angles *= 2 * math.pi
-    # -0.0 to 0.0, as 0.0*0.0 + 2pi*phase rounds it, so no sine is -0.0
-    # whichever zero numpy's sum starts from
-    angles += 0.0
-    np.cos(angles, out=values.real)
-    np.sin(angles, out=values.imag)
-    return np.add.reduce(values)
+    sums = np.empty(len(rows), dtype=complex)
+    for i, t in enumerate(rows):
+        np.matmul(atoms, t, out=angles)
+        angles *= 2 * math.pi
+        # -0.0 to 0.0, as 0.0*0.0 + 2pi*phase rounds it, so no sine is -0.0
+        # whichever zero numpy's sum starts from
+        angles += 0.0
+        np.cos(angles, out=values.real)
+        np.sin(angles, out=values.imag)
+        sums[i] = np.add.reduce(values)
+    return sums
+
+
+def _leaf_atoms(measure: DiscreteMeasure, buffers, start: int, count: int) -> np.ndarray:
+    """Atoms start .. start + count - 1, bit for bit refinement's: a slice
+    of the core, or each prefix block's core atoms taken through the maps
+    of its prefix's letters, least significant first, in the two atom
+    buffers by turns so that the last step lands in the first."""
+    core = measure.core
+    if not measure.steps:
+        return core[start:start + count]
+    size, stop = len(core), start + count
+    for prefix in range(start // size, (stop - 1) // size + 1):
+        first, last = max(start, prefix * size), min(stop, (prefix + 1) * size)
+        atoms = core[first - prefix * size:last - prefix * size]
+        rest = prefix
+        for k in range(measure.steps):
+            rest, letter = divmod(rest, measure.base)
+            target = buffers[(measure.steps - 1 - k) % 2][first - start:last - start]
+            np.matmul(atoms, measure.pull, out=target)
+            # column by column: the same sums as adding the digit row, for
+            # a quarter of the cost of broadcasting it
+            for column, digit in zip(target.T, measure.digits[letter]):
+                column += digit
+            atoms = target
+    return buffers[0][:count]
 
 
 @dataclass(frozen=True)

@@ -210,17 +210,38 @@ def test_quadrature_batch_runs_in_a_forked_child(scale4, monkeypatch):
 
 
 def test_refinement_holds_the_parent_and_its_images(scale4x2):
-    # 4^10 atoms (16 MiB): the parent (4 MiB) and its images are all a
-    # step holds; a third array of contracted atoms made it 24 MiB
-    ifs = sp.build_ifs(scale4x2.system)
+    # 4^10 atoms (16 MiB) built from the core: the parent (4 MiB) and its
+    # images are all a step holds; a third array of contracted atoms made
+    # it 24 MiB
+    measure = sp.refine_measure(sp.build_ifs(scale4x2.system), 10)
     tracemalloc.start()
     try:
-        measure = sp.refine_measure(ifs, 10)
+        points = measure.points
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert measure.count == 1 << 20
-    assert peak < 1.3 * measure.points.nbytes
+    assert measure.count == len(points) == 1 << 20
+    assert peak < 1.3 * points.nbytes
+
+
+def test_quadrature_makes_its_leaves_from_the_core(scale4x2, monkeypatch):
+    # 4^11 atoms (64 MiB of points) held as a core of 4^8 and three maps;
+    # each chunk of rows makes one leaf at a time in its own buffers
+    ifs = sp.build_ifs(scale4x2.system)
+    measure = sp.refine_measure(ifs, 11)
+    assert measure.count == 1 << 22 and len(measure.core) == 1 << 16
+    # the pool, made once in a process, is no buffer
+    sp.integrate_exponentials(sp.refine_measure(ifs, 1), np.zeros((2, 2)))
+    monkeypatch.setattr(sp.measure, "_refined",
+                        lambda *args: pytest.fail("the points were built"))
+    rows = np.linspace(-3, 3, 8).reshape(4, 2)
+    tracemalloc.start()
+    try:
+        sp.integrate_exponentials(measure, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sp.measure._cpu_count() * 4e6
 
 
 def test_self_similarity_identity_small(scale4):

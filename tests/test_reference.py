@@ -39,7 +39,10 @@ whatever number of CPUs it spreads its rows over.
 kind of point, are held at float points to the float copy of the matrix
 they once kept (``oracle_float_map``), and the refinement, which writes
 each step's images into one array, to the broadcast it replaced
-(``oracle_refine_measure``), atom by atom.
+(``oracle_refine_measure``), atom by atom.  A refinement holds a core of
+at most one block and makes the rest of its atoms on demand; with the
+block made small, its quadrature, which makes each leaf from the core,
+is held to the quadrature over the oracle's explicit points.
 
 The batched tiling sampler is held to the one-point-at-a-time loop it
 replaced (``OracleCover``, ``oracle_tiling_bad``): the same seed must give
@@ -812,6 +815,32 @@ def test_refinement_matches_broadcast_oracle(name):
         got = sp.refine_measure(sp.build_ifs(system), depth).points
         want = oracle_refine_measure(system, depth)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        depth += 1
+
+
+# a block of 64 and 256 is a whole number of prefix blocks for N = 2, 4
+# and 8; 81 is one for N = 3 only, and numpy's splits of 3^n fall inside
+# prefix blocks, so unaligned leaves are made from their own index range
+@pytest.mark.parametrize("block", [64, 81, 256])
+@pytest.mark.parametrize("name", sorted(CONSUMER_SYSTEMS))
+def test_leaf_atoms_match_refinement_oracle(monkeypatch, name, block):
+    """With a small block, a refinement is a core and several maps: its
+    quadrature, which makes every leaf from the core, matches the
+    quadrature over the oracle's explicit points bit for bit, and so do
+    the points it builds on demand, at every depth up to 64 blocks."""
+    monkeypatch.setattr(measure, "QUADRATURE_BLOCK", block)
+    system = CONSUMER_SYSTEMS[name]
+    rows = np.array(quadrature_points(system.dim)[:8])
+    depth = 0
+    while system.N ** depth <= 64 * block:
+        refined = sp.refine_measure(sp.build_ifs(system), depth)
+        want = oracle_refine_measure(system, depth)
+        explicit = measure.DiscreteMeasure(depth=0, base=1, points=want,
+                                           weight=1.0 / len(want))
+        assert refined.count == len(want)
+        got = measure.integrate_exponentials(refined, rows)
+        assert got.tobytes() == measure.integrate_exponentials(explicit, rows).tobytes()
+        assert refined.points.tobytes() == want.tobytes()
         depth += 1
 
 
