@@ -89,6 +89,7 @@ from .tables import emit_table, render_table
 from .transform import (
     TransformSettings,
     functional_equation_residual,
+    functional_equation_residuals,
     mask,
     mu_hat_value,
     mu_hat_values,
@@ -112,7 +113,8 @@ __all__ = [
     "completeness_table",
     "coset_representatives", "document_from", "dual_lattice", "dumps_spec",
     "emit_table", "enumerate_spectrum", "frequency_map",
-    "functional_equation_residual", "inclusion_matrix",
+    "functional_equation_residual", "functional_equation_residuals",
+    "inclusion_matrix",
     "indicator_transform", "integrate_exponential", "integrate_exponentials",
     "mask",
     "maximality_probe", "mu_hat_value", "mu_hat_values", "orthogonality_matrix",

@@ -25,7 +25,8 @@ from .operators import classify_measure, relation_residuals, state_eval
 from .pair import tiling_check
 from .specfile import document_from, parse_document, parse_spec
 from .spectrum import BESSEL_SLACK, completeness_table, enumerate_spectrum
-from .transform import TransformSettings, _exact_products, mask, mu_hat_value, mu_hat_values
+from .transform import (TransformSettings, _exact_products, functional_equation_residuals,
+                        mask, mu_hat_value, mu_hat_values)
 from . import exact
 
 SEED = 20260808
@@ -134,17 +135,10 @@ def criterion_3_functional_equation() -> CriterionResult:
     system = _scale4().system
     rng = np.random.default_rng(SEED)
     points = [(t,) for t in rng.uniform(-8.0, 8.0, 100).tolist()]
-    pushed = [system.push(t) for t in points]
-    masks = [mask(system, s) for s in pushed]
     quad = TransformSettings(backend="quadrature", quadrature_depth=12)
     prod = TransformSettings(backend="product", product_depth=30)
-    worst = []
-    for settings in (quad, prod):
-        lefts = mu_hat_values(system, pushed, settings).tolist()
-        rights = mu_hat_values(system, points, settings).tolist()
-        worst.append(max(abs(left - factor * right)
-                         for left, factor, right in zip(lefts, masks, rights)))
-    worst_quad, worst_prod = worst
+    worst_quad, worst_prod = (max(functional_equation_residuals(system, points, settings))
+                              for settings in (quad, prod))
     passed = worst_quad < 1e-5 and worst_prod < 1e-13
     return CriterionResult(
         3, "functional equation residuals",

@@ -2,32 +2,20 @@
 
 Refinement is the deterministic full tree: depth n holds one atom per
 digit word of length n, uniformly weighted.  Atoms are floats (the digit
-word is the exact representation and can be re-evaluated exactly);
-refinement and quadrature are vectorized and deterministic, so measures
-with a million atoms stay cheap.  A refinement holds only its core, at
-most QUADRATURE_BLOCK atoms of a smaller depth, and the maps that take
-them the rest of the way; every atom is the core atom taken through the
-maps of its prefix letters, with the float operations refinement uses,
-so it has the same bits wherever it is made.  ``points`` builds the whole
-array on demand; the quadrature never reads it, so the eight refinements
-transform._cached_measure keeps are eight cores of at most QUADRATURE_BLOCK
-atoms, 1.5 MiB each at d = 3.
+word is the exact representation and can be re-evaluated exactly).  A
+refinement holds only its core, at most QUADRATURE_BLOCK atoms (1.5 MiB
+at d = 3), and the maps that take them the rest of the way; every atom
+has the same bits wherever it is made, and ``points`` builds them all.
 
-Quadrature is one gemv per frequency, t.x for every atom, then (cos, sin)
-of 2 pi t.x written into a complex array and summed: bit for bit the mean
-of the complex exponential, without its complex temporaries.  The atoms
-are made in leaves of at most QUADRATURE_BLOCK, through buffers of that
-size reused by every leaf, and the leaves' sums are added where numpy's
-complex pairwise sum splits the whole array: a run of c atoms above the
-block splits into (c - c % 8) // 2 atoms and the rest.  So a call holds
-24 bytes per atom of one block, plus two blocks of atoms when its leaves
-are made from a core, and the sum is numpy's over the whole array;
-tests/test_reference.py holds it to values.mean() at counts on either
-side of every split.  The frequencies are not stacked into one
-matrix product, which rounds the angles of 2-D atoms differently; they
-are spread over the CPUs the process may run on as contiguous chunks of
-rows, one thread per chunk, and each value keeps its bits.  One row runs
-inline, in the calling thread.
+Quadrature (integrate_exponentials) is one gemv per frequency (one
+matrix product would round 2-D angles otherwise), then (cos, sin) of
+2 pi t.x summed over leaves of at most QUADRATURE_BLOCK atoms, added
+where numpy's pairwise sum splits the whole array: bit for bit the mean
+of the complex exponential.  The frequencies are spread over the CPUs
+the process may run on, one thread per chunk of rows, each value keeping
+its bits; the threads live only for the call, so importing the package
+starts none and a forked child inherits none.  Each request is charged
+its atoms times rows against QUADRATURE_BUDGET before any work.
 """
 
 from __future__ import annotations
@@ -42,12 +30,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import exact
-from .errors import DepthTooLarge, IdenticalPoints, NonFinitePoint, NotExpansive
+from .errors import (BudgetExceeded, DepthTooLarge, IdenticalPoints, NonFinitePoint,
+                     NotExpansive)
 from .exact import Vector
 from .lattice import SimpleFactor, is_expansive, lattice_points_in_box
 
 # most atoms one refinement may have, checked before it builds any
 ATOM_BUDGET = 1 << 24
+# most atoms times rows one quadrature request may charge
+QUADRATURE_BUDGET = 2**30
 # most atoms a refinement's core holds, and integrate_exponentials makes
 # and holds angles and (cos, sin) values for at once; at least the 64
 # atoms of numpy's pairwise leaf, so numpy splits every longer run as the
@@ -204,39 +195,48 @@ def integrate_exponentials(measure: DiscreteMeasure, rows) -> np.ndarray:
     one angle buffer and one complex buffer, 24 bytes per atom of a block;
     a leaf of a refinement is made from its core once and every row is
     summed over it before the next leaf is made.  np.add.reduce sums each
-    leaf as complex numbers (the real and
-    imaginary halves summed apart would be grouped otherwise).  Above the
-    block a run of c atoms splits where numpy's complex pairwise sum
-    splits its 2c scalars, after (c - c % 8) // 2 atoms, and the halves'
-    sums are added, so the total is numpy's sum of the whole array,
-    divided by the count as values.mean() divides it.
+    leaf as complex numbers (the real and imaginary halves summed apart
+    would be grouped otherwise).  Above the block a run of c atoms splits
+    where numpy's complex pairwise sum splits its 2c scalars, after
+    (c - c % 8) // 2 atoms, and the halves' sums are added, so the total
+    is numpy's sum of the whole array, divided by the count as
+    values.mean() divides it.
     tests/test_reference.py::test_quadrature_matches_complex_exp_oracle
     and ::test_quadrature_blocks_match_complex_exp_oracle hold it to that
     formula on either side of every split.
 
     The rows are cut into one contiguous chunk per CPU the process may
-    run on; the calling thread computes the first and a pool of worker
-    threads the rest (numpy releases the GIL in the gemv, cos, sin and
-    sum), each chunk with its own two buffers.  Every value is made by
-    the same operations whichever thread makes it.  One chunk -- one row,
-    or one CPU -- runs inline, with no thread.  Raises ValueError on
-    another shape and NonFinitePoint on a NaN or infinite entry, before
-    any work starts.
+    run on; the calling thread computes the first and worker threads made
+    for this call the rest (numpy releases the GIL in the gemv, cos, sin
+    and sum), each chunk with its own two buffers.  Every value is made
+    by the same operations whichever thread makes it.  One chunk -- one
+    row, or one CPU -- runs inline, with no thread.  Raises ValueError on
+    another shape, NonFinitePoint on a NaN or infinite entry and
+    BudgetExceeded past QUADRATURE_BUDGET, before any work starts.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != measure.dim:
         raise ValueError(f"expected an (M, {measure.dim}) array of points")
     if not np.isfinite(rows).all():
         raise NonFinitePoint("some point has a non-finite entry")
+    check_quadrature_budget(measure.count, len(rows))
     chunks = min(_cpu_count(), len(rows))
     if chunks <= 1:
         return _exponential_means(measure, rows)
+    from concurrent.futures import ThreadPoolExecutor
     bounds = [len(rows) * k // chunks for k in range(chunks + 1)]
-    pool = _worker_pool(chunks - 1)
-    futures = [pool.submit(_exponential_means, measure, rows[a:b])
-               for a, b in zip(bounds[1:-1], bounds[2:])]
-    first = _exponential_means(measure, rows[:bounds[1]])
+    with ThreadPoolExecutor(chunks - 1, thread_name_prefix="specpair-quadrature") as pool:
+        futures = [pool.submit(_exponential_means, measure, rows[a:b])
+                   for a, b in zip(bounds[1:-1], bounds[2:])]
+        first = _exponential_means(measure, rows[:bounds[1]])
     return np.concatenate([first] + [future.result() for future in futures])
+
+
+def check_quadrature_budget(atoms: int, rows: int) -> None:
+    """Raise BudgetExceeded when ``atoms`` times ``rows`` exceed QUADRATURE_BUDGET."""
+    if atoms * rows > QUADRATURE_BUDGET:
+        raise BudgetExceeded(f"{atoms} atoms times {rows} transform evaluations "
+                             f"exceed the budget {QUADRATURE_BUDGET}")
 
 
 def _cpu_count() -> int:
@@ -245,30 +245,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-# integrate_exponentials' worker threads, made by the first batch that
-# needs them, so importing the package starts no thread
-_pool = None
-
-
-def _worker_pool(workers: int):
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(workers, thread_name_prefix="specpair-quadrature")
-    return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's threads; a pool it inherited
-    # would take work and never run it
-    global _pool
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _exponential_means(measure: DiscreteMeasure, rows) -> np.ndarray:

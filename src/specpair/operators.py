@@ -29,7 +29,6 @@ from functools import partial
 import numpy as np
 
 from . import exact
-from .errors import BudgetExceeded
 from .exact import Vector
 from .lattice import (
     CheckResult,
@@ -44,7 +43,7 @@ from .lattice import (
     lattice_points_in_box,
     same_lattice,
 )
-from .measure import DiscreteMeasure, integrate_exponentials
+from .measure import DiscreteMeasure, check_quadrature_budget, integrate_exponentials
 from .transform import (
     TransformSettings,
     _cached_measure,
@@ -60,8 +59,6 @@ from .transform import (
 RELATION_TOLERANCE = 1e-6
 # sup-norm radius of the dual(K) samples classify_measure checks
 CLASSIFY_BOX_RADIUS = 4
-# atoms times transform evaluations classify_measure may charge
-CLASSIFY_BUDGET = 2**30
 
 
 @dataclass(frozen=True)
@@ -278,7 +275,7 @@ def classify_measure(
     Raises NotASublattice when K is not contained in ``gamma``, and
     BudgetExceeded, before any refinement, when the atoms (N^depth of a
     SimpleFactor, or the measure's count) times the transform evaluations
-    (2 + |L|(|L| - 1) per sample) exceed CLASSIFY_BUDGET.
+    (2 + |L|(|L| - 1) per sample) exceed measure.QUADRATURE_BUDGET.
 
     A depth-n empirical transform carries truncation error that grows
     linearly in the sampled frequency, roughly 2 pi |u| diam contraction^n,
@@ -303,9 +300,7 @@ def classify_measure(
     k_dual = dual_lattice(K)
     samples = lattice_points_in_box(k_dual, CLASSIFY_BOX_RADIUS)
     evaluations = len(samples) * (2 + len(freq_digits) * (len(freq_digits) - 1))
-    if atoms * evaluations > CLASSIFY_BUDGET:
-        raise BudgetExceeded(f"{atoms} atoms times {evaluations} transform "
-                             f"evaluations exceed the budget {CLASSIFY_BUDGET}")
+    check_quadrature_budget(atoms, evaluations)
     measure = (measure_source if isinstance(measure_source, DiscreteMeasure)
                else _cached_measure(measure_source, depth))
     e = expansion_matrix(K, gamma)

@@ -204,6 +204,8 @@ def _exact_block(system: SimpleFactor, block: list, depth: int) -> list[complex]
     A row leaves the block as 0j at an exact zero or at a float factor
     that rounds to 0j, as the scalar loop returns there.
     """
+    if len(block) == 1:  # the scalar loop: the same bits, several times cheaper
+        return [_exact_product(system, block[0], depth)]
     nums, den = exact.over_common_denominator(block)
     digits, digit_den, pull, pull_den = system._integer_maps
     digits, pull = np.array(digits, dtype=object), np.array(pull, dtype=object)
@@ -296,10 +298,40 @@ def functional_equation_residual(
 
     Defaults to the quadrature backend, where the residual measures real
     refinement error; the product backend satisfies the identity by
-    construction up to its truncation tail.
+    construction up to its truncation tail.  A batch of one.
     """
-    freq, _ = exact.as_point(t, system.dim)
-    pushed = system.push(freq)
-    left = mu_hat_value(system, pushed, settings)
-    right = mask(system, pushed) * mu_hat_value(system, freq, settings)
-    return abs(left - right)
+    return functional_equation_residuals(system, [t], settings)[0]
+
+
+def functional_equation_residuals(
+    system: SimpleFactor,
+    points,
+    settings: TransformSettings = TransformSettings(backend="quadrature"),
+) -> list[float]:
+    """functional_equation_residual at each point of ``points``, in order:
+    three batches (the transforms at the pushed points, the masks there
+    and the transforms at the points), each value bit for bit
+    mu_hat_value's, then Python's complex abs(left - mask * right)."""
+    points = [exact.as_point(t, system.dim) for t in points]
+    pushed = [(system.push(freq), kind) for freq, kind in points]
+    return [abs(left - factor * right) for left, factor, right in zip(
+        _transforms_at(system, pushed, settings),
+        _transforms_at(system, pushed, _MASK),
+        _transforms_at(system, points, settings))]
+
+
+def _transforms_at(system: SimpleFactor, points: list,
+                   settings: TransformSettings) -> list[complex]:
+    """mu_hat_value at each of exact.as_point's (point, is_exact) pairs:
+    the exact points of the product backend in one _exact_products batch,
+    the rest in one mu_hat_values batch."""
+    exact_rows = np.array([kind for _, kind in points], dtype=bool)
+    exact_rows &= settings.backend == "product"
+    points = [point for point, _ in points]
+    values = np.empty(len(points), dtype=complex)
+    values[exact_rows] = _exact_products(
+        system, itertools.compress(points, exact_rows), settings.product_depth)
+    if not exact_rows.all():
+        values[~exact_rows] = mu_hat_values(
+            system, list(itertools.compress(points, ~exact_rows)), settings)
+    return values.tolist()

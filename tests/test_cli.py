@@ -12,6 +12,7 @@ import pytest
 
 import specpair.cli
 import specpair.exact
+import specpair.measure
 import specpair.operators
 import specpair.pair
 from specpair import dumps_spec, parse_spec
@@ -264,6 +265,17 @@ def test_transform_grid_is_budgeted_before_allocation(capsys, monkeypatch):
     assert err.startswith("error: BudgetExceeded") and err.count("\n") == 1
 
 
+def test_quadrature_grid_is_charged_before_any_quadrature(capsys, monkeypatch):
+    # 1024^2 rows, the most the evaluation budget admits, times 4^12 atoms
+    monkeypatch.setattr(specpair.measure, "_exponential_means",
+                        lambda *args: pytest.fail("a quadrature ran before the charge"))
+    code, out, err = run(capsys, "transform", "--spec", "scale4x2", "--grid=-2:2:1024",
+                         "--backend", "quadrature")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: BudgetExceeded") and err.count("\n") == 1
+
+
 def test_measure_rows_are_budgeted_before_refining(capsys, monkeypatch):
     class Refined(Exception):
         pass
@@ -377,7 +389,7 @@ def test_readme_states_each_budget():
     stated = re.findall(r"2\^(\d+)\b[^`]*?\(`([a-z]+)\.([A-Z_]+_BUDGET)`\)", text)
     assert {f"{module}.{name}" for _, module, name in stated} == {
         "cli.EVALUATION_BUDGET", "spectrum.SPECTRUM_BUDGET", "measure.ATOM_BUDGET",
-        "pair.MEMBERSHIP_COSET_BUDGET", "operators.CLASSIFY_BUDGET"}
+        "pair.MEMBERSHIP_COSET_BUDGET", "measure.QUADRATURE_BUDGET"}
     assert len(stated) == len(re.findall(r"`[a-z]+\.[A-Z_]+_BUDGET`", text))
     for power, module, name in stated:
         held = getattr(importlib.import_module(f"specpair.{module}"), name)

@@ -1,7 +1,13 @@
+import concurrent.futures
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,8 +180,8 @@ def test_quadrature_batch_checks_every_row_before_any_work(scale4, monkeypatch):
     monkeypatch.setattr(sp.measure, "_cpu_count", lambda: 2)
     monkeypatch.setattr(sp.measure, "_exponential_means",
                         lambda *args: calls.append(args))
-    monkeypatch.setattr(sp.measure, "_worker_pool",
-                        lambda workers: pytest.fail("a worker was asked for"))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda *args, **kwargs: pytest.fail("a worker was asked for"))
     with pytest.raises(sp.NonFinitePoint):
         sp.integrate_exponentials(measure, [[0.5], [1.0], [float("nan")]])
     assert calls == []
@@ -186,13 +192,12 @@ def _batch_in_child(measure, rows, connection):
 
 
 def test_quadrature_batch_runs_in_a_forked_child(scale4, monkeypatch):
-    """A child forked after the parent made its worker pool makes its own;
+    """A child forked after the parent ran a threaded batch runs its own;
     the parent's threads do not exist in the child."""
     measure = sp.refine_measure(sp.build_ifs(scale4.system), 10)
     rows = np.linspace(-3, 3, 8)[:, None]
     monkeypatch.setattr(sp.measure, "_cpu_count", lambda: 2)
     want = sp.integrate_exponentials(measure, rows).tobytes()
-    assert sp.measure._pool is not None
     context = multiprocessing.get_context("fork")
     reader, writer = context.Pipe(duplex=False)
     child = context.Process(target=_batch_in_child, args=(measure, rows, writer))
@@ -207,6 +212,35 @@ def test_quadrature_batch_runs_in_a_forked_child(scale4, monkeypatch):
         if child.is_alive():
             child.kill()
             child.join()
+
+
+def test_quadrature_batch_leaves_no_thread_behind(scale4, monkeypatch):
+    measure = sp.refine_measure(sp.build_ifs(scale4.system), 8)
+    monkeypatch.setattr(sp.measure, "_cpu_count", lambda: 3)
+    values = sp.integrate_exponentials(measure, np.linspace(-3, 3, 7)[:, None])
+    assert len(values) == 7
+    assert not [thread.name for thread in threading.enumerate()
+                if thread.name.startswith("specpair-quadrature")]
+
+
+def test_importing_the_package_imports_no_thread_pool():
+    code = "import sys, specpair; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(sp.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "False\n"
+
+
+def test_quadrature_batch_is_charged_atoms_times_rows(scale4, monkeypatch):
+    measure = sp.refine_measure(sp.build_ifs(scale4.system), 6)
+    rows = np.linspace(-3, 3, 5)[:, None]
+    monkeypatch.setattr(sp.measure, "QUADRATURE_BUDGET", 64 * 5)
+    assert len(sp.integrate_exponentials(measure, rows)) == 5
+    monkeypatch.setattr(sp.measure, "QUADRATURE_BUDGET", 64 * 5 - 1)
+    monkeypatch.setattr(sp.measure, "_exponential_means",
+                        lambda *args: pytest.fail("work started before the charge"))
+    with pytest.raises(sp.BudgetExceeded, match="64 atoms times 5"):
+        sp.integrate_exponentials(measure, rows)
 
 
 def test_refinement_holds_the_parent_and_its_images(scale4x2):

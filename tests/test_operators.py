@@ -191,9 +191,9 @@ def test_classify_budget_charges_a_measure_by_its_atoms(scale4, monkeypatch):
     measure = sp.refine_measure(sp.build_ifs(system), 6)
     args = (measure, system.K, system.Gamma, system.freq_digits)
     # 2^6 atoms times 9 samples times 2 + 2 * 1 evaluations
-    monkeypatch.setattr(sp.operators, "CLASSIFY_BUDGET", 64 * 36)
+    monkeypatch.setattr(sp.measure, "QUADRATURE_BUDGET", 64 * 36)
     assert isinstance(sp.classify_measure(*args), sp.ConsistencyReport)
-    monkeypatch.setattr(sp.operators, "CLASSIFY_BUDGET", 64 * 36 - 1)
+    monkeypatch.setattr(sp.measure, "QUADRATURE_BUDGET", 64 * 36 - 1)
     with pytest.raises(sp.BudgetExceeded):
         sp.classify_measure(*args)
 

@@ -676,6 +676,37 @@ def test_float_consumers_match_scalar_oracle(monkeypatch):
     assert_same_values([probe.value], [values[4]])
 
 
+def oracle_functional_equation_residual(system, t, settings_):
+    """functional_equation_residual as it stood before the batch: one
+    point's two transforms and its mask, one scalar call each."""
+    freq, _ = exact.as_point(t, system.dim)
+    pushed = system.push(freq)
+    left = mu_hat_value(system, pushed, settings_)
+    right = mask(system, pushed) * mu_hat_value(system, freq, settings_)
+    return abs(left - right)
+
+
+@pytest.mark.parametrize("backend", ["product", "quadrature"])
+@pytest.mark.parametrize("name", sorted(CONSUMER_SYSTEMS))
+def test_functional_equation_residuals_match_scalar_oracle(name, backend):
+    """The batch, and the scalar as its batch of one, give each point's
+    residual bit for bit, with exact and float points mixed in one batch."""
+    system = CONSUMER_SYSTEMS[name]
+    rng = np.random.default_rng(len(name))
+    floats = [tuple(row) for row in rng.uniform(-8, 8, (4, system.dim)).tolist()]
+    exacts = [tuple(Fraction(int(n), 7) for n in row)
+              for row in rng.integers(-60, 60, (4, system.dim))]
+    points = ([floats[0], exacts[0], exacts[1], floats[1]] + floats[2:] + exacts[2:]
+              + [(0,) * system.dim, (-0.0,) * system.dim, ("1/4",) * system.dim])
+    settings_ = TransformSettings(quadrature_depth=4, backend=backend)
+    want = [oracle_functional_equation_residual(system, t, settings_) for t in points]
+    got = sp.functional_equation_residuals(system, points, settings_)
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+    scalar = [sp.functional_equation_residual(system, t, settings_) for t in points]
+    assert [repr(v) for v in scalar] == [repr(v) for v in want]
+    assert sp.functional_equation_residuals(system, [], settings_) == []
+
+
 def oracle_float_map(m, s):
     """push and pull as they were at a float point: m s through a float
     copy of the exact matrix m."""

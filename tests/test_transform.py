@@ -189,6 +189,16 @@ def test_mu_hat_values_quadrature_is_the_scalar_backend(scale4x2):
     assert values == [integrate_exponential(measure, t) for t in points]
 
 
+def test_mu_hat_values_quadrature_is_charged_atoms_times_rows(scale4x2, monkeypatch):
+    settings = TransformSettings(quadrature_depth=3, backend="quadrature")
+    points = [(0.5, -1.25), (3.0, 0.0), (1.0, 2.0)]
+    monkeypatch.setattr(sp.measure, "QUADRATURE_BUDGET", 64 * 3)
+    assert len(sp.mu_hat_values(scale4x2.system, points, settings)) == 3
+    monkeypatch.setattr(sp.measure, "QUADRATURE_BUDGET", 64 * 3 - 1)
+    with pytest.raises(sp.BudgetExceeded, match="64 atoms times 3"):
+        sp.mu_hat_values(scale4x2.system, points, settings)
+
+
 def test_half_plane_exit_decides_every_nonzero_two_digit_factor(scale4, monkeypatch):
     # with N = 2 the half-plane test is complete, so the cyclotomic
     # recursion sees only the factors that vanish
