@@ -164,7 +164,8 @@ def cmd_transform(args) -> int:
         _check_budget(count**system.dim, f"{count}^{system.dim} grid points")
         axes = np.meshgrid(*[np.linspace(lo, hi, count)] * system.dim, indexing="ij")
         grid = np.stack(axes, axis=-1).reshape(-1, system.dim)  # last axis fastest
-        columns = [mu_hat_values(system, grid, s).tolist() for s in settings]
+        # the quadrature column first: its batch is charged before any work
+        columns = [mu_hat_values(system, grid, s).tolist() for s in settings[::-1]][::-1]
         points = grid.tolist()
     else:
         raise ParseError("transform needs --s or --grid")

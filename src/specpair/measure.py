@@ -221,7 +221,9 @@ def integrate_exponentials(measure: DiscreteMeasure, rows) -> np.ndarray:
         raise NonFinitePoint("some point has a non-finite entry")
     check_quadrature_budget(measure.count, len(rows))
     chunks = min(_cpu_count(), len(rows))
-    if chunks <= 1:
+    if not chunks:  # no rows, no leaf to make
+        return np.empty(0, dtype=complex)
+    if chunks == 1:
         return _exponential_means(measure, rows)
     from concurrent.futures import ThreadPoolExecutor
     bounds = [len(rows) * k // chunks for k in range(chunks + 1)]

@@ -204,8 +204,6 @@ def _exact_block(system: SimpleFactor, block: list, depth: int) -> list[complex]
     A row leaves the block as 0j at an exact zero or at a float factor
     that rounds to 0j, as the scalar loop returns there.
     """
-    if len(block) == 1:  # the scalar loop: the same bits, several times cheaper
-        return [_exact_product(system, block[0], depth)]
     nums, den = exact.over_common_denominator(block)
     digits, digit_den, pull, pull_den = system._integer_maps
     digits, pull = np.array(digits, dtype=object), np.array(pull, dtype=object)
@@ -252,13 +250,9 @@ def mu_hat_value(
     """The transform of the invariant measure at frequency ``t``.
 
     Backend "product" returns the truncated mask product; "quadrature"
-    integrates against the cached refinement.  Only the product at an
-    exact ``t`` is scalar; the rest is a batch of one for mu_hat_values.
+    integrates against the cached refinement: _transforms_at on one point.
     """
-    point, is_exact = exact.as_point(t, system.dim)
-    if is_exact and settings.backend == "product":
-        return _exact_product(system, point, settings.product_depth)
-    return mu_hat_values(system, [point], settings).tolist()[0]
+    return _transforms_at(system, [exact.as_point(t, system.dim)], settings)[0]
 
 
 def mu_hat_values(
@@ -298,9 +292,13 @@ def functional_equation_residual(
 
     Defaults to the quadrature backend, where the residual measures real
     refinement error; the product backend satisfies the identity by
-    construction up to its truncation tail.  A batch of one.
+    construction up to its truncation tail.  functional_equation_residuals'
+    value at [t], from two mu_hat_value calls and one mask call.
     """
-    return functional_equation_residuals(system, [t], settings)[0]
+    freq, _ = exact.as_point(t, system.dim)
+    pushed = system.push(freq)
+    left, right = mu_hat_value(system, pushed, settings), mu_hat_value(system, freq, settings)
+    return abs(left - mask(system, pushed) * right)
 
 
 def functional_equation_residuals(
@@ -322,16 +320,14 @@ def functional_equation_residuals(
 
 def _transforms_at(system: SimpleFactor, points: list,
                    settings: TransformSettings) -> list[complex]:
-    """mu_hat_value at each of exact.as_point's (point, is_exact) pairs:
-    the exact points of the product backend in one _exact_products batch,
-    the rest in one mu_hat_values batch."""
-    exact_rows = np.array([kind for _, kind in points], dtype=bool)
-    exact_rows &= settings.backend == "product"
-    points = [point for point, _ in points]
-    values = np.empty(len(points), dtype=complex)
-    values[exact_rows] = _exact_products(
-        system, itertools.compress(points, exact_rows), settings.product_depth)
-    if not exact_rows.all():
-        values[~exact_rows] = mu_hat_values(
-            system, list(itertools.compress(points, ~exact_rows)), settings)
-    return values.tolist()
+    """The transform at each of exact.as_point's (point, is_exact) pairs, in
+    order: the exact points of the product backend on the integer loop (a
+    lone point scalar), every other point in one mu_hat_values batch."""
+    looped = [is_exact and settings.backend == "product" for _, is_exact in points]
+    if looped == [True]:
+        return [_exact_product(system, points[0][0], settings.product_depth)]
+    exacts = [point for (point, _), loop in zip(points, looped) if loop]
+    floats = [point for (point, _), loop in zip(points, looped) if not loop]
+    exact_values = iter(_exact_products(system, exacts, settings.product_depth))
+    float_values = iter(mu_hat_values(system, floats, settings).tolist() if floats else ())
+    return [next(exact_values if loop else float_values) for loop in looped]

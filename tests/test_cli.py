@@ -267,13 +267,17 @@ def test_transform_grid_is_budgeted_before_allocation(capsys, monkeypatch):
 
 def test_quadrature_grid_is_charged_before_any_quadrature(capsys, monkeypatch):
     # 1024^2 rows, the most the evaluation budget admits, times 4^12 atoms
+    # ("both" would otherwise throw away a finished product column)
     monkeypatch.setattr(specpair.measure, "_exponential_means",
                         lambda *args: pytest.fail("a quadrature ran before the charge"))
-    code, out, err = run(capsys, "transform", "--spec", "scale4x2", "--grid=-2:2:1024",
-                         "--backend", "quadrature")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: BudgetExceeded") and err.count("\n") == 1
+    monkeypatch.setattr(specpair.transform, "_float_product",
+                        lambda *args: pytest.fail("a product ran before the charge"))
+    for backend in ("quadrature", "both"):
+        code, out, err = run(capsys, "transform", "--spec", "scale4x2", "--grid=-2:2:1024",
+                             "--backend", backend)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: BudgetExceeded") and err.count("\n") == 1
 
 
 def test_measure_rows_are_budgeted_before_refining(capsys, monkeypatch):

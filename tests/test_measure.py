@@ -160,8 +160,8 @@ def test_quadrature_batch_memory_is_one_block_per_chunk(scale4, monkeypatch):
     measure = sp.refine_measure(ifs, 20)
     cpus = 3
     monkeypatch.setattr(sp.measure, "_cpu_count", lambda: cpus)
-    # the first batch that needs the pool imports concurrent.futures and
-    # makes it, once in a process; that stays, but is no buffer
+    # a warm-up that imports concurrent.futures before tracing starts;
+    # the module stays, but is no buffer
     sp.integrate_exponentials(sp.refine_measure(ifs, 1), [[0.0], [1.0]])
     tracemalloc.start()
     try:
@@ -241,6 +241,17 @@ def test_quadrature_batch_is_charged_atoms_times_rows(scale4, monkeypatch):
                         lambda *args: pytest.fail("work started before the charge"))
     with pytest.raises(sp.BudgetExceeded, match="64 atoms times 5"):
         sp.integrate_exponentials(measure, rows)
+
+
+def test_quadrature_batch_of_no_rows_makes_no_leaf(scale4x2, monkeypatch):
+    # 2^24 atoms: walking their leaves for no row took a quarter second
+    measure = sp.refine_measure(sp.build_ifs(scale4x2.system), 12)
+    monkeypatch.setattr(sp.measure, "_exponential_means",
+                        lambda *args: pytest.fail("a leaf was made for no row"))
+    values = sp.integrate_exponentials(measure, np.empty((0, 2)))
+    assert values.dtype == complex and values.shape == (0,)
+    quad = sp.TransformSettings(backend="quadrature")
+    assert sp.mu_hat_values(scale4x2.system, np.empty((0, 2)), quad).shape == (0,)
 
 
 def test_refinement_holds_the_parent_and_its_images(scale4x2):

@@ -73,6 +73,18 @@ def test_functional_equation_residual(scale4):
         assert sp.functional_equation_residual(system, t, prod) < 1e-13
 
 
+def test_scalar_residual_is_two_transforms_and_a_mask(scale4, monkeypatch):
+    # the scalar keeps its per-call entry points, which tracing counts
+    calls = []
+    for name in ("mu_hat_value", "mask"):
+        fn = getattr(transform, name)
+        monkeypatch.setattr(transform, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    quad = TransformSettings(backend="quadrature", quadrature_depth=6)
+    sp.functional_equation_residual(scale4.system, 0.3, quad)
+    assert sorted(calls) == ["mask"] + ["mu_hat_value"] * 3  # one inside mask
+
+
 @pytest.mark.parametrize("name", ["shear3", "scale4x2_sheared"])
 def test_functional_equation_on_sheared_data(name):
     # E^T differs from E only off the diagonal, where a shear puts entries
