@@ -16,12 +16,23 @@ Most sums the digit mask asks about cannot vanish for a plainer reason:
 all their roots lie in one open half plane.  ``in_open_half_circle``
 decides that on the integer residues alone, so the recursion runs only on
 sums that pass it; with two terms it is complete.
+
+``roots_sum_is_zero`` is that decision for a plain sum of roots, the one
+the digit mask and validation ask: the half-plane test, then the
+recursion.  It is a pure function of its key, the sorted residues and den,
+so it is memoized per key in a bounded lru cache of 4,096 entries (the
+benchmark clears it before each pass, with every package lru cache).  The
+mask runs the half-plane test before the lookup, so the memo holds only
+sums the recursion decides: a product meets the same few at most of its
+levels, and each is decided once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from operator import sub
 from typing import Iterable
 
@@ -44,6 +55,20 @@ def in_open_half_circle(residues: Iterable[int], den: int) -> bool:
     ordered = sorted(residues)
     widest = max(map(sub, ordered[1:] + [ordered[0] + den], ordered))
     return 2 * widest > den
+
+
+@lru_cache(maxsize=1 << 12)
+def roots_sum_is_zero(residues: tuple[int, ...], den: int) -> bool:
+    """Decide whether  sum_r e^{i 2 pi r / den}, r in ``residues``, vanishes
+    exactly.
+
+    ``residues`` is a sorted tuple of residues in [0, den), not empty, one
+    entry per root (repeats count).  Roots in one open half plane cannot
+    sum to zero; any other sum goes to residue_sum_is_zero.  Memoized on
+    (residues, den), at most 4,096 entries.
+    """
+    return not in_open_half_circle(residues, den) and residue_sum_is_zero(
+        Counter(residues), den)
 
 
 def residue_sum_is_zero(weights: dict[int, int], den: int) -> bool:

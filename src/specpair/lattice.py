@@ -20,7 +20,6 @@ controls) can be constructed, probed and reported on.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -402,7 +401,7 @@ def validate_simple_factor(system: SimpleFactor) -> ValidationReport:
     index [A : K]; the digit pairing separates frequency digits; the
     normalized digit matrix N^{-1/2} e^{i 2 pi b.l} is unitary; E is
     expansive.  Every check is exact: the pairing checks run on integer
-    residues (cyclotomic.residue_sum_is_zero), expansiveness on the
+    residues (cyclotomic.roots_sum_is_zero), expansiveness on the
     characteristic polynomial.  The index [A : K] is |det K / det A|, read
     once K <= A is known.  The degenerate case K = A (index 1) is flagged,
     not failed.
@@ -442,10 +441,10 @@ def validate_simple_factor(system: SimpleFactor) -> ValidationReport:
     unseparated, unorthogonal = [], []
     for (la, a), (lb, b) in itertools.combinations(zip(system.freq_digits, freqs), 2):
         step = exact.vec_sub(b, a)
-        residues = Counter(exact.dot(digit, step) % q for digit in digits)
-        if residues.keys() == {0}:
+        residues = sorted(exact.dot(digit, step) % q for digit in digits)
+        if not residues[-1]:
             unseparated.append((la, lb))
-        if not cyclotomic.residue_sum_is_zero(residues, q):
+        if not cyclotomic.roots_sum_is_zero(tuple(residues), q):
             unorthogonal.append((la, lb))
     checks.append(CheckResult(
         "separation", not unseparated,

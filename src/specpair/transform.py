@@ -15,7 +15,9 @@ mask's zeros (which carry all orthogonality statements downstream) are
 decided exactly, at every conductor, from the residues p mod q, and end
 the product as a literal zero.  A factor whose roots lie in one open half
 plane cannot vanish, which the residues show by one sort; only the others
-go to the cyclotomic recursion.
+go to ``cyclotomic.roots_sum_is_zero``, memoized per (sorted residues, q)
+in at most 4,096 entries: a product meets the same few residue patterns
+at most of its levels, so the cyclotomic recursion decides each once.
 
 A set of rational frequencies runs through ``_exact_products``: the same
 loop on a block of rows over one common denominator, with the integers in
@@ -36,7 +38,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -44,7 +45,7 @@ from operator import mul
 import numpy as np
 
 from . import exact
-from .cyclotomic import in_open_half_circle, residue_sum_is_zero
+from .cyclotomic import in_open_half_circle, roots_sum_is_zero
 from .errors import BudgetExceeded, NonFinitePoint
 from .lattice import SimpleFactor
 from .measure import DiscreteMeasure, build_ifs, integrate_exponentials, refine_measure
@@ -100,8 +101,9 @@ def _exact_product(system: SimpleFactor, freq: tuple, depth: int) -> complex:
     The frequency is pulled back as integer numerators over a growing
     denominator, so each level's phases b.t are integers p over one q.  A
     level whose residues p mod q all vanish is a structural 1; one whose
-    roots fail the half-plane test and whose residue sum vanishes ends the
-    product as 0j.  Any other factor is the float sum at p / q, which
+    roots fail the half-plane test and whose root sum vanishes
+    (roots_sum_is_zero on the sorted residues and q) ends the product as
+    0j.  Any other factor is the float sum at p / q, which
     Python rounds correctly, so it equals float(Fraction(p, q)) bit for
     bit.
     """
@@ -114,11 +116,11 @@ def _exact_product(system: SimpleFactor, freq: tuple, depth: int) -> complex:
             den *= pull_den
         q = digit_den * den
         phases = [sum(map(mul, b, num)) for b in digits]
-        residues = [p % q for p in phases]
-        if not any(residues):
+        residues = sorted(p % q for p in phases)
+        if not residues[-1]:
             factor = complex(1.0)
         elif (not in_open_half_circle(residues, q)
-              and residue_sum_is_zero(Counter(residues), q)):
+              and roots_sum_is_zero(tuple(residues), q)):
             return 0j
         else:
             factor = sum(cmath.exp(2j * math.pi * (p / q)) for p in phases) / system.N
@@ -189,7 +191,7 @@ def _exact_products(system: SimpleFactor, freqs, depth: int) -> list[complex]:
     numpy object arrays of Python ints, exact at any size.  Scaling a row's
     p and q by one factor changes neither the float p / q, which Python
     rounds correctly, nor which residues vanish, nor the half-plane test,
-    nor residue_sum_is_zero, which reduces by the gcd.
+    nor roots_sum_is_zero's verdict, only its memo key.
     """
     freqs = iter(freqs)
     values: list[complex] = []
@@ -220,9 +222,10 @@ def _exact_block(system: SimpleFactor, block: list, depth: int) -> list[complex]
         one = residues[-1] == 0
         # in_open_half_circle row by row: the widest gap around the circle
         gaps = np.concatenate((residues[1:], residues[:1] + q)) - residues
+        undecided = np.flatnonzero(gaps.max(axis=0) <= q // 2)
         zero = np.zeros(len(rows), dtype=bool)
-        for j in np.flatnonzero(gaps.max(axis=0) <= q // 2):
-            zero[j] = residue_sum_is_zero(Counter(residues[:, j].tolist()), q)
+        zero[undecided] = [roots_sum_is_zero(tuple(column), q)
+                           for column in residues[:, undecided].T.tolist()]
         f_re, f_im = np.ones(len(rows)), np.zeros(len(rows))
         roots = ~(one | zero)
         f_re[roots], f_im[roots] = _root_means(

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specpair.cyclotomic import exp_sum_is_zero, in_open_half_circle, residue_sum_is_zero
+from specpair.cyclotomic import (
+    exp_sum_is_zero, in_open_half_circle, residue_sum_is_zero, roots_sum_is_zero)
 
 
 def _numeric(terms):
@@ -101,3 +102,49 @@ def test_half_circle_never_holds_a_vanishing_sum(case):
 ])
 def test_half_circle_examples(residues, den, expected):
     assert in_open_half_circle(residues, den) is expected
+
+
+MEMO_MAX_DEN = 3**25 * 32
+
+
+@st.composite
+def root_patterns(draw):
+    """At most six residues mod q <= 3^25 * 32, sorted: up to two shifted
+    full orbits of n-th roots (n | q), whose sums vanish, and scattered
+    residues, so that both verdicts come up."""
+    orbits = draw(st.lists(st.sampled_from((2, 3, 4, 6)), max_size=2)
+                  .filter(lambda ns: sum(ns) <= 6))
+    period = math.lcm(1, *orbits)
+    q = period * draw(st.one_of(st.integers(1, 12), st.integers(1, MEMO_MAX_DEN // period)))
+    residues = []
+    for n in orbits:
+        shift = draw(st.integers(0, q - 1))
+        residues += [(shift + k * q // n) % q for k in range(n)]
+    residues += draw(st.lists(st.integers(0, q - 1), min_size=0 if residues else 1,
+                              max_size=6 - len(residues)))
+    return tuple(sorted(residues)), q
+
+
+@settings(deadline=None, max_examples=400)
+@given(root_patterns(), st.integers(2, 3**5 * 7), st.data())
+def test_memoized_root_sum_is_the_recursion(case, k, data):
+    # the memo is not cleared between examples, so earlier keys stay in it
+    residues, q = case
+    want = residue_sum_is_zero(Counter(residues), q)
+    assert roots_sum_is_zero(residues, q) is want
+    assert roots_sum_is_zero(residues, q) is want
+    # a scaled copy is another key with the same verdict
+    assert roots_sum_is_zero(tuple(k * r for r in residues), k * q) is want
+    # the same residues over another q are another key, decided on their own
+    other = data.draw(st.integers(residues[-1] + 1, MEMO_MAX_DEN))
+    assert roots_sum_is_zero(residues, other) is residue_sum_is_zero(Counter(residues), other)
+
+
+def test_memo_keys_hold_q():
+    roots_sum_is_zero.cache_clear()
+    assert roots_sum_is_zero((0, 1), 2) is True
+    assert roots_sum_is_zero((0, 1), 4) is False
+    assert roots_sum_is_zero((0, 2), 4) is True
+    assert roots_sum_is_zero((0, 1), 2) is True
+    info = roots_sum_is_zero.cache_info()
+    assert (info.hits, info.misses) == (1, 3)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import specpair as sp
+from specpair import cyclotomic
 from specpair.operators import ExponentialVector, apply_word, apply_word_adjoint
 from specpair.transform import TransformSettings
 
@@ -203,3 +204,12 @@ def test_classify_requires_sublattice(scale4):
     with pytest.raises(sp.NotASublattice):
         sp.classify_measure(system, system.K, sp.Lattice([["2/3"]]),
                             system.freq_digits)
+
+
+def test_relation_residuals_keep_the_zero_memo_bounded(scale4x2):
+    memo = cyclotomic.roots_sum_is_zero
+    memo.cache_clear()
+    sp.relation_residuals(scale4x2.system, box_radius=16)
+    info = memo.cache_info()
+    assert info.currsize <= info.maxsize == 4096
+    assert 0 < info.misses < info.hits

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import specpair as sp
-from specpair import transform
+from specpair import cyclotomic, exact, transform
 from specpair.cyclotomic import residue_sum_is_zero
 from specpair.measure import build_ifs, integrate_exponential, refine_measure
 from specpair.transform import TransformSettings
@@ -213,15 +214,42 @@ def test_mu_hat_values_quadrature_is_charged_atoms_times_rows(scale4x2, monkeypa
 
 def test_half_plane_exit_decides_every_nonzero_two_digit_factor(scale4, monkeypatch):
     # with N = 2 the half-plane test is complete, so the cyclotomic
-    # recursion sees only the factors that vanish
-    verdicts = []
+    # recursion sees only the factors that vanish, and the memo sends it
+    # each of their patterns once
+    cyclotomic.roots_sum_is_zero.cache_clear()
+    lookups, verdicts = [], []
+
+    def memo_spy(residues, den):
+        lookups.append(((residues, den), cyclotomic.roots_sum_is_zero(residues, den)))
+        return lookups[-1][1]
 
     def spy(weights, den):
         verdicts.append(residue_sum_is_zero(weights, den))
         return verdicts[-1]
 
-    monkeypatch.setattr(transform, "residue_sum_is_zero", spy)
+    monkeypatch.setattr(transform, "roots_sum_is_zero", memo_spy)
+    monkeypatch.setattr(cyclotomic, "residue_sum_is_zero", spy)
     values = [sp.mu_hat_value(scale4.system, F(num, den))
               for num in range(-64, 65) for den in (1, 2, 3, 8, 12, 3**25)]
     assert verdicts and all(verdicts)
-    assert values.count(0) == len(verdicts)
+    zero_keys = {key for key, zero in lookups if zero}
+    assert len(verdicts) == len(zero_keys)
+    assert values.count(0) == sum(zero for _, zero in lookups) > len(zero_keys)
+
+
+@pytest.mark.parametrize("name", ["scale4", "scale4x2", "tri2", "shear3"])
+def test_scalar_loop_finds_the_batch_decisions(name):
+    # over integer rows the batch and the scalar loop share every level's q,
+    # so after the batch each of the scalar loop's zero decisions is a hit
+    system = sp.parse_spec(name if name.startswith("scale") else DATA / f"{name}.json").system
+    radius = {1: 16, 2: 6, 3: 3}[system.dim]
+    rows = [exact.as_point(row, system.dim)[0]
+            for row in itertools.product(range(-radius, radius + 1), repeat=system.dim)]
+    memo = cyclotomic.roots_sum_is_zero
+    memo.cache_clear()
+    batch = transform._exact_products(system, rows, 30)
+    decided = memo.cache_info().misses
+    scalar = [transform._exact_product(system, row, 30) for row in rows]
+    assert [repr(v) for v in scalar] == [repr(v) for v in batch]
+    info = memo.cache_info()
+    assert 0 < decided == info.misses < info.hits
