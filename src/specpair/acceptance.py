@@ -25,9 +25,8 @@ from .operators import classify_measure, relation_residuals, state_eval
 from .pair import tiling_check
 from .specfile import document_from, parse_document, parse_spec
 from .spectrum import BESSEL_SLACK, completeness_table, enumerate_spectrum
-from .transform import (TransformSettings, _exact_products, functional_equation_residuals,
+from .transform import (TransformSettings, _exact_block, functional_equation_residuals,
                         mask, mu_hat_value, mu_hat_values)
-from . import exact
 
 SEED = 20260808
 
@@ -112,10 +111,10 @@ def criterion_2_orthogonality_zeros() -> CriterionResult:
     """Transform vanishes exactly on differences of enumerated frequencies."""
     system = _scale4().system
     enum = enumerate_spectrum(system, 6)
-    n = len(enum)
+    n, rows = len(enum), enum.rows.astype(object)
     # values[i * n + j] is the transform at xi_j - xi_i
-    values = _exact_products(system, (exact.vec_sub(xj, xi) for xi in enum.elements
-                                      for xj in enum.elements), 30)
+    values = _exact_block(system, (rows[None] - rows[:, None]).reshape(-1, system.dim),
+                          enum.den, 30)
     pairs = n * (n - 1)
     nonzero = sum(values[i * n + j] != 0 for i in range(n) for j in range(n) if i != j)
     # the depth-5 frequencies are every N-th depth-6 one

@@ -19,12 +19,12 @@ go to ``cyclotomic.roots_sum_is_zero``, memoized per (sorted residues, q)
 in at most 4,096 entries: a product meets the same few residue patterns
 at most of its levels, so the cyclotomic recursion decides each once.
 
-A set of rational frequencies runs through ``_exact_products``: the same
-loop on a block of rows over one common denominator, with the integers in
-numpy object arrays, so each level is a few array operations, each value
-bit for bit the one ``_exact_product`` gives.  Completeness tables and
-relation checks batch; a single point stays scalar (``mu_hat_value``,
-``mask``), because a batch of one costs several times the plain loop.
+A set of rational frequencies runs through ``_exact_block``: the same
+loop on integer rows over one denominator, as completeness tables and
+relation checks build them (``_exact_products`` puts Fraction points over
+theirs), in numpy object arrays, so each level is a few array operations,
+each value bit for bit the one ``_exact_product`` gives.  A single point
+stays scalar: a batch of one costs several times the plain loop.
 
 Float frequencies go through one batched kernel, ``mu_hat_values``: an
 (M, d) array of points runs the product level by level in numpy, each
@@ -36,7 +36,6 @@ batch of one, and so is every quadrature request.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -184,61 +183,57 @@ def _float_product(
 
 def _exact_products(system: SimpleFactor, freqs, depth: int) -> list[complex]:
     """The depth-``depth`` product at each exact point of the iterable
-    ``freqs``, bit for bit the value _exact_product gives for that row.
+    ``freqs``: its rows over their common denominator through _exact_block."""
+    rows, den = exact.over_common_denominator(tuple(freqs))
+    return _exact_block(system, rows, den, depth)
 
-    The rows run CHUNK_ROWS at a time, each block level by level over one
-    common denominator, so its phases are integers p over one q, held in
-    numpy object arrays of Python ints, exact at any size.  Scaling a row's
-    p and q by one factor changes neither the float p / q, which Python
+
+def _exact_block(system: SimpleFactor, rows, den: int, depth: int) -> list[complex]:
+    """The depth-``depth`` product at each of the (M, d) integer rows, the
+    points rows / den, bit for bit the value _exact_product gives there.
+
+    The rows run CHUNK_ROWS at a time, each chunk level by level over one
+    denominator, so its phases are integers p over one q, held in numpy
+    object arrays of Python ints, exact at any size.  Scaling a row's p
+    and q by one factor changes neither the float p / q, which Python
     rounds correctly, nor which residues vanish, nor the half-plane test,
-    nor roots_sum_is_zero's verdict, only its memo key.
+    nor roots_sum_is_zero's verdict, only its memo key: ``den`` need not
+    be the least denominator.  A row leaves its chunk as 0j at an exact
+    zero or at a float factor that rounds to 0j, as the scalar loop
+    returns there.
     """
-    freqs = iter(freqs)
-    values: list[complex] = []
-    while block := list(itertools.islice(freqs, CHUNK_ROWS)):
-        values += _exact_block(system, block, depth)
-    return values
-
-
-def _exact_block(system: SimpleFactor, block: list, depth: int) -> list[complex]:
-    """_exact_products on one block of rows.
-
-    A row leaves the block as 0j at an exact zero or at a float factor
-    that rounds to 0j, as the scalar loop returns there.
-    """
-    nums, den = exact.over_common_denominator(block)
     digits, digit_den, pull, pull_den = system._integer_maps
     digits, pull = np.array(digits, dtype=object), np.array(pull, dtype=object)
-    num = np.array(nums, dtype=object).T
-    rows = np.arange(len(block))
-    re, im = np.ones(len(block)), np.zeros(len(block))
-    for level in range(depth):
-        if level:
-            num = pull @ num
-            den *= pull_den
-        q = digit_den * den
-        phases = digits @ num
-        residues = np.sort(phases % q, axis=0)
-        one = residues[-1] == 0
-        # in_open_half_circle row by row: the widest gap around the circle
-        gaps = np.concatenate((residues[1:], residues[:1] + q)) - residues
-        undecided = np.flatnonzero(gaps.max(axis=0) <= q // 2)
-        zero = np.zeros(len(rows), dtype=bool)
-        zero[undecided] = [roots_sum_is_zero(tuple(column), q)
-                           for column in residues[:, undecided].T.tolist()]
-        f_re, f_im = np.ones(len(rows)), np.zeros(len(rows))
-        roots = ~(one | zero)
-        f_re[roots], f_im[roots] = _root_means(
-            (phases[:, roots] / q).astype(float), system.N)
-        zero |= (f_re == 0) & (f_im == 0)
-        re, im = re * f_re - im * f_im, re * f_im + im * f_re
-        live = ~zero
-        rows, num, re, im = rows[live], num[:, live], re[live], im[live]
-        if not len(rows):
-            break
-    values = [0j] * len(block)
-    for j, value_re, value_im in zip(rows.tolist(), re.tolist(), im.tolist()):
-        values[j] = complex(value_re, value_im)
+    values = [0j] * len(rows)
+    for start in range(0, len(rows), CHUNK_ROWS):
+        num = np.array(rows[start:start + CHUNK_ROWS], dtype=object).T
+        live = np.arange(start, start + num.shape[1])
+        re, im = np.ones(len(live)), np.zeros(len(live))
+        for level in range(depth):
+            if level:
+                num = pull @ num
+            q = digit_den * den * pull_den**level
+            phases = digits @ num
+            residues = np.sort(phases % q, axis=0)
+            one = residues[-1] == 0
+            # in_open_half_circle row by row: the widest gap around the circle
+            gaps = np.concatenate((residues[1:], residues[:1] + q)) - residues
+            undecided = np.flatnonzero(gaps.max(axis=0) <= q // 2)
+            zero = np.zeros(len(live), dtype=bool)
+            zero[undecided] = [roots_sum_is_zero(tuple(column), q)
+                               for column in residues[:, undecided].T.tolist()]
+            f_re, f_im = np.ones(len(live)), np.zeros(len(live))
+            roots = ~(one | zero)
+            f_re[roots], f_im[roots] = _root_means(
+                (phases[:, roots] / q).astype(float), system.N)
+            zero |= (f_re == 0) & (f_im == 0)
+            re, im = re * f_re - im * f_im, re * f_im + im * f_re
+            keep = ~zero
+            live, num, re, im = live[keep], num[:, keep], re[keep], im[keep]
+            if not len(live):
+                break
+        for j, value_re, value_im in zip(live.tolist(), re.tolist(), im.tolist()):
+            values[j] = complex(value_re, value_im)
     return values
 
 

@@ -6,8 +6,84 @@ import numpy as np
 import pytest
 
 import specpair as sp
-from specpair import exact, spectrum
+from specpair import exact, spectrum, transform
 from specpair.spectrum import AllOrthogonal, Witness
+
+DATA = Path(__file__).with_name("data")
+
+
+def oracle_enumeration(system, depth):
+    """The Fraction enumeration the integer rows replaced, verbatim: each
+    level's digit sums built with exact.vec_add."""
+    elements = [exact.zero_vector(system.dim)]
+    contributions = system.freq_digits
+    for level in range(1, depth + 1):
+        if level > 1:
+            contributions = [system.push(c) for c in contributions]
+        elements = [
+            exact.vec_add(base, c) for base in elements for c in contributions
+        ]
+    return tuple(elements)
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("scale4", 9), ("scale4x2", 5), ("middlethird", 7),
+    ("n3", 6), ("tri2", 6), ("shear3", 3), ("scale4x2_sheared", 5),
+])
+def test_enumeration_matches_fraction_oracle(name, depth):
+    source = name if name in sp.specfile.BUILTIN_DOCUMENTS else DATA / f"{name}.json"
+    system = sp.parse_spec(source, require_valid=False).system
+    want = oracle_enumeration(system, depth)
+    for d in range(depth + 1):
+        enum = sp.enumerate_spectrum(system, d)
+        assert enum.rows.dtype == np.int64
+        assert enum.elements == want[::system.N ** (depth - d)]
+        assert all(type(c) is F for xi in enum.elements for c in xi)
+        assert enum.floats.tolist() == [list(exact.to_floats(xi)) for xi in enum.elements]
+
+
+def large_e_system(e, ell):
+    """K = Z and Gamma = Z / e, so E^T = e: the depth-2 frequencies are
+    0, e ell, ell and (e + 1) ell, in that order."""
+    return sp.SimpleFactor(
+        K=sp.Lattice([[1]]), A=sp.Lattice([["1/2"]]), Gamma=sp.Lattice([[F(1, e)]]),
+        digits=[(0,), ("1/2",)], freq_digits=[(0,), (ell,)])
+
+
+@pytest.mark.parametrize("e, ell, dtype", [
+    (2**53 - 2, F(1, 3), np.int64),   # numerators up to 2**53 - 1: exact as floats
+    (2**53, F(1, 3), np.int64),       # 2**53 + 1: an int64 -> float64 cast rounds
+    (2**63 - 2, F(1), np.int64),      # the largest sum is 2**63 - 1
+    (2**63 - 1, F(1), object),        # the largest sum is 2**63
+    (2**63 - 1, F(1, 3), object),
+])
+def test_enumeration_bounds_keep_every_value(e, ell, dtype):
+    system = large_e_system(e, ell)
+    enum = sp.enumerate_spectrum(system, 2)
+    want = oracle_enumeration(system, 2)
+    assert enum.rows.dtype == dtype
+    assert enum.elements == want == ((0,), (e * ell,), (ell,), ((e + 1) * ell,))
+    assert enum.floats.tolist() == [[float(xi[0])] for xi in want]
+    if e == 2**53:
+        top = (e + 1) * ell
+        assert float(np.int64(top * 3)) / 3 != float(top)
+    for s in (F(1, 5), F(2, 7) + e):
+        terms = [abs(transform._exact_product(system, exact.vec_sub((s,), xi), 30)) ** 2
+                 for xi in want]
+        rows = sp.completeness_table(system, s, [0, 1, 2])
+        assert [r.sigma for r in rows] == [terms[0], math.fsum(terms[::2]), math.fsum(terms)]
+    floats = sp.completeness_table(system, 0.3, [2])
+    assert floats[0].sigma == math.fsum(
+        abs(v) ** 2 for v in sp.mu_hat_values(system, [[0.3 - float(xi[0])] for xi in want]))
+
+
+def test_digit_levels_choose_int64_below_the_bound():
+    levels, den = spectrum._digit_levels(large_e_system(2**63 - 2, F(1)), 2)
+    assert (levels.dtype, den, levels.tolist()) == (np.int64, 1, [[[0], [1]], [[0], [2**63 - 2]]])
+    levels, _ = spectrum._digit_levels(large_e_system(2**63 - 1, F(1)), 2)
+    assert levels.dtype == object and levels[1, 1, 0] == 2**63 - 1
+    levels, den = spectrum._digit_levels(large_e_system(4, F(1)), 0)
+    assert (levels.shape, den) == ((0, 2, 1), 1)
 
 
 def test_enumeration_examples(scale4, scale4x2):
@@ -46,6 +122,21 @@ def test_enumeration_collision_detected():
         sp.enumerate_spectrum(broken, 2)
 
 
+@pytest.mark.parametrize("freq_digits, xi", [
+    ([(0,), (1,), (2,), (3,)], "(Fraction(2, 1),)"),
+    ([("1/2",), ("3/2",), ("5/2",), ("7/2",)], "(Fraction(7, 2),)"),
+])
+def test_collision_message_prints_the_fraction_vector(freq_digits, xi):
+    # 1/2 + 2 * 3/2 = 5/2 + 2 * 1/2: the message names the frequency, not its row
+    broken = sp.SimpleFactor(
+        K=sp.Lattice([[1]]), A=sp.Lattice([["1/4"]]), Gamma=sp.Lattice([["1/2"]]),
+        digits=[(0,), ("1/4",), ("1/2",), ("3/4",)], freq_digits=freq_digits,
+    )
+    with pytest.raises(sp.CollisionDetected) as caught:
+        sp.enumerate_spectrum(broken, 2)
+    assert str(caught.value) == f"words (0, 1) and (2, 0) both map to {xi}"
+
+
 def test_enumeration_budget(scale4):
     with pytest.raises(sp.BudgetExceeded):
         sp.enumerate_spectrum(scale4.system, 60)
@@ -56,10 +147,11 @@ class Built(Exception):
 
 
 def test_enumeration_budget_is_checked_before_building(scale4, scale4x2, monkeypatch):
-    def build(u, v):
+    def build(system, depth):
         raise Built
 
-    monkeypatch.setattr(exact, "vec_add", build)
+    # every frequency is a sum of the digit levels' integer rows
+    monkeypatch.setattr(spectrum, "_digit_levels", build)
     assert spectrum.SPECTRUM_BUDGET == 2**18
     for system, at_budget in ((scale4.system, 18), (scale4x2.system, 9)):
         with pytest.raises(Built):

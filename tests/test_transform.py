@@ -161,7 +161,7 @@ def test_consumers_refuse_out_of_range_product_depths(scale4, monkeypatch, call,
         raise AssertionError("transform evaluated before the depth check")
 
     for module in (sp.spectrum, sp.operators):
-        for name in ("mu_hat_value", "_exact_products"):
+        for name in ("mu_hat_value", "_exact_block"):
             monkeypatch.setattr(module, name, no_transform)
     with pytest.raises(sp.BudgetExceeded, match="product depth"):
         call(scale4.system, depth)
