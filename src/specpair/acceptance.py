@@ -111,7 +111,7 @@ def criterion_2_orthogonality_zeros() -> CriterionResult:
     """Transform vanishes exactly on differences of enumerated frequencies."""
     system = _scale4().system
     enum = enumerate_spectrum(system, 6)
-    n, rows = len(enum), enum.rows.astype(object)
+    n, rows = len(enum), enum.rows
     # values[i * n + j] is the transform at xi_j - xi_i
     values = _exact_block(system, (rows[None] - rows[:, None]).reshape(-1, system.dim),
                           enum.den, 30)

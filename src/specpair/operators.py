@@ -21,6 +21,7 @@ delta, which the property tests pin down.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
@@ -46,7 +47,7 @@ from .measure import DiscreteMeasure, check_quadrature_budget, integrate_exponen
 from .transform import (
     TransformSettings,
     _cached_measure,
-    _exact_block,
+    _exact_products,
     _root_means,
     check_product_depth,
     mask,
@@ -182,31 +183,25 @@ def _residual_failures(report) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _relation_maxima(samples, e_transpose, freq_digits, transforms, masks_at):
+def _relation_maxima(samples, push, freq_digits, transforms, masks_at):
     """Worst isometry, range-overlap and completeness residuals over the
-    exact samples, pushed by the exact matrix ``e_transpose``;
-    completeness is None when ``masks_at`` is None.
+    exact samples; completeness is None when ``masks_at`` is None.
 
-    The samples, their pushes, the range differences l' - l and the mask
-    arguments u - l are integer rows over one denominator: ``transforms``
-    and ``masks_at`` map an (M, d) object array of Python ints and that
-    denominator to a list of values, one per row, in order.
+    ``transforms`` and ``masks_at`` map an iterable of exact points to a
+    list of values, one per point, in order.
     """
-    n, d = len(samples), len(e_transpose)
-    push, push_den = exact.over_common_denominator(e_transpose)
-    rows, den = exact.over_common_denominator(list(samples) + list(freq_digits))
-    rows = np.array(rows, dtype=object)
-    pushed = rows[:n] @ np.array(push, dtype=object).T
-    samples, digits, den = rows[:n] * push_den, rows[n:] * push_den, den * push_den
-    values = transforms(np.concatenate((pushed, samples)), den)
+    pushed = [push(u) for u in samples]
+    values = transforms(itertools.chain(pushed, samples))
+    n = len(samples)
     isometry = max([0.0] + [abs(a - b) for a, b in zip(values[:n], values[n:])])
-    differences = np.array([lb - la for la in digits for lb in digits
-                            if (la != lb).any()], dtype=object).reshape(-1, d)
-    overlaps = transforms((pushed[:, None] + differences).reshape(-1, d), den)
+    differences = [exact.vec_sub(lb, la)
+                   for la in freq_digits for lb in freq_digits if la != lb]
+    overlaps = transforms(exact.vec_add(p, difference)
+                          for p in pushed for difference in differences)
     range_orth = max([0.0] + [abs(value) for value in overlaps])
     if masks_at is None:
         return isometry, range_orth, None
-    masks = masks_at((samples[:, None] - digits).reshape(-1, d), den)
+    masks = masks_at(exact.vec_sub(u, l) for u in samples for l in freq_digits)
     per_sample = len(freq_digits)
     completeness = max([0.0] + [abs(sum(masks[i:i + per_sample]) - 1)
                                 for i in range(0, len(masks), per_sample)])
@@ -228,9 +223,9 @@ def relation_residuals(
     check_product_depth(product_depth)
     samples = lattice_points_in_box(system.K_dual, box_radius)
     isometry, range_orth, completeness = _relation_maxima(
-        samples, system.E_transpose, system.freq_digits,
-        partial(_exact_block, system, depth=product_depth),
-        partial(_exact_block, system, depth=1),
+        samples, system.push, system.freq_digits,
+        partial(_exact_products, system, depth=product_depth),
+        partial(_exact_products, system, depth=1),
     )
     return RelationReport(
         isometry=isometry,
@@ -314,18 +309,19 @@ def classify_measure(
         expansive_check(e),
     ]
 
-    def transforms(rows, den):
-        return integrate_exponentials(measure, (rows / den).astype(float)).tolist()
+    def transforms(points):
+        rows = np.array(list(points), dtype=float).reshape(-1, measure.dim)
+        return integrate_exponentials(measure, rows).tolist()
 
-    def digit_masks(rows, den):
-        nums, digit_den = exact.over_common_denominator(digits)
-        phases = np.array(nums, dtype=object) @ rows.T / (digit_den * den)
-        re, im = _root_means(phases.astype(float), len(digits))
+    def digit_masks(points):
+        points = list(points)
+        phases = np.array([[float(exact.dot(b, s)) for s in points] for b in digits])
+        re, im = _root_means(phases, len(digits))
         return [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
 
     isometry, range_orth, completeness = _relation_maxima(
         samples,
-        exact.transpose(e),
+        partial(exact.mat_vec, exact.transpose(e)),
         freq_digits,
         transforms,
         None if digits is None else digit_masks,

@@ -5,13 +5,11 @@ Depth-n frequencies are the affine digit sums
     xi(w) = sum_{k=1..n} (E^T)^{k-1} l_{w_k},  w a word over the digits,
 
 computed exactly and collision-checked (a collision means the datum is
-broken, not that two words share a frequency).  They are integer rows
-over one denominator (on a valid datum every term lies in the dual of K),
-int64 while no sum can overflow; the Fraction vectors and floats are views
-of the rows, derived where they are read.  The element at index i
-encodes its word in base N, most significant letter first, so the
-depth-(n-1) enumeration sits at the indices divisible by N -- the
-completeness sums inherit their monotonicity from that nesting.
+broken, not that two words share a frequency) as integer rows over one
+denominator, read as Fractions or floats only through views.  The
+element at index i encodes its word in base N, most significant letter
+first, so the depth-(n-1) enumeration sits at the indices divisible by
+N -- the completeness sums inherit their monotonicity from that nesting.
 
 The completeness sum over a truncation is a Bessel partial sum: it is
 reported per depth and never asserted against its limit, because a
@@ -52,8 +50,7 @@ SPECTRUM_BUDGET = 2**18
 
 @dataclass(frozen=True, eq=False)
 class SpectrumEnumeration:
-    """All depth-n frequencies in word-rank order: ``rows / den``, an
-    (N^n, d) array of integer numerators over one denominator."""
+    """All depth-n frequencies in word-rank order, the integer rows / den."""
 
     depth: int
     base: int
@@ -62,14 +59,12 @@ class SpectrumEnumeration:
 
     @cached_property
     def elements(self) -> tuple[Vector, ...]:
-        """The frequencies as Fraction vectors."""
-        return tuple(tuple(Fraction(n, self.den) for n in row)
-                     for row in self.rows.tolist())
+        return tuple(tuple(Fraction(n, self.den) for n in row) for row in self.rows.tolist())
 
     @cached_property
     def floats(self) -> np.ndarray:
-        """The frequencies as floats: Python's n / den rounds as Fraction's does."""
-        arr = np.asarray(self.rows.astype(object) / self.den, dtype=float)
+        # Python's int / int rounds correctly, as float(Fraction) does
+        arr = np.asarray(self.rows / self.den, dtype=float)
         arr.setflags(write=False)
         return arr
 
@@ -86,48 +81,29 @@ class SpectrumEnumeration:
         step = self.base ** (self.depth - depth)
         return range(0, len(self.rows), step)
 
-    def differences(self, point: Vector) -> tuple[np.ndarray, int]:
-        """point - xi for each xi, in order, as Python-int rows over one denominator."""
-        (row,), den = exact.over_common_denominator((point,))
-        common = math.lcm(den, self.den)
-        return (np.array(row, dtype=object) * (common // den)
-                - self.rows.astype(object) * (common // self.den)), common
-
-
-def _digit_levels(system: SimpleFactor, depth: int) -> tuple[np.ndarray, int]:
-    """Level k's contributions (E^T)^{k-1} l, k = 1..depth, as a (depth, N,
-    d) array of integer numerators over one denominator: int64 when no sum
-    of one contribution per level can pass 2**63 - 1, Python ints past it."""
-    levels = [system.freq_digits][:depth]
-    while len(levels) < depth:
-        levels.append(tuple(system.push(c) for c in levels[-1]))
-    nums, den = exact.over_common_denominator([c for level in levels for c in level])
-    table = np.array(nums, dtype=object).reshape(depth, system.N, system.dim)
-    if sum(np.abs(table).max(axis=(1, 2)).tolist()) < 2**63:
-        table = table.astype(np.int64)
-    return table, den
-
 
 def enumerate_spectrum(system: SimpleFactor, depth: int) -> SpectrumEnumeration:
-    """All digit sums of length ``depth``, exact and collision-checked:
-    each level one broadcast add, its letter the least significant."""
+    """All digit sums of length ``depth``, exact and collision-checked."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if system.N**depth > SPECTRUM_BUDGET:
         raise BudgetExceeded(f"{system.N}^{depth} frequencies exceed the budget")
-    levels, den = _digit_levels(system, depth)
-    rows = np.zeros((1, system.dim), dtype=levels.dtype)
-    for level in levels:
+    # level k adds (E^T)^{k-1} l, the previous level's contribution pushed
+    levels = [system.freq_digits][:depth]
+    while len(levels) < depth:
+        levels.append([system.push(c) for c in levels[-1]])
+    nums, den = exact.over_common_denominator([c for level in levels for c in level])
+    rows = np.zeros((1, system.dim), dtype=object)
+    for level in np.array(nums, dtype=object).reshape(depth, system.N, system.dim):
         rows = (rows[:, None] + level).reshape(-1, system.dim)
     rows.setflags(write=False)
+    enum = SpectrumEnumeration(depth=depth, base=system.N, rows=rows, den=den)
     seen: dict[tuple, int] = {}
     for rank, row in enumerate(map(tuple, rows.tolist())):
-        other = seen.setdefault(row, rank)
-        if other != rank:
-            words = [word_at(i, system.N, depth) for i in (other, rank)]
-            xi = tuple(Fraction(n, den) for n in row)
-            raise CollisionDetected(f"words {words[0]} and {words[1]} both map to {xi}")
-    return SpectrumEnumeration(depth=depth, base=system.N, rows=rows, den=den)
+        if (other := seen.setdefault(row, rank)) != rank:
+            a, b = (word_at(i, system.N, depth) for i in (other, rank))
+            raise CollisionDetected(f"words {a} and {b} both map to {enum.elements[rank]}")
+    return enum
 
 
 @dataclass(frozen=True)
@@ -156,7 +132,10 @@ def completeness_table(
     s, is_exact = exact.as_point(s, system.dim)
     deepest = enumerate_spectrum(system, depths[-1])
     if is_exact:
-        values = _exact_block(system, *deepest.differences(s), product_depth)
+        # s - xi = (k s den - k xi den) / (k den), k s den integral
+        (row,), k = exact.over_common_denominator((tuple(x * deepest.den for x in s),))
+        values = _exact_block(system, np.array(row, dtype=object) - k * deepest.rows,
+                              k * deepest.den, product_depth)
     else:
         values = mu_hat_values(system, np.array(s) - deepest.floats, settings).tolist()
     values = [abs(v) ** 2 for v in values]
@@ -199,9 +178,7 @@ def maximality_probe(system: SimpleFactor, s, enum_depth: int):
     settings = TransformSettings()
     point, is_exact = exact.as_point(s, system.dim)
     enum = enumerate_spectrum(system, enum_depth)
-    member = ((enum.differences(point)[0] == 0).all(axis=1).any() if is_exact
-              else point in map(tuple, enum.floats))
-    if member:
+    if point in (enum.elements if is_exact else map(tuple, enum.floats)):
         raise MemberOfSpectrum(f"{s!r} is in the depth-{enum_depth} enumeration")
     order = np.argsort(np.linalg.norm(enum.floats, axis=1), kind="stable").tolist()
     if is_exact:

@@ -20,11 +20,11 @@ in at most 4,096 entries: a product meets the same few residue patterns
 at most of its levels, so the cyclotomic recursion decides each once.
 
 A set of rational frequencies runs through ``_exact_block``: the same
-loop on integer rows over one denominator, as completeness tables and
-relation checks build them (``_exact_products`` puts Fraction points over
-theirs), in numpy object arrays, so each level is a few array operations,
-each value bit for bit the one ``_exact_product`` gives.  A single point
-stays scalar: a batch of one costs several times the plain loop.
+loop on integer rows over one denominator (``_exact_products`` puts
+Fraction points over theirs) in numpy object arrays, so each level is a
+few array operations, each value bit for bit the one ``_exact_product``
+gives.  A single point stays scalar: a batch of one costs several times
+the plain loop.
 
 Float frequencies go through one batched kernel, ``mu_hat_values``: an
 (M, d) array of points runs the product level by level in numpy, each
@@ -50,7 +50,7 @@ from .lattice import SimpleFactor
 from .measure import DiscreteMeasure, build_ifs, integrate_exponentials, refine_measure
 
 MAX_PRODUCT_DEPTH = 200
-# rows per numpy pass in mu_hat_values and _exact_products; bounds the
+# rows per numpy pass in mu_hat_values and _exact_block; bounds the
 # (N, rows) phase arrays whatever the number of points
 CHUNK_ROWS = 4096
 TWO_PI = 2 * math.pi
@@ -182,25 +182,21 @@ def _float_product(
 
 
 def _exact_products(system: SimpleFactor, freqs, depth: int) -> list[complex]:
-    """The depth-``depth`` product at each exact point of the iterable
-    ``freqs``: its rows over their common denominator through _exact_block."""
-    rows, den = exact.over_common_denominator(tuple(freqs))
-    return _exact_block(system, rows, den, depth)
+    """_exact_block at the exact points of the iterable ``freqs``."""
+    return _exact_block(system, *exact.over_common_denominator(tuple(freqs)), depth)
 
 
 def _exact_block(system: SimpleFactor, rows, den: int, depth: int) -> list[complex]:
     """The depth-``depth`` product at each of the (M, d) integer rows, the
     points rows / den, bit for bit the value _exact_product gives there.
 
-    The rows run CHUNK_ROWS at a time, each chunk level by level over one
-    denominator, so its phases are integers p over one q, held in numpy
-    object arrays of Python ints, exact at any size.  Scaling a row's p
-    and q by one factor changes neither the float p / q, which Python
-    rounds correctly, nor which residues vanish, nor the half-plane test,
-    nor roots_sum_is_zero's verdict, only its memo key: ``den`` need not
-    be the least denominator.  A row leaves its chunk as 0j at an exact
-    zero or at a float factor that rounds to 0j, as the scalar loop
-    returns there.
+    The rows run CHUNK_ROWS at a time, level by level, so each chunk's
+    phases are integers p over one q, in numpy object arrays of Python
+    ints.  ``den`` need not be the least denominator: scaling p and q by
+    one factor changes neither the correctly rounded float p / q, nor
+    which residues vanish, nor the half-plane test, nor roots_sum_is_zero's
+    verdict, only its memo key.  A row leaves its chunk as 0j at an exact
+    zero or at a float factor that rounds to 0j, as the scalar loop does.
     """
     digits, digit_den, pull, pull_den = system._integer_maps
     digits, pull = np.array(digits, dtype=object), np.array(pull, dtype=object)

@@ -300,10 +300,10 @@ def test_measure_rows_are_budgeted_before_refining(capsys, monkeypatch):
 
 
 def test_spectrum_enumeration_is_budgeted_before_building(capsys, monkeypatch):
-    def no_levels(system, depth):
+    def no_push(system, s):
         raise AssertionError("frequencies built before the budget check")
 
-    monkeypatch.setattr(specpair.spectrum, "_digit_levels", no_levels)
+    monkeypatch.setattr(specpair.SimpleFactor, "push", no_push)
     code, out, err = run(capsys, "spectrum", "--spec", "scale4", "--enum-depth", "19",
                          "--frequencies")
     assert code == 1

@@ -14,11 +14,11 @@ numerators large enough that no level is a structural 1 and the product
 runs to full depth.
 
 The batched exact product ``_exact_products`` is held to the scalar
-``_exact_product`` row by row, and the consumers that hand its integer
-entry ``_exact_block`` rows over one denominator (``completeness_table``,
-``relation_residuals``, ``classify_measure``) to the per-row loop on
-Fraction points and the per-sample Fraction fold they replaced
-(``per_row_products``, ``oracle_relation_maxima``).
+``_exact_product`` row by row, and the consumers that use it or its
+integer-row entry ``_exact_block`` (``completeness_table``,
+``relation_residuals``, ``classify_measure``) to the per-row loop and
+per-sample fold they replaced (``per_row_products``, ``per_row_block``,
+``oracle_relation_maxima``).
 
 The Fraction oracle gives up past a conductor limit, where the package
 now decides every sum exactly.  Where the oracle decides, its verdicts
@@ -430,38 +430,38 @@ def test_exact_products_mix_zero_levels_and_full_depth(monkeypatch, name, chunk)
     assert transform._exact_products(system, iter(()), 1) == []
 
 
-def oracle_relation_maxima(samples, e_transpose, freq_digits, transforms, masks_at):
-    """The per-sample fold operators._relation_maxima replaced, on Fraction
-    points, calling the batch callables one point at a time, each point
-    an integer row over its least denominator."""
-    def one(batch, point):
-        (row,), den = exact.over_common_denominator((point,))
-        return batch(np.array([row], dtype=object), den)[0]
+def oracle_relation_maxima(samples, push, freq_digits, transforms, masks_at):
+    """The per-sample fold operators._relation_maxima replaced, verbatim,
+    calling the batch callables one point at a time."""
+    def transform_(point):
+        return transforms([point])[0]
 
+    mask_at = None if masks_at is None else (lambda point: masks_at([point])[0])
     isometry = 0.0
     range_orth = 0.0
-    completeness = None if masks_at is None else 0.0
+    completeness = None if mask_at is None else 0.0
     differences = [exact.vec_sub(lb, la)
                    for la in freq_digits for lb in freq_digits if la != lb]
     for u in samples:
-        pushed = exact.mat_vec(e_transpose, u)
-        isometry = max(isometry, abs(one(transforms, pushed) - one(transforms, u)))
+        pushed = push(u)
+        isometry = max(isometry, abs(transform_(pushed) - transform_(u)))
         for difference in differences:
             arg = exact.vec_add(pushed, difference)
-            range_orth = max(range_orth, abs(one(transforms, arg)))
-        if masks_at is not None:
-            total = sum(one(masks_at, exact.vec_sub(u, l)) for l in freq_digits)
+            range_orth = max(range_orth, abs(transform_(arg)))
+        if mask_at is not None:
+            total = sum(mask_at(exact.vec_sub(u, l)) for l in freq_digits)
             completeness = max(completeness, abs(total - 1))
     return isometry, range_orth, completeness
 
 
-def as_fractions(row, den):
-    return tuple(Fraction(int(n), den) for n in row)
+def per_row_products(system, freqs, depth):
+    return [transform._exact_product(system, t, depth) for t in freqs]
 
 
-def per_row_products(system, rows, den, depth):
+def per_row_block(system, rows, den, depth):
     """_exact_block as the scalar loop at each row's Fraction point."""
-    return [transform._exact_product(system, as_fractions(row, den), depth) for row in rows]
+    return per_row_products(
+        system, [tuple(Fraction(int(n), den) for n in row) for row in rows], depth)
 
 
 CONSUMER_SYSTEMS = {
@@ -484,8 +484,8 @@ def test_exact_consumers_match_per_row_oracle(monkeypatch, name, s, depths):
     system = CONSUMER_SYSTEMS[name]
     batched = (sp.completeness_table(system, s, depths),
                sp.relation_residuals(system, box_radius=3))
-    monkeypatch.setattr(sp.spectrum, "_exact_block", per_row_products)
-    monkeypatch.setattr(sp.operators, "_exact_block", per_row_products)
+    monkeypatch.setattr(sp.spectrum, "_exact_block", per_row_block)
+    monkeypatch.setattr(sp.operators, "_exact_products", per_row_products)
     monkeypatch.setattr(sp.operators, "_relation_maxima", oracle_relation_maxima)
     rows = sp.completeness_table(system, s, depths)
     report = sp.relation_residuals(system, box_radius=3)
@@ -523,8 +523,7 @@ def test_classify_measure_matches_per_point_quadrature(monkeypatch, name, depth)
 
     def per_point(samples, push, freq_digits, transforms, masks_at):
         return fold(samples, push, freq_digits,
-                    lambda rows, den: [sp.integrate_exponential(measure_, as_fractions(row, den))
-                                       for row in rows],
+                    lambda points: [sp.integrate_exponential(measure_, p) for p in points],
                     masks_at)
 
     monkeypatch.setattr(sp.operators, "_relation_maxima", per_point)

@@ -36,7 +36,6 @@ def test_enumeration_matches_fraction_oracle(name, depth):
     want = oracle_enumeration(system, depth)
     for d in range(depth + 1):
         enum = sp.enumerate_spectrum(system, d)
-        assert enum.rows.dtype == np.int64
         assert enum.elements == want[::system.N ** (depth - d)]
         assert all(type(c) is F for xi in enum.elements for c in xi)
         assert enum.floats.tolist() == [list(exact.to_floats(xi)) for xi in enum.elements]
@@ -50,18 +49,17 @@ def large_e_system(e, ell):
         digits=[(0,), ("1/2",)], freq_digits=[(0,), (ell,)])
 
 
-@pytest.mark.parametrize("e, ell, dtype", [
-    (2**53 - 2, F(1, 3), np.int64),   # numerators up to 2**53 - 1: exact as floats
-    (2**53, F(1, 3), np.int64),       # 2**53 + 1: an int64 -> float64 cast rounds
-    (2**63 - 2, F(1), np.int64),      # the largest sum is 2**63 - 1
-    (2**63 - 1, F(1), object),        # the largest sum is 2**63
-    (2**63 - 1, F(1, 3), object),
+@pytest.mark.parametrize("e, ell", [
+    (2**53 - 2, F(1, 3)),   # numerators up to 2**53 - 1: exact as floats
+    (2**53, F(1, 3)),       # 2**53 + 1: an int64 -> float64 cast rounds
+    (2**63 - 2, F(1)),      # the largest sum is 2**63 - 1, the int64 maximum
+    (2**63 - 1, F(1)),      # the largest sum is 2**63
+    (2**63 - 1, F(1, 3)),
 ])
-def test_enumeration_bounds_keep_every_value(e, ell, dtype):
+def test_enumeration_bounds_keep_every_value(e, ell):
     system = large_e_system(e, ell)
     enum = sp.enumerate_spectrum(system, 2)
     want = oracle_enumeration(system, 2)
-    assert enum.rows.dtype == dtype
     assert enum.elements == want == ((0,), (e * ell,), (ell,), ((e + 1) * ell,))
     assert enum.floats.tolist() == [[float(xi[0])] for xi in want]
     if e == 2**53:
@@ -75,15 +73,6 @@ def test_enumeration_bounds_keep_every_value(e, ell, dtype):
     floats = sp.completeness_table(system, 0.3, [2])
     assert floats[0].sigma == math.fsum(
         abs(v) ** 2 for v in sp.mu_hat_values(system, [[0.3 - float(xi[0])] for xi in want]))
-
-
-def test_digit_levels_choose_int64_below_the_bound():
-    levels, den = spectrum._digit_levels(large_e_system(2**63 - 2, F(1)), 2)
-    assert (levels.dtype, den, levels.tolist()) == (np.int64, 1, [[[0], [1]], [[0], [2**63 - 2]]])
-    levels, _ = spectrum._digit_levels(large_e_system(2**63 - 1, F(1)), 2)
-    assert levels.dtype == object and levels[1, 1, 0] == 2**63 - 1
-    levels, den = spectrum._digit_levels(large_e_system(4, F(1)), 0)
-    assert (levels.shape, den) == ((0, 2, 1), 1)
 
 
 def test_enumeration_examples(scale4, scale4x2):
@@ -147,11 +136,11 @@ class Built(Exception):
 
 
 def test_enumeration_budget_is_checked_before_building(scale4, scale4x2, monkeypatch):
-    def build(system, depth):
+    def build(system, s):
         raise Built
 
-    # every frequency is a sum of the digit levels' integer rows
-    monkeypatch.setattr(spectrum, "_digit_levels", build)
+    # past the first level every frequency sums pushed frequency digits
+    monkeypatch.setattr(sp.SimpleFactor, "push", build)
     assert spectrum.SPECTRUM_BUDGET == 2**18
     for system, at_budget in ((scale4.system, 18), (scale4x2.system, 9)):
         with pytest.raises(Built):
