@@ -3,11 +3,19 @@
 Half-open boxes [lo, hi) make tilings exact: pieces that merely touch have
 empty intersection, so a.e.-statements about overlaps become statements
 about literal emptiness.
+
+The set arithmetic runs on integers: a piece is a box as a pair (lo, hi)
+of integer numerators over one denominator, which the caller holds.  The
+caller puts its boxes and the rows that go with them (shifts, a cell,
+coset representatives) over one denominator once, with ``numerators``,
+and turns pieces back into ``Box``es, with ``as_boxes``, only for what it
+returns and for messages; Fractions appear only there and in the API.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -15,6 +23,9 @@ from typing import Iterable, Sequence
 
 from . import exact
 from .exact import Vector
+
+# a box [lo, hi) as integer numerators over a denominator its caller holds
+Piece = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -44,13 +55,6 @@ class Box:
     def translate(self, v) -> "Box":
         v = exact.as_vector(v, self.dim)
         return Box(exact.vec_add(self.lo, v), exact.vec_add(self.hi, v))
-
-    def intersect(self, other: "Box") -> "Box | None":
-        lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
-        hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
-        if any(a >= b for a, b in zip(lo, hi)):
-            return None
-        return Box(lo, hi)
 
     def contains_point(self, x: Sequence[float]) -> bool:
         return all(a <= xi < b for a, xi, b in zip(self.lo, x, self.hi))
@@ -88,49 +92,64 @@ class BoxUnion:
         return BoxUnion(tuple(b.translate(v) for b in self.boxes))
 
 
-def first_overlap(boxes: Sequence[Box]) -> tuple[Box, Box] | None:
-    """The first pair of boxes, in itertools.combinations order, that
-    overlap on positive measure; None when they are pairwise disjoint."""
-    for a, b in itertools.combinations(boxes, 2):
-        if a.intersect(b) is not None:
-            return a, b
+def numerators(boxes: Sequence[Box], rows=()) -> tuple[list[Piece], list, int]:
+    """Boxes as pieces and rational rows as numerators over one denominator."""
+    nums, den = exact.over_common_denominator([*(b.lo + b.hi for b in boxes), *rows])
+    pieces = [(row[:len(row) // 2], row[len(row) // 2:]) for row in nums[:len(boxes)]]
+    return pieces, list(nums[len(boxes):]), den
+
+
+def as_boxes(pieces: Iterable[Piece], den: int) -> list[Box]:
+    return [Box(*(tuple(Fraction(c, den) for c in row) for row in p)) for p in pieces]
+
+
+def translate(piece: Piece, v: Sequence[int]) -> Piece:
+    return tuple(map(operator.add, piece[0], v)), tuple(map(operator.add, piece[1], v))
+
+
+def overlaps(a: Piece, b: Piece) -> bool:
+    """Whether two pieces meet on positive measure; pieces that only touch do not."""
+    return all(p < s and q < r for p, q, r, s in zip(a[0], b[0], a[1], b[1]))
+
+
+def overlapping_pair(pieces: Sequence[Piece]) -> tuple[int, int] | None:
+    """The indices of ``first_overlap``'s pair, for pieces."""
+    for (i, a), (j, b) in itertools.combinations(enumerate(pieces), 2):
+        if overlaps(a, b):
+            return i, j
     return None
 
 
-def subtract_box(a: Box, b: Box) -> list[Box]:
-    """The set difference a \\ b as disjoint boxes (guillotine split)."""
-    core = a.intersect(b)
-    if core is None:
-        return [a]
-    pieces: list[Box] = []
-    lo, hi = list(a.lo), list(a.hi)
-    for j in range(a.dim):
-        if lo[j] < core.lo[j]:
-            upper = list(hi)
-            upper[j] = core.lo[j]
-            pieces.append(Box(tuple(lo), tuple(upper)))
-            lo[j] = core.lo[j]
-        if core.hi[j] < hi[j]:
-            lower = list(lo)
-            lower[j] = core.hi[j]
-            pieces.append(Box(tuple(lower), tuple(hi)))
-            hi[j] = core.hi[j]
+def first_overlap(boxes: Sequence[Box]) -> tuple[Box, Box] | None:
+    """The first pair of boxes, in itertools.combinations order, that
+    overlap on positive measure; None when they are pairwise disjoint."""
+    found = overlapping_pair(numerators(boxes)[0])
+    return None if found is None else (boxes[found[0]], boxes[found[1]])
+
+
+def cut(piece: Piece, cutter: Piece) -> list[Piece]:
+    """The difference piece \\ cutter as disjoint pieces (guillotine split)."""
+    if not overlaps(piece, cutter):
+        return [piece]
+    lo, hi = list(piece[0]), list(piece[1])
+    pieces: list[Piece] = []
+    for j, (c_lo, c_hi) in enumerate(zip(*cutter)):
+        if lo[j] < c_lo:
+            pieces.append((tuple(lo), (*hi[:j], c_lo, *hi[j + 1:])))
+            lo[j] = c_lo
+        if c_hi < hi[j]:
+            pieces.append(((*lo[:j], c_hi, *lo[j + 1:]), tuple(hi)))
+            hi[j] = c_hi
     return pieces
 
 
-def subtract_union(boxes: Iterable[Box], cutters: Iterable[Box]) -> list[Box]:
-    """Disjoint boxes covering (union of boxes) minus (union of cutters)."""
-    remainder = list(boxes)
+def subtract(pieces: Iterable[Piece], cutters: Iterable[Piece]) -> list[Piece]:
+    """Disjoint pieces covering (union of pieces) minus (union of cutters);
+    either may overlap.  Every piece has positive measure, so the
+    difference is null exactly when no piece is left."""
+    remainder = list(pieces)
     for cutter in cutters:
-        remainder = [piece for b in remainder for piece in subtract_box(b, cutter)]
+        if not remainder:
+            break
+        remainder = [p for piece in remainder for p in cut(piece, cutter)]
     return remainder
-
-
-def difference_measure(a: Sequence[Box], b: Sequence[Box]) -> Fraction:
-    return sum((p.measure for p in subtract_union(a, b)), Fraction(0))
-
-
-def equal_almost_everywhere(a: Sequence[Box], b: Sequence[Box]) -> bool:
-    """Whether two unions of boxes agree up to measure zero (exact); the
-    boxes of either may overlap."""
-    return difference_measure(a, b) == 0 and difference_measure(b, a) == 0

@@ -81,10 +81,12 @@ def as_point(t, dim: int | None = None) -> tuple[tuple, bool]:
 def over_common_denominator(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rows of rationals as integer numerators over their least common
     denominator: the rows equal numerators / denominator entrywise."""
-    den = math.lcm(*(c.denominator for row in rows for c in row))
-    return tuple(
-        tuple(c.numerator * (den // c.denominator) for c in row) for row in rows
-    ), den
+    # sized containers: tuples built from generators by resizing fill CPython's
+    # per-size tuple free lists for good, a bounded but visible peak-RSS cost
+    den = math.lcm(*{c.denominator for row in rows for c in row})
+    return tuple([
+        tuple([c.numerator * (den // c.denominator) for c in row]) for row in rows
+    ]), den
 
 
 def as_matrix(rows) -> Matrix:

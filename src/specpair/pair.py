@@ -21,13 +21,13 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import exact
-from .boxes import (Box, BoxUnion, difference_measure, equal_almost_everywhere,
-                    first_overlap)
+from .boxes import (Box, BoxUnion, Piece, as_boxes, numerators, overlapping_pair,
+                    subtract, translate)
 from .cyclotomic import residue_sum_is_zero
 from .errors import BudgetExceeded, NotEmbeddable
 from .exact import Vector
@@ -212,23 +212,34 @@ def rectangular_cell(lat: Lattice) -> Vector | None:
     return _rectangular_sublattice(lat)[0]
 
 
-def _reduce(boxes: Iterable[Box], cell: Vector) -> list[Box]:
-    """Split boxes into pieces translated into the cell [0, cell)."""
-    pieces: list[Box] = []
-    for box in boxes:
-        per_axis: list[list[tuple[Fraction, Fraction]]] = []
-        for lo, hi, side in zip(box.lo, box.hi, cell):
+def _reduce(pieces: Iterable[Piece], cell: tuple[int, ...]) -> list[Piece]:
+    """Split pieces into pieces translated into the cell [0, cell), the
+    cell's sides over the pieces' denominator."""
+    reduced: list[Piece] = []
+    for lo, hi in pieces:
+        per_axis = []
+        for a, b, side in zip(lo, hi, cell):
             axis = []
-            k = lo // side  # Fraction floor division -> integer Fraction
-            while k * side < hi:
-                a = max(lo, k * side)
-                b = min(hi, (k + 1) * side)
-                axis.append((a - k * side, b - k * side))
-                k += 1
+            k = a // side * side
+            while k < b:
+                axis.append((max(a, k) - k, min(b, k + side) - k))
+                k += side
             per_axis.append(axis)
-        pieces += (Box(tuple(p[0] for p in combo), tuple(p[1] for p in combo))
-                   for combo in itertools.product(*per_axis))
-    return pieces
+        reduced += (tuple(zip(*combo)) for combo in itertools.product(*per_axis))
+    return reduced
+
+
+def _embedding(boxes: Sequence[Box], cell: Vector) -> tuple[list[Piece], int]:
+    """The boxes reduced into the cell [0, cell), as pieces over one
+    denominator; raises NotEmbeddable when two reductions overlap on
+    positive measure (the torus embedding is not injective)."""
+    pieces, (side,), den = numerators(boxes, [cell])
+    reduced = _reduce(pieces, side)
+    found = overlapping_pair(reduced)
+    if found is not None:
+        raise NotEmbeddable("reductions overlap on positive measure: {} and {}".format(
+            *as_boxes((reduced[i] for i in found), den)))
+    return reduced, den
 
 
 def _check_dims(omega: BoxUnion, *others) -> None:
@@ -253,13 +264,7 @@ def reduce_mod_lattice(omega: BoxUnion, lat: Lattice) -> BoxUnion:
         raise ValueError(
             "reduction is implemented for rectangular lattices only"
         )
-    pieces = _reduce(omega.boxes, cell)
-    try:
-        return BoxUnion(tuple(pieces))
-    except ValueError:
-        a, b = first_overlap(pieces)
-        raise NotEmbeddable(
-            f"reductions overlap on positive measure: {a} and {b}") from None
+    return BoxUnion(tuple(as_boxes(*_embedding(omega.boxes, cell))))
 
 
 @lru_cache(maxsize=32)
@@ -379,7 +384,7 @@ def tiling_check(
     method = "monte_carlo" if cell is None else "exact"
     if fundamental and cell is not None:
         try:
-            reduce_mod_lattice(d_prime, gamma)
+            _embedding(d_prime.boxes, cell)
         except NotEmbeddable as exc:
             fundamental = False
             detail.append(str(exc))
@@ -396,16 +401,20 @@ def tiling_check(
         if bad:
             detail.append(f"{bad}/{samples} sampled points not covered once")
 
+    pieces, shifts, den = numerators(
+        d_prime.boxes + (() if omega_prime is None else omega_prime.boxes), translates)
+    domain, others = pieces[:len(d_prime.boxes)], pieces[len(d_prime.boxes):]
     # the boxes of one translate are disjoint: an overlap is between two translates
-    shifted = [box.translate(a) for a in translates for box in d_prime.boxes]
-    overlap = first_overlap(shifted)
+    shifted = [translate(p, a) for a in shifts for p in domain]
+    overlap = overlapping_pair(shifted)
     disjoint = overlap is None
     if not disjoint:
-        detail.append("translates overlap: {} and {}".format(*overlap))
+        detail.append("translates overlap: {} and {}".format(
+            *as_boxes((shifted[i] for i in overlap), den)))
 
     union_matches: bool | None = None
     if omega_prime is not None:
-        union_matches = equal_almost_everywhere(shifted, omega_prime.boxes)
+        union_matches = not (subtract(shifted, others) or subtract(others, shifted))
         if not union_matches:
             detail.append("union of translates differs from the reduced domain")
 
@@ -434,7 +443,6 @@ def translation_membership(omega: BoxUnion, lat: Lattice, a) -> bool:
     if lat.contains(a):
         return True
     cell, reps = _rectangular_sublattice(lat)
-    cover = [p for r in reps
-             for p in _reduce((box.translate(r) for box in omega.boxes), cell)]
-    target = _reduce((box.translate(a) for box in omega.boxes), cell)
-    return difference_measure(target, cover) == 0
+    pieces, (side, shift, *reps), _ = numerators(omega.boxes, [cell, a, *reps])
+    cover = [p for r in reps for p in _reduce((translate(q, r) for q in pieces), side)]
+    return not subtract(_reduce((translate(q, shift) for q in pieces), side), cover)

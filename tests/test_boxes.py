@@ -5,11 +5,35 @@ import pytest
 from specpair.boxes import (
     Box,
     BoxUnion,
-    difference_measure,
-    equal_almost_everywhere,
+    as_boxes,
+    cut,
     first_overlap,
-    subtract_box,
+    numerators,
+    overlaps,
+    subtract,
 )
+
+
+def subtract_box(a, b):
+    """a \\ b as Boxes, cut on integer pieces."""
+    (piece, cutter), _, den = numerators([a, b])
+    return as_boxes(cut(piece, cutter), den)
+
+
+def difference_measure(a, b):
+    pieces, _, den = numerators([*a, *b])
+    return sum((p.measure for p in as_boxes(subtract(pieces[:len(a)], pieces[len(a):]), den)),
+               F(0))
+
+
+def meets(a, b):
+    """Whether two boxes overlap on positive measure, on integer pieces."""
+    (piece, other), _, _ = numerators([a, b])
+    return overlaps(piece, other)
+
+
+def equal_almost_everywhere(a, b):
+    return difference_measure(a, b) == 0 and difference_measure(b, a) == 0
 
 
 def test_box_normalizes_and_measures():
@@ -23,9 +47,10 @@ def test_box_normalizes_and_measures():
 def test_box_intersection_half_open():
     a = Box((0,), (1,))
     b = Box((1,), (2,))
-    assert a.intersect(b) is None  # touching boxes are disjoint
+    assert not meets(a, b)  # touching boxes are disjoint
     c = Box(("1/2",), ("3/2",))
-    assert a.intersect(c) == Box(("1/2",), (1,))
+    # a meets c in a minus (a minus c)
+    assert meets(a, c) and subtract_box(a, *subtract_box(a, c)) == [Box(("1/2",), (1,))]
 
 
 def test_union_requires_disjoint_boxes():
@@ -46,9 +71,9 @@ def test_subtract_box_partition():
     pieces = subtract_box(a, b)
     assert sum(p.measure for p in pieces) == a.measure - F(2)
     for p in pieces:
-        assert p.intersect(b) is None
+        assert not meets(p, b)
     for x, y in [(p1, p2) for p1 in pieces for p2 in pieces if p1 != p2]:
-        assert x.intersect(y) is None
+        assert not meets(x, y)
 
 
 def test_subtract_disjoint_box_is_identity():
@@ -69,3 +94,16 @@ def test_difference_measure_and_ae_equality():
 def test_translate():
     union = BoxUnion((Box((0,), ("1/4",)),)).translate(("1/2",))
     assert union.boxes[0] == Box(("1/2",), ("3/4",))
+
+
+def test_pieces_are_numerators_over_one_denominator():
+    # corners over 3, 4 and 6 and a cell side over 5: one denominator, 60
+    boxes = [Box(("-1/3", 0), ("1/4", "1/6")), Box(("1/4", "-1/2"), (1, 0))]
+    pieces, rows, den = numerators(boxes, [(F(2, 5), F(3, 4))])
+    assert den == 60
+    assert rows == [(24, 45)]
+    assert pieces == [((-20, 0), (15, 10)), ((15, -30), (60, 0))]
+    assert as_boxes(pieces, den) == boxes
+    # the two meet in the point (1/4, 0) only
+    assert not overlaps(*pieces) and not overlaps(*pieces[::-1])
+    assert overlaps(pieces[0], ((14, 9), (16, 11)))

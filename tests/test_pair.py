@@ -128,6 +128,51 @@ def test_reduce_mod_lattice_examples(scale4):
         sp.reduce_mod_lattice(overlapping, z)
 
 
+def union(*boxes):
+    return BoxUnion(tuple(Box(lo, hi) for lo, hi in boxes))
+
+
+FIFTHS = sp.Lattice([["2/5", 0], [0, "3/4"]])
+
+
+def test_reduction_message_keeps_its_bytes():
+    # bytes as printed when the reduction ran on Fraction boxes
+    omega = union((("-1/3", "1/4"), ("1/6", "3/4")), (("1/2", "-1/2"), ("5/6", "1/4")))
+    with pytest.raises(sp.NotEmbeddable) as exc:
+        sp.reduce_mod_lattice(omega, FIFTHS)
+    assert str(exc.value) == (
+        "reductions overlap on positive measure: Box(lo=(Fraction(1, 15), Fraction(1, 4)), "
+        "hi=(Fraction(2, 5), Fraction(3, 4))) and Box(lo=(Fraction(0, 1), Fraction(1, 4)), "
+        "hi=(Fraction(1, 6), Fraction(3, 4)))")
+
+
+def test_tiling_details_keep_their_bytes():
+    # bytes as printed when tiling_check ran on Fraction boxes
+    report = sp.tiling_check(union((("-1/3", 0), ("1/6", "3/4"))),
+                             sp.Lattice([["1/2", 0], [0, "3/4"]]), [(0, 0), ("1/4", "-1/3")])
+    assert report.detail == (
+        "translates overlap: Box(lo=(Fraction(-1, 3), Fraction(0, 1)), "
+        "hi=(Fraction(1, 6), Fraction(3, 4))) and Box(lo=(Fraction(-1, 12), "
+        "Fraction(-1, 3)), hi=(Fraction(5, 12), Fraction(5, 12)))")
+    unit = union(((0, 0), (1, 1)))
+    report = sp.tiling_check(union((("-1/3", 0), ("1/15", "3/4"))), FIFTHS,
+                             [(0, 0), ("2/5", "-3/4"), ("1/6", 0)], omega_prime=unit)
+    assert report.detail == (
+        "translates overlap: Box(lo=(Fraction(-1, 3), Fraction(0, 1)), "
+        "hi=(Fraction(1, 15), Fraction(3, 4))) and Box(lo=(Fraction(-1, 6), Fraction(0, 1)), "
+        "hi=(Fraction(7, 30), Fraction(3, 4))); union of translates differs from the "
+        "reduced domain")
+    report = sp.tiling_check(union(((0, "-3/4"), ("1/5", 0)), (("2/5", 0), ("3/5", "3/4"))),
+                             FIFTHS, [(0, 0), ("-1/3", "1/4")], omega_prime=unit)
+    assert repr(report) == (
+        "TilingReport(fundamental_domain=False, translates_disjoint=True, "
+        "union_matches=False, method='exact', measure_domain=Fraction(3, 10), "
+        "measure_cell=Fraction(3, 10), failure_probability=0.0, detail='reductions overlap "
+        "on positive measure: Box(lo=(Fraction(0, 1), Fraction(0, 1)), hi=(Fraction(1, 5), "
+        "Fraction(3, 4))) and Box(lo=(Fraction(0, 1), Fraction(0, 1)), hi=(Fraction(1, 5), "
+        "Fraction(3, 4))); union of translates differs from the reduced domain')")
+
+
 def test_reduce_splits_straddling_box():
     z = sp.Lattice([[1]])
     straddle = BoxUnion((Box(("3/4",), ("5/4",)),))

@@ -23,7 +23,10 @@ per-sample fold they replaced (``per_row_products``, ``per_row_block``,
 The Fraction oracle gives up past a conductor limit, where the package
 now decides every sum exactly.  Where the oracle decides, its verdicts
 and mask bits stay in force; where it answers None, the package's answer
-is checked by ``independent_verdict``.
+is checked by ``independent_verdict``: exact while the radical of the
+conductor is within the limit (``radical_verdict`` divides by
+Phi_rad(q)(x^(q / rad q)) one residue class mod q / rad q at a time),
+numeric in long double only past that.
 
 The batched float product ``mu_hat_values`` is held to the scalar float
 loop it replaced (``oracle_float_*``), value by value, every sign of zero
@@ -50,10 +53,17 @@ replaced (``OracleCover``, ``oracle_tiling_bad``): the same seed must give
 the same bad count, detail, verdict and failure bound.  Translation
 membership, exact on every lattice, is held to a second exact argument
 (``oracle_membership``): omega + a minus the lattice translates of omega
-must be null.  The Gram matrix and ``indicator_transform`` are held to
-one transform per entry whose zero test is the Fraction expansion
-``pair`` used before it decided zeros on integer rows
-(``oracle_exact_zero``).  Coset representatives, read off a Hermite
+must be null, by the Fraction guillotine (``oracle_subtract_box``,
+``oracle_subtract_union``) the package ran before its box set arithmetic
+moved to integer numerators over one denominator.  The integer engine is
+held to that guillotine and to the Fraction reduction (``oracle_reduce``)
+on grid unions with corners over 1/3, 1/4 and 1/6 and cells over 5 and 7:
+``reduce_mod_lattice`` (the same boxes in the same order, or the same
+NotEmbeddable message), every field of ``tiling_check``'s report,
+``first_overlap``, the difference pieces and the a.e.-equality test.  The
+Gram matrix and ``indicator_transform`` are held to one transform per
+entry whose zero test is the Fraction expansion ``pair`` used before it
+decided zeros on integer rows (``oracle_exact_zero``).  Coset representatives, read off a Hermite
 form, are held to the scan of [0, index)^d they replaced
 (``oracle_coset_representatives``).
 """
@@ -67,12 +77,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from unittest import mock
 
 import specpair as sp
 from specpair import exact, measure, pair, transform
-from specpair.boxes import Box, BoxUnion, subtract_union
+from specpair.boxes import Box, BoxUnion, numerators, subtract
 from specpair.cyclotomic import exp_sum_is_zero
 from specpair.lattice import same_lattice
 from specpair.transform import TransformSettings, mask, mu_hat_value
@@ -270,17 +280,65 @@ def longdouble_abs(terms) -> float:
     return float(np.hypot(re, im))
 
 
+def radical_within(n: int, limit: int) -> int | None:
+    """The product of the distinct primes dividing n, when it is at most
+    ``limit``; None otherwise."""
+    radical = 1
+    for p in range(2, limit + 1):
+        if n == 1:
+            break
+        if n % p == 0:  # p is prime: its smaller prime factors are gone
+            radical *= p
+            while n % p == 0:
+                n //= p
+    return radical if n == 1 and radical <= limit else None
+
+
+def radical_verdict(terms, q: int, radical: int) -> bool:
+    """Whether sum c_k e^{i 2 pi phase_k} vanishes, every phase a multiple
+    of 1/q and rad(q) = ``radical``.
+
+    The sum is P(zeta) with zeta = e^{i 2 pi / q} and P of degree < q; it
+    vanishes when Phi_q divides P.  With m = q / rad(q),
+    Phi_q(x) = Phi_rad(q)(x^m), and Z[x] / Phi_q(x) is free over
+    Z[y] / Phi_rad(q)(y), y = x^m, with basis 1, x, ..., x^(m-1).  So P
+    vanishes when, for each residue class s mod m, the polynomial
+    sum_{k = s mod m} c_k y^((k - s) / m) is divisible by Phi_rad(q)(y).
+    """
+    m = q // radical
+    scale = math.lcm(*(c.denominator for c, _ in terms))
+    classes: dict[int, list[int]] = {}
+    for c, phase in terms:
+        k = phase.numerator * (q // phase.denominator) % q
+        classes.setdefault(k % m, [0] * radical)[k // m] += int(c * scale)
+    phi = cyclotomic_polynomial(radical)
+    deg = len(phi) - 1
+    for rem in classes.values():
+        for i in range(radical - 1, deg - 1, -1):
+            c = rem[i]
+            if c:
+                for j in range(deg + 1):
+                    rem[i - deg + j] -= c * phi[j]
+        if any(rem[:deg]):
+            return False
+    return True
+
+
 def independent_verdict(terms, conductor_limit=ORACLE_CONDUCTOR_LIMIT):
     """The oracle's verdict at ``conductor_limit``; where it answers None,
-    the oracle's at ORACLE_CONDUCTOR_LIMIT; past that, zero when the
-    longdouble sum and its conjugates by the CONJUGATES prime to the
-    conductor all lie below LONGDOUBLE_MARGIN."""
+    the oracle's at ORACLE_CONDUCTOR_LIMIT; past that, the exact
+    ``radical_verdict`` while rad(conductor) is within that limit; past
+    both, zero when the longdouble sum and its conjugates by the
+    CONJUGATES prime to the conductor all lie below LONGDOUBLE_MARGIN."""
     terms = [(Fraction(c), Fraction(q)) for c, q in terms]
     for limit in (conductor_limit, ORACLE_CONDUCTOR_LIMIT):
         verdict = oracle_exp_sum_is_zero(terms, limit)
         if verdict is not None:
             return verdict
     conductor = math.lcm(*(q.denominator for _, q in terms))
+    radical = radical_within(conductor, ORACLE_CONDUCTOR_LIMIT)
+    if radical is not None:
+        return radical_verdict(terms, conductor, radical)
     margin = LONGDOUBLE_MARGIN * sum(abs(c) for c, _ in terms)
     return all(longdouble_abs([(c, k * q) for c, q in terms]) < margin
                for k in CONJUGATES if math.gcd(k, conductor) == 1)
@@ -319,11 +377,16 @@ def assert_same(got, want):
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.sampled_from(sorted(EXACT_SYSTEMS)), st.data())
-def test_mu_hat_value_matches_fraction_oracle(name, data):
+@given(st.sampled_from(sorted(EXACT_SYSTEMS)),
+       st.tuples(*[rationals] * max(s.dim for s in EXACT_SYSTEMS.values())),
+       st.sampled_from((1, 3, 30, 60)))
+# level 24 sums e(k / 2^51) over k = 0, 5, 2^50 - 5, 2^50 + 10: not zero,
+# though a longdouble margin called it zero
+@example("scale4x2", (Fraction(-562949953421307, 2), Fraction(1125899906842619, 4),
+                      Fraction(0)), 30)
+def test_mu_hat_value_matches_fraction_oracle(name, coords, depth):
     system = EXACT_SYSTEMS[name]
-    t = data.draw(st.tuples(*[rationals] * system.dim))
-    depth = data.draw(st.sampled_from((1, 3, 30, 60)))
+    t = coords[:system.dim]
     got = mu_hat_value(system, t, TransformSettings(product_depth=depth))
     assert_same(got, oracle_mu_hat_value(system, t, depth))
 
@@ -571,6 +634,34 @@ def test_exp_sum_is_zero_outcomes_match_fraction_oracle(terms, limit, expected):
     assert exp_sum_is_zero(terms) is expected
     assert independent_verdict(terms, limit) is expected
 
+
+@settings(deadline=None, max_examples=300)
+@given(term_lists)
+def test_radical_verdict_matches_fraction_oracle(terms):
+    terms = [(Fraction(c), Fraction(q)) for c, q in terms]
+    conductor = math.lcm(*(q.denominator for _, q in terms))
+    radical = radical_within(conductor, ORACLE_CONDUCTOR_LIMIT)
+    verdict = oracle_exp_sum_is_zero(terms)
+    assume(verdict is not None and radical is not None)
+    assert radical_verdict(terms, conductor, radical) is verdict
+
+
+Q51 = 2**51
+
+
+# past the oracle's conductor limit with rad(q) within it, the verdict is
+# exact: the first row is the level the longdouble margin called zero
+@pytest.mark.parametrize("terms, expected", [
+    ([(Fraction(1, 4), Fraction(k, Q51)) for k in (0, 5, Q51 // 2 - 5, Q51 // 2 + 10)],
+     False),
+    ([(1, Fraction(5, Q51) + Fraction(k, 3)) for k in range(3)], True),
+    ([(1, Fraction(5, Q51) + Fraction(k, 3)) for k in range(3)] + [(1, Fraction(1, Q51))],
+     False),
+    ([(2, Fraction(7, 5 * 3**20) + Fraction(k, 5)) for k in range(5)], True),
+])
+def test_past_limit_verdicts_are_exact(terms, expected):
+    assert exp_sum_is_zero(terms) is expected
+    assert independent_verdict(terms) is expected
 
 def oracle_float_mask(system, freq):
     return sum(
@@ -995,6 +1086,43 @@ def oracle_tiling_bad(d_prime, gamma, samples, seed):
     return bad
 
 
+def oracle_intersect(a, b):
+    lo = tuple(max(x, y) for x, y in zip(a.lo, b.lo))
+    hi = tuple(min(x, y) for x, y in zip(a.hi, b.hi))
+    if any(x >= y for x, y in zip(lo, hi)):
+        return None
+    return Box(lo, hi)
+
+
+def oracle_subtract_box(a, b):
+    """The set difference a \\ b as disjoint boxes (guillotine split)."""
+    core = oracle_intersect(a, b)
+    if core is None:
+        return [a]
+    pieces = []
+    lo, hi = list(a.lo), list(a.hi)
+    for j in range(a.dim):
+        if lo[j] < core.lo[j]:
+            upper = list(hi)
+            upper[j] = core.lo[j]
+            pieces.append(Box(tuple(lo), tuple(upper)))
+            lo[j] = core.lo[j]
+        if core.hi[j] < hi[j]:
+            lower = list(lo)
+            lower[j] = core.hi[j]
+            pieces.append(Box(tuple(lower), tuple(hi)))
+            hi[j] = core.hi[j]
+    return pieces
+
+
+def oracle_subtract_union(boxes, cutters):
+    """Disjoint boxes covering (union of boxes) minus (union of cutters)."""
+    remainder = list(boxes)
+    for cutter in cutters:
+        remainder = [piece for b in remainder for piece in oracle_subtract_box(b, cutter)]
+    return remainder
+
+
 def oracle_membership(omega, lat, a):
     """Translation membership by subtraction: (omega + a) minus every lattice
     translate of omega must be null.
@@ -1014,7 +1142,7 @@ def oracle_membership(omega, lat, a):
         if all(abs(x - y) < span for x, y in zip(v, a)):
             cutters += [box.translate(v) for box in omega.boxes]
     target = omega.translate(a).boxes
-    return sum((p.measure for p in subtract_union(target, cutters)), Fraction(0)) == 0
+    return sum((p.measure for p in oracle_subtract_union(target, cutters)), Fraction(0)) == 0
 
 
 def union(*boxes):
@@ -1173,9 +1301,9 @@ grid_rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 
 
 
 @st.composite
-def cell_unions(draw, dim):
+def cell_unions(draw, dim, values=grid_rationals):
     """A union of cells of a grid with rational lines on each axis."""
-    axes = [sorted(draw(st.sets(grid_rationals, min_size=2, max_size=4)))
+    axes = [sorted(draw(st.sets(values, min_size=2, max_size=4)))
             for _ in range(dim)]
     cells = list(itertools.product(*(range(len(a) - 1) for a in axes)))
     chosen = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4, unique=True))
@@ -1233,6 +1361,7 @@ MEMBERSHIP_BASES = {
     "checkerboard_sheared": [[1, 2], [-1, 0]],
     "index3": [[2, 1], [1, 2]],
     "index3_skew": [["1/2", 0], ["1/2", "3/2"]],
+    "fifths_sevenths": [["2/5", 0], [0, "5/7"]],  # denominators no corner has
 }
 TWINS = {"shear1": "z2", "shear-3": "z2", "rect_sheared": "rect",
          "checkerboard_sheared": "checkerboard"}
@@ -1248,7 +1377,7 @@ def orbit_union(omega, a, n):
     pieces = []
     for k in range(n):
         shifted = omega.translate(tuple(k * c for c in a)).boxes
-        pieces += subtract_union(shifted, pieces)
+        pieces += oracle_subtract_union(shifted, pieces)
     return BoxUnion(tuple(pieces))
 
 
@@ -1279,6 +1408,185 @@ def test_membership_matches_subtraction_oracle(name, omega, shift):
         orbit = orbit_union(omega, shift, n)
         assert sp.translation_membership(orbit, lat, shift) is True
         assert oracle_membership(orbit, lat, shift) is True
+
+
+def oracle_reduce(boxes, cell):
+    """Split boxes into pieces translated into the cell [0, cell)."""
+    pieces = []
+    for box in boxes:
+        per_axis = []
+        for lo, hi, side in zip(box.lo, box.hi, cell):
+            axis = []
+            k = lo // side  # Fraction floor division -> integer Fraction
+            while k * side < hi:
+                a = max(lo, k * side)
+                b = min(hi, (k + 1) * side)
+                axis.append((a - k * side, b - k * side))
+                k += 1
+            per_axis.append(axis)
+        pieces += (Box(tuple(p[0] for p in combo), tuple(p[1] for p in combo))
+                   for combo in itertools.product(*per_axis))
+    return pieces
+
+
+def oracle_first_overlap(boxes):
+    for a, b in itertools.combinations(boxes, 2):
+        if oracle_intersect(a, b) is not None:
+            return a, b
+    return None
+
+
+def oracle_difference_measure(a, b):
+    return sum((p.measure for p in oracle_subtract_union(a, b)), Fraction(0))
+
+
+def oracle_reduce_mod_lattice(omega, lat):
+    pieces = oracle_reduce(omega.boxes, pair.rectangular_cell(lat))
+    overlap = oracle_first_overlap(pieces)
+    if overlap is not None:
+        raise sp.NotEmbeddable(
+            "reductions overlap on positive measure: {} and {}".format(*overlap))
+    return BoxUnion(tuple(pieces))
+
+
+def oracle_tiling_check(d_prime, gamma, translates, omega_prime=None):
+    """``tiling_check`` on a rectangular lattice, on Fraction boxes."""
+    translates = [exact.as_vector(v, d_prime.dim) for v in translates]
+    cell_measure = abs(gamma.det)
+    fundamental = d_prime.measure == cell_measure
+    detail = []
+    if not fundamental:
+        detail.append(f"measure {d_prime.measure} != |det gamma| = {cell_measure}")
+    else:
+        try:
+            oracle_reduce_mod_lattice(d_prime, gamma)
+        except sp.NotEmbeddable as exc:
+            fundamental = False
+            detail.append(str(exc))
+    shifted = [box.translate(a) for a in translates for box in d_prime.boxes]
+    overlap = oracle_first_overlap(shifted)
+    if overlap is not None:
+        detail.append("translates overlap: {} and {}".format(*overlap))
+    union_matches = None
+    if omega_prime is not None:
+        union_matches = (oracle_difference_measure(shifted, omega_prime.boxes) == 0
+                         and oracle_difference_measure(omega_prime.boxes, shifted) == 0)
+        if not union_matches:
+            detail.append("union of translates differs from the reduced domain")
+    return pair.TilingReport(fundamental, overlap is None, union_matches, "exact",
+                             d_prime.measure, cell_measure, 0.0, "; ".join(detail))
+
+
+# corners over 1/3, 1/4 and 1/6, negative ones included, and cells whose
+# sides' denominators (5, 7) do not divide the corners'
+mixed_rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((3, 4, 6)))
+CELL_SIDES = tuple(map(Fraction, ("1", "1/2", "2/5", "3/4", "5/3", "5/7")))
+INNER_LINES = sorted({Fraction(k, d) for d in (3, 4, 6) for k in range(1, 12)})
+
+
+def diagonal_lattice(cell):
+    return sp.Lattice([[c if i == j else 0 for j in range(len(cell))]
+                       for i, c in enumerate(cell)])
+
+
+@st.composite
+def mixed_boxes(draw, dim):
+    """Boxes with corners in ``mixed_rationals``: apart, touching or overlapping."""
+    sides = st.sets(mixed_rationals, min_size=2, max_size=2).map(sorted)
+    return [Box(*zip(*draw(st.tuples(*[sides] * dim))))
+            for _ in range(draw(st.integers(1, 5)))]
+
+
+@st.composite
+def tiling_cases(draw):
+    """(D', Gamma, translates, Omega') on a diagonal lattice.
+
+    D' is the cell [0, cell) cut on lines over 1/3, 1/4 and 1/6, each piece
+    moved by a lattice vector, so that its pieces touch; then maybe one
+    piece moved off the lattice or dropped.  The translates are mostly
+    lattice vectors; Omega' is none, the union of the translates, or that
+    union spoiled.
+    """
+    dim = draw(st.sampled_from((1, 2)))
+    cell = draw(st.tuples(*[st.sampled_from(CELL_SIDES)] * dim))
+    axes = [[Fraction(0), *sorted(draw(st.sets(
+        st.sampled_from([c for c in INNER_LINES if c < side]), max_size=2))), side]
+        for side in cell]
+    boxes = []
+    for index in itertools.product(*(range(len(a) - 1) for a in axes)):
+        z = draw(st.tuples(*[st.integers(-2, 2)] * dim))
+        boxes.append(Box(tuple(a[k] + n * c for a, k, n, c in zip(axes, index, z, cell)),
+                         tuple(a[k + 1] + n * c for a, k, n, c in zip(axes, index, z, cell))))
+    change = draw(st.sampled_from(("none", "move", "drop")))
+    i = draw(st.integers(0, len(boxes) - 1))
+    if change == "move":
+        boxes[i] = boxes[i].translate(draw(st.tuples(*[mixed_rationals] * dim)))
+    elif change == "drop" and len(boxes) > 1:
+        del boxes[i]
+    assume(oracle_first_overlap(boxes) is None)
+    d_prime = BoxUnion(tuple(boxes))
+    offsets = st.sampled_from((0, 0, 0, Fraction(1, 3), Fraction(-1, 4)))
+    translates = draw(st.lists(st.tuples(*(
+        st.builds(lambda n, o, c=c: n * c + o, st.integers(-2, 2), offsets) for c in cell)),
+        min_size=1, max_size=3))
+    omega_prime = None
+    kind = draw(st.sampled_from(("none", "union", "spoiled")))
+    if kind != "none":
+        pieces = []
+        for a in translates:
+            pieces += oracle_subtract_union(d_prime.translate(a).boxes, pieces)
+        if kind == "spoiled":
+            pieces = (pieces[:-1] if len(pieces) > 1
+                      else [pieces[0].translate((Fraction(1, 6),) * dim)])
+        omega_prime = BoxUnion(tuple(pieces))
+    return d_prime, diagonal_lattice(cell), translates, omega_prime
+
+
+@settings(deadline=None, max_examples=200)
+@given(tiling_cases())
+def test_tiling_check_matches_fraction_oracle(case):
+    assert sp.tiling_check(*case) == oracle_tiling_check(*case)
+
+
+def assert_same_reduction(omega, lat):
+    try:
+        want = oracle_reduce_mod_lattice(omega, lat)
+    except sp.NotEmbeddable as exc:
+        with pytest.raises(sp.NotEmbeddable) as got:
+            sp.reduce_mod_lattice(omega, lat)
+        assert str(got.value) == str(exc)
+    else:
+        assert sp.reduce_mod_lattice(omega, lat).boxes == want.boxes
+
+
+@settings(deadline=None, max_examples=200)
+@given(tiling_cases(), st.data())
+def test_reduce_mod_lattice_matches_fraction_oracle(case, data):
+    d_prime, lat = case[:2]
+    omega = data.draw(cell_unions(d_prime.dim, mixed_rationals))
+    assert_same_reduction(d_prime, lat)
+    assert_same_reduction(omega, lat)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from((1, 2)), st.data())
+def test_overlap_and_difference_match_fraction_oracle(dim, data):
+    a = data.draw(mixed_boxes(dim))
+    if data.draw(st.booleans()):
+        # b is a cut up differently, so the two agree almost everywhere
+        cutter = data.draw(mixed_boxes(dim))[0]
+        b = oracle_subtract_union(a, [cutter])
+        b += [core for box in a if (core := oracle_intersect(box, cutter)) is not None]
+        b = data.draw(st.permutations(b))
+    else:
+        b = data.draw(mixed_boxes(dim))
+    assert sp.boxes.first_overlap(a + b) == oracle_first_overlap(a + b)
+    pieces, _, den = numerators(a + b)
+    pa, pb = pieces[:len(a)], pieces[len(a):]
+    assert sp.boxes.as_boxes(subtract(pa, pb), den) == oracle_subtract_union(a, b)
+    assert sp.boxes.as_boxes(subtract(pb, pa), den) == oracle_subtract_union(b, a)
+    assert (not subtract(pa, pb) and not subtract(pb, pa)) is (
+        oracle_difference_measure(a, b) == 0 and oracle_difference_measure(b, a) == 0)
 
 
 def oracle_coset_representatives(sub, sup):
