@@ -76,9 +76,9 @@ class BoxUnion:
         dim = boxes[0].dim
         if any(b.dim != dim for b in boxes):
             raise ValueError("boxes have mismatched dimensions")
-        overlap = first_overlap(boxes)
-        if overlap is not None:
-            raise ValueError("boxes overlap: {} and {}".format(*overlap))
+        found = overlapping_pair(numerators(boxes)[0])
+        if found is not None:
+            raise ValueError("boxes overlap: {} and {}".format(*(boxes[i] for i in found)))
 
     @property
     def dim(self) -> int:
@@ -113,18 +113,13 @@ def overlaps(a: Piece, b: Piece) -> bool:
 
 
 def overlapping_pair(pieces: Sequence[Piece]) -> tuple[int, int] | None:
-    """The indices of ``first_overlap``'s pair, for pieces."""
+    """The indices of the first pair of pieces, in itertools.combinations
+    order, that overlap on positive measure; None when they are pairwise
+    disjoint."""
     for (i, a), (j, b) in itertools.combinations(enumerate(pieces), 2):
         if overlaps(a, b):
             return i, j
     return None
-
-
-def first_overlap(boxes: Sequence[Box]) -> tuple[Box, Box] | None:
-    """The first pair of boxes, in itertools.combinations order, that
-    overlap on positive measure; None when they are pairwise disjoint."""
-    found = overlapping_pair(numerators(boxes)[0])
-    return None if found is None else (boxes[found[0]], boxes[found[1]])
 
 
 def cut(piece: Piece, cutter: Piece) -> list[Piece]:

@@ -13,14 +13,13 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 import numpy as np
 
 from . import acceptance, exact
 from .errors import BudgetExceeded, ParseError, SpectralPairError
-from .lattice import box_candidates
-from .operators import RELATION_TOLERANCE, relation_residuals, state_eval
+from .operators import (RELATION_TOLERANCE, relation_evaluations, relation_residuals,
+                        state_eval)
 from .pair import (
     difference_candidates, orthogonality_matrix, reduce_mod_lattice,
     spectrum_candidates, tiling_check, truncate_spectrum,
@@ -53,14 +52,11 @@ def _check_writable(path: str | None) -> None:
         raise OSError(f"cannot write {path}: {parent} is not a writable directory")
 
 
-def _parse_vector(text: str, dim: int) -> tuple[Fraction, ...]:
+def _parse_vector(text: str, dim: int) -> exact.Vector:
     try:
-        vector = tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+        return exact.as_vector(text.split(","), dim)
+    except ValueError as exc:
         raise ParseError(f"invalid vector {text!r}: {exc}") from exc
-    if len(vector) != dim:
-        raise ParseError(f"vector {text!r} has {len(vector)} entries, expected {dim}")
-    return vector
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -208,9 +204,8 @@ def cmd_spectrum(args) -> int:
 def cmd_cuntz(args) -> int:
     loaded = parse_spec(args.spec, require_valid=False)
     system = loaded.system
-    candidates = box_candidates(system.K_dual, args.box)
-    per_sample = 2 + len(system.freq_digits) * (len(system.freq_digits) - 1)
-    _check_budget(candidates * per_sample, f"{candidates}*{per_sample} transform values")
+    evaluations = relation_evaluations(system.K_dual, args.box, system.freq_digits)
+    _check_budget(evaluations, f"{evaluations} transform values")
     report = relation_residuals(system, args.box, args.product_depth)
     state_rows = []
     for index, digit in enumerate(system.freq_digits):
@@ -268,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"path to a spec JSON file or one of {builtin_names()}"),
         "--format": dict(choices=("csv", "json"), default="csv"),
         "--out": dict(default=None, help="write output to this path"),
-        "--product-depth": dict(type=int, default=30),
-        "--quadrature-depth": dict(type=_nonnegative, default=12),
+        "--product-depth": dict(type=int, default=TransformSettings.product_depth),
+        "--quadrature-depth": dict(type=_nonnegative,
+                                   default=TransformSettings.quadrature_depth),
     }
 
     def add(name, func, help, *options):

@@ -82,12 +82,11 @@ class DiscreteMeasure:
     quadrature makes its atoms from the core, a leaf at a time.
     """
 
-    def __init__(self, depth: int, base: int, points: np.ndarray, weight: float,
+    def __init__(self, depth: int, base: int, points: np.ndarray,
                  steps: int = 0, pull: np.ndarray | None = None,
                  digits: np.ndarray | None = None):
         self.depth = depth
         self.base = base
-        self.weight = weight
         self.core = points
         self.steps = steps
         self.pull = pull
@@ -96,6 +95,10 @@ class DiscreteMeasure:
     @property
     def count(self) -> int:
         return len(self.core) * self.base**self.steps
+
+    @property
+    def weight(self) -> float:
+        return 1.0 / self.count
 
     @property
     def dim(self) -> int:
@@ -152,7 +155,6 @@ def refine_measure(system: SimpleFactor, depth: int) -> DiscreteMeasure:
     core = _refined(np.zeros((1, system.dim)), pull, digits, core_depth)
     core.setflags(write=False)
     return DiscreteMeasure(depth=depth, base=system.N, points=core,
-                           weight=1.0 / system.N**depth,
                            steps=depth - core_depth, pull=pull, digits=digits)
 
 

@@ -34,6 +34,7 @@ from .lattice import (
     CheckResult,
     Lattice,
     SimpleFactor,
+    box_candidates,
     dual_lattice,
     expansion_matrix,
     expansive_check,
@@ -137,7 +138,7 @@ def state_eval(
     system: SimpleFactor,
     alpha,
     beta,
-    product_depth: int = 30,
+    product_depth: int = TransformSettings.product_depth,
 ) -> complex:
     """The vacuum state  <e_0, T_alpha T_beta* e_0>.
 
@@ -183,6 +184,14 @@ def _residual_failures(report) -> tuple[str, ...]:
     return tuple(out)
 
 
+def relation_evaluations(k_dual: Lattice, box_radius, freq_digits) -> int:
+    """How many transform values the relation checks over the dual(K)
+    points within ``box_radius`` make at most: an isometry pair and
+    |L|(|L| - 1) range overlaps per ``lattice_points_in_box`` candidate."""
+    digits = len(freq_digits)
+    return box_candidates(k_dual, box_radius) * (2 + digits * (digits - 1))
+
+
 def _relation_maxima(samples, push, freq_digits, transforms, masks_at):
     """Worst isometry, range-overlap and completeness residuals over the
     exact samples; completeness is None when ``masks_at`` is None.
@@ -211,7 +220,7 @@ def _relation_maxima(samples, push, freq_digits, transforms, masks_at):
 def relation_residuals(
     system: SimpleFactor,
     box_radius: int = 32,
-    product_depth: int = 30,
+    product_depth: int = TransformSettings.product_depth,
 ) -> RelationReport:
     """Residuals of the isometry relations over dual points in a box.
 
@@ -273,9 +282,9 @@ def classify_measure(
     expansion derived from K inside ``gamma`` -- nothing is taken from the
     measure's own provenance.  Residuals above RELATION_TOLERANCE fail.
     Raises NotASublattice when K is not contained in ``gamma``, and
-    BudgetExceeded, before any refinement, when the atoms (N^depth of a
-    SimpleFactor, or the measure's count) times the transform evaluations
-    (2 + |L|(|L| - 1) per sample) exceed measure.QUADRATURE_BUDGET.
+    BudgetExceeded, before the sample box is enumerated or anything is
+    refined, when the atoms (N^depth of a SimpleFactor, or the measure's
+    count) times ``relation_evaluations`` exceed measure.QUADRATURE_BUDGET.
 
     A depth-n empirical transform carries truncation error that grows
     linearly in the sampled frequency, roughly 2 pi |u| diam contraction^n,
@@ -298,9 +307,9 @@ def classify_measure(
 
     freq_digits = tuple(exact.as_vector(l, K.dim) for l in freq_digits)
     k_dual = dual_lattice(K)
+    check_quadrature_budget(atoms, relation_evaluations(k_dual, CLASSIFY_BOX_RADIUS,
+                                                        freq_digits))
     samples = lattice_points_in_box(k_dual, CLASSIFY_BOX_RADIUS)
-    evaluations = len(samples) * (2 + len(freq_digits) * (len(freq_digits) - 1))
-    check_quadrature_budget(atoms, evaluations)
     measure = (measure_source if isinstance(measure_source, DiscreteMeasure)
                else _cached_measure(measure_source, depth))
     e = expansion_matrix(K, gamma)

@@ -61,12 +61,6 @@ def _closed_form(omega: BoxUnion, t: tuple[float, ...]) -> complex:
     return total
 
 
-def _corner_numerators(omega: BoxUnion):
-    """Each box's (lo, hi) as integers over the corners' common denominator."""
-    rows, den = exact.over_common_denominator([box.lo + box.hi for box in omega.boxes])
-    return [(row[:omega.dim], row[omega.dim:]) for row in rows], den
-
-
 def _vanishes(corners, corner_den: int, row: tuple[int, ...], den: int) -> bool:
     """Exact vanishing of the transform at the nonzero frequency row / den.
 
@@ -102,7 +96,8 @@ def indicator_transform(omega: BoxUnion, t) -> complex:
         if all(v == 0 for v in t):
             return complex(float(omega.measure))
         [row], den = exact.over_common_denominator([t])
-        if _vanishes(*_corner_numerators(omega), row, den):
+        corners, _, corner_den = numerators(omega.boxes)
+        if _vanishes(corners, corner_den, row, den):
             return 0j
     return _closed_form(omega, tuple(map(float, t)))
 
@@ -188,7 +183,7 @@ def orthogonality_matrix(omega: BoxUnion, spectrum: TruncatedSpectrum) -> np.nda
     index: dict[tuple[int, ...], int] = {}
     diffs = zip(*(points[upper[1]] - points[upper[0]]).T.tolist())
     inverse = [index.setdefault(diff, len(index)) for diff in diffs]
-    corners, corner_den = _corner_numerators(omega)
+    corners, _, corner_den = numerators(omega.boxes)
     values = np.array([
         0j if _vanishes(corners, corner_den, diff, den)
         else _closed_form(omega, tuple(c / den for c in diff)) / measure

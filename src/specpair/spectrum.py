@@ -117,7 +117,7 @@ def completeness_table(
     system: SimpleFactor,
     s,
     depths,
-    product_depth: int = 30,
+    product_depth: int = TransformSettings.product_depth,
 ) -> list[CompletenessRow]:
     """Per-depth Bessel partial sums  sum |transform(s - xi)|^2  over the
     depth-n enumerations, sharing one product evaluation per frequency.

@@ -7,8 +7,8 @@ from specpair.boxes import (
     BoxUnion,
     as_boxes,
     cut,
-    first_overlap,
     numerators,
+    overlapping_pair,
     overlaps,
     subtract,
 )
@@ -58,11 +58,14 @@ def test_union_requires_disjoint_boxes():
         BoxUnion((Box((0,), (1,)), Box(("1/2",), (2,))))
     union = BoxUnion((Box((0,), ("1/4",)), Box(("1/2",), ("3/4",))))
     assert union.measure == F(1, 2)
-    assert first_overlap(union.boxes) is None
+    assert overlapping_pair(numerators(union.boxes)[0]) is None
     boxes = (Box((0,), (1,)), Box((1,), (2,)), Box(("3/2",), (3,)),
              Box(("1/2",), (2,)))
     # boxes 0 and 1 only touch; pairs 0-3 and 1-2 overlap, and 0-3 comes first
-    assert first_overlap(boxes) == (boxes[0], boxes[3])
+    assert overlapping_pair(numerators(boxes)[0]) == (0, 3)
+    with pytest.raises(ValueError) as raised:
+        BoxUnion(boxes)
+    assert str(raised.value) == f"boxes overlap: {boxes[0]} and {boxes[3]}"
 
 
 def test_subtract_box_partition():

@@ -85,6 +85,15 @@ def test_transform_requires_target(capsys):
     assert "transform needs" in err
 
 
+@pytest.mark.parametrize("command", ["transform", "spectrum"])
+@pytest.mark.parametrize("vector", ["1/2,x", "1/0,1", "1/2", "1,2,3"])
+def test_bad_vectors_are_parse_errors(capsys, command, vector):
+    code, out, err = run(capsys, command, "--spec", "scale4x2", "--s", vector)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: invalid vector {vector!r}: ") and err.count("\n") == 1
+
+
 def test_spectrum_table(capsys):
     code, out, _ = run(capsys, "spectrum", "--spec", "scale4", "--s", "2",
                        "--enum-depth", "8", "--product-depth", "30")

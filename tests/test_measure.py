@@ -97,6 +97,15 @@ def test_refine_measure_atoms(scale4):
     assert two.weight == 0.25
 
 
+@pytest.mark.parametrize("name", sp.builtin_names())
+def test_weight_is_one_over_the_atom_count(name):
+    system = sp.parse_spec(name, require_valid=False).system
+    ifs = sp.build_ifs(system)
+    for depth in range(13):
+        weight = sp.refine_measure(ifs, depth).weight
+        assert weight.hex() == (1.0 / system.N**depth).hex()
+
+
 def test_refine_measure_budget(scale4, monkeypatch):
     ifs = sp.build_ifs(scale4.system)
     monkeypatch.setattr(sp.measure, "ATOM_BUDGET", 16)

@@ -182,8 +182,8 @@ def test_classify_refuses_past_its_budget_before_refining(scale4x2, monkeypatch)
     monkeypatch.setattr(sp.transform, "refine_measure", no_refinement)
     sp.transform._cached_measure.cache_clear()
     system = scale4x2.system
-    # 4^12 atoms times 81 samples times 2 + 4 * 3 evaluations
-    with pytest.raises(sp.BudgetExceeded, match="16777216 atoms times 1134"):
+    # 4^12 atoms times 121 candidates times 2 + 4 * 3 evaluations
+    with pytest.raises(sp.BudgetExceeded, match="16777216 atoms times 1694"):
         sp.classify_measure(system, system.K, system.Gamma, system.freq_digits)
 
 
@@ -191,12 +191,30 @@ def test_classify_budget_charges_a_measure_by_its_atoms(scale4, monkeypatch):
     system = scale4.system
     measure = sp.refine_measure(sp.build_ifs(system), 6)
     args = (measure, system.K, system.Gamma, system.freq_digits)
-    # 2^6 atoms times 9 samples times 2 + 2 * 1 evaluations
-    monkeypatch.setattr(sp.measure, "QUADRATURE_BUDGET", 64 * 36)
+    # 2^6 atoms times 11 candidates times 2 + 2 * 1 evaluations
+    monkeypatch.setattr(sp.measure, "QUADRATURE_BUDGET", 64 * 44)
     assert isinstance(sp.classify_measure(*args), sp.ConsistencyReport)
-    monkeypatch.setattr(sp.measure, "QUADRATURE_BUDGET", 64 * 36 - 1)
+    monkeypatch.setattr(sp.measure, "QUADRATURE_BUDGET", 64 * 44 - 1)
     with pytest.raises(sp.BudgetExceeded):
         sp.classify_measure(*args)
+
+
+def test_classify_charges_before_it_enumerates(monkeypatch):
+    # scale4x2 dilated by 1000: dual(K) = Z^2 / 1000, so its radius-4 box has
+    # 8003^2 candidates, refused before lattice_points_in_box is entered
+    system = sp.SimpleFactor(
+        K=sp.Lattice([[1000, 0], [0, 1000]]), A=sp.Lattice([[500, 0], [0, 500]]),
+        Gamma=sp.Lattice([[250, 0], [0, 250]]),
+        digits=[(0, 0), (500, 0), (0, 500), (500, 500)],
+        freq_digits=[(0, 0), ("1/1000", 0), (0, "1/1000"), ("1/1000", "1/1000")])
+    assert sp.validate_simple_factor(system).ok
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(sp.operators, "lattice_points_in_box", no_enumeration)
+    with pytest.raises(sp.BudgetExceeded, match=f"16777216 atoms times {8003**2 * 14}"):
+        sp.classify_measure(system, system.K, system.Gamma, system.freq_digits)
 
 
 def test_classify_requires_sublattice(scale4):

@@ -100,7 +100,7 @@ def test_empty_truncated_spectrum_is_rejected():
 def test_orthogonality_matrix_refuses_a_spectrum_of_another_dimension(
         omega, points, monkeypatch):
     # zipping rows of two lengths would drop coordinates without a word
-    monkeypatch.setattr(sp.pair, "_corner_numerators", None)
+    monkeypatch.setattr(sp.pair, "numerators", None)
     with pytest.raises(ValueError, match="does not match the box union's dimension"):
         sp.orthogonality_matrix(omega, sp.TruncatedSpectrum(points))
 
