@@ -89,6 +89,13 @@ def over_common_denominator(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     ]), den
 
 
+def from_common_denominator(rows, den: int) -> list[Vector]:
+    """Integer rows over ``den`` as Fraction vectors, each distinct
+    numerator made into a Fraction once."""
+    values = {c: Fraction(c, den) for c in {c for row in rows for c in row}}
+    return [tuple([values[c] for c in row]) for row in rows]
+
+
 def as_matrix(rows) -> Matrix:
     mat = tuple(tuple(as_rational(v) for v in row) for row in rows)
     if not mat or any(len(row) != len(mat) for row in mat):

@@ -20,15 +20,21 @@ controls) can be constructed, probed and reported on.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NotASublattice, UnknownDigit
+from .errors import BudgetExceeded, NotASublattice, UnknownDigit
 from . import cyclotomic, exact
 from .exact import Matrix, Vector
+
+# most coefficient vectors (box_candidates) one box enumeration may charge,
+# checked before it builds anything; the CLI's evaluation budget admits no
+# larger box
+BOX_BUDGET = 2**20
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,17 @@ class Lattice:
     def __hash__(self) -> int:
         return self._hash
 
+    @cached_property
+    def hermite(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(H, den): the lattice is H Z^d / den, with den the least integer
+        taking it into Z^d and H, a matrix like ``basis`` (generators as
+        columns), the lower-triangular Hermite form of den * basis: integer
+        entries, a positive diagonal, each entry left of the diagonal in
+        [0, its row's diagonal).  Both are invariants of the lattice, not
+        of its basis."""
+        rows, den = exact.over_common_denominator(self.basis)
+        return exact.transpose(_hermite_columns(exact.transpose(rows))), den
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -87,9 +104,8 @@ def expansion_matrix(K: Lattice, gamma: Lattice) -> Matrix:
 
 
 def same_lattice(a: Lattice, b: Lattice) -> bool:
-    """Whether two bases span the same lattice: a lies in b with index
-    |det a / det b| = 1."""
-    return abs(a.det) == abs(b.det) and all(b.contains(g) for g in a.generators)
+    """Whether two bases span the same lattice: equal Hermite forms."""
+    return a.hermite == b.hermite
 
 
 def inclusion_matrix(sub: Lattice, sup: Lattice) -> tuple[tuple[int, ...], ...]:
@@ -116,18 +132,21 @@ def coset_representatives(sub: Lattice, sup: Lattice) -> tuple[Vector, ...]:
     # of h_ii, so each class has exactly one member in the box
     # prod_i [0, h_ii), its lexicographically least one in [0, index)^d,
     # and the box is listed in lexicographic order.
-    sides = _hermite_diagonal(inclusion_matrix(sub, sup))
+    columns = _hermite_columns(inclusion_matrix(sub, sup))
+    sides = [col[i] for i, col in enumerate(columns)]
     return tuple(exact.mat_vec(sup.basis, tuple(Fraction(c) for c in z))
                  for z in itertools.product(*map(range, sides)))
 
 
-def _hermite_diagonal(columns) -> list[int]:
-    """The diagonal of the lower-triangular Hermite form of the lattice the
-    integer ``columns`` (d of them, independent) generate.
+def _hermite_columns(columns) -> tuple[tuple[int, ...], ...]:
+    """The lower-triangular Hermite form of the lattice the integer
+    ``columns`` (d of them, independent) generate, as its columns.
 
     Unimodular column operations keep the lattice: for each row i, an
     extended gcd with column i clears the entry of every later column, so
-    the diagonal ends up holding the gcds.
+    the diagonal ends up holding the gcds; column i is then made positive
+    on the diagonal and reduces row i of every earlier column into
+    [0, h_ii), which leaves their rows above i alone.
     """
     cols = [list(c) for c in columns]
     for i, col in enumerate(cols):
@@ -137,7 +156,12 @@ def _hermite_diagonal(columns) -> list[int]:
                 g, x, y = _extended_gcd(a, b)
                 col[:], cols[j] = ([x * u + y * v for u, v in zip(col, cols[j])],
                                    [a // g * v - b // g * u for u, v in zip(col, cols[j])])
-    return [abs(col[i]) for i, col in enumerate(cols)]
+        if col[i] < 0:
+            col[:] = [-u for u in col]
+        for earlier in cols[:i]:
+            k = earlier[i] // col[i]
+            earlier[:] = [u - k * v for u, v in zip(earlier, col)]
+    return tuple([tuple(col) for col in cols])
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -285,26 +309,64 @@ def _coefficient_bound(lat: Lattice, radius) -> int:
 
 
 def box_candidates(lat: Lattice, radius) -> int:
-    """How many coefficient vectors ``lattice_points_in_box`` tries: (2b+1)^d."""
+    """The cube of coefficient vectors, (2b+1)^d, that bounds a box's
+    lattice points: the charge of a box enumeration against BOX_BUDGET."""
     return (2 * _coefficient_bound(lat, radius) + 1) ** lat.dim
+
+
+def lattice_rows_in_box(lat: Lattice, radius) -> tuple[list[tuple[int, ...]], int]:
+    """``lattice_points_in_box`` as integer rows over one denominator:
+    (rows, den), the points being row / den in the same order.
+
+    Raises ValueError on a negative radius, and BudgetExceeded, before
+    anything is built, when box_candidates exceed BOX_BUDGET.
+    """
+    if radius < 0:
+        raise ValueError(f"box radius {radius} is negative")
+    candidates = box_candidates(lat, radius)
+    if candidates > BOX_BUDGET:
+        raise BudgetExceeded(f"{candidates} box candidates exceed the budget {BOX_BUDGET}")
+    columns, den = lat.hermite
+    rows = _triangular_walk(columns, math.floor(Fraction(radius) * den))
+    # nearest first, ties in decreasing lexicographic order: a stable sort
+    # by norm after a descending one
+    rows.sort(reverse=True)
+    rows.sort(key=lambda row: sum([c * c for c in row]))
+    return rows, den
+
+
+def _triangular_walk(hermite, bound: int) -> list[tuple[int, ...]]:
+    """Every integer combination of the lower-triangular ``hermite``'s
+    columns with entries in [-bound, bound], unsorted.
+
+    Once the combination's first i entries are fixed, its entry i is the
+    partial sum s of the earlier columns' row i plus h_ii z for an integer
+    z, so it runs over one arithmetic progression: z from
+    ceil((-bound - s) / h_ii) to floor((bound - s) / h_ii).
+    """
+    rows: list[tuple[int, ...]] = [()]
+    partials = [[0] * len(hermite)]  # each prefix's partial sums of every row
+    for i, column in enumerate(zip(*hermite)):
+        step, last = column[i], i + 1 == len(hermite)
+        grown_rows, grown_partials = [], []
+        for row, partial in zip(rows, partials):
+            s = partial[i]
+            zs = range(-((bound + s) // step), (bound - s) // step + 1)
+            grown_rows += [row + (s + z * step,) for z in zs]
+            if not last:
+                grown_partials += [[p + z * c for p, c in zip(partial, column)]
+                                   for z in zs]
+        rows, partials = grown_rows, grown_partials
+    return rows
 
 
 def lattice_points_in_box(lat: Lattice, radius) -> list[Vector]:
     """Lattice points with sup-norm <= radius, nearest first, positive first.
 
     Ties in norm go in decreasing lexicographic order, so +1 comes ahead
-    of -1.
+    of -1.  Raises as ``lattice_rows_in_box``.
     """
-    if radius < 0:
-        raise ValueError(f"box radius {radius} is negative")
-    bound = _coefficient_bound(lat, radius)
-    points = []
-    for z in itertools.product(range(-bound, bound + 1), repeat=lat.dim):
-        x = exact.mat_vec(lat.basis, tuple(Fraction(c) for c in z))
-        if all(abs(c) <= radius for c in x):
-            points.append(x)
-    points.sort(key=lambda x: (sum(c * c for c in x), tuple(-c for c in x)))
-    return points
+    return exact.from_common_denominator(*lattice_rows_in_box(lat, radius))
 
 
 def is_expansive(e: Matrix) -> tuple[bool, float]:

@@ -33,7 +33,7 @@ from . import exact
 from .errors import (BudgetExceeded, DepthTooLarge, IdenticalPoints, NonFinitePoint,
                      NotExpansive)
 from .exact import Vector
-from .lattice import SimpleFactor, is_expansive, lattice_points_in_box
+from .lattice import SimpleFactor, is_expansive, lattice_rows_in_box
 
 # most atoms one refinement may have, checked before it builds any
 ATOM_BUDGET = 1 << 24
@@ -328,10 +328,10 @@ def _dual_candidates(
     system: SimpleFactor, radius: int
 ) -> tuple[tuple[Vector, tuple[float, ...]], ...]:
     """Dual-lattice points with sup-norm <= radius, nearest and positive
-    first, each with its floats."""
-    return tuple(
-        (s, exact.to_floats(s)) for s in lattice_points_in_box(system.K_dual, radius)
-    )
+    first, each with its floats: n / den, the bits of float(Fraction(n, den))."""
+    rows, den = lattice_rows_in_box(system.K_dual, radius)
+    return tuple(zip(exact.from_common_denominator(rows, den),
+                     [tuple([n / den for n in row]) for row in rows]))
 
 
 def separation_witness(system: SimpleFactor, x, y, search_radius: int = 8):

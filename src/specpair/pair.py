@@ -32,7 +32,7 @@ from .cyclotomic import residue_sum_is_zero
 from .errors import BudgetExceeded, NotEmbeddable
 from .exact import Vector
 from .lattice import (Lattice, SimpleFactor, box_candidates, coset_representatives,
-                      lattice_points_in_box)
+                      lattice_rows_in_box)
 
 # most cosets of its rectangular sublattice a membership lattice may have
 MEMBERSHIP_COSET_BUDGET = 2**10
@@ -151,16 +151,23 @@ def difference_candidates(system: SimpleFactor, radius) -> int:
 def truncate_spectrum(system: SimpleFactor, radius) -> TruncatedSpectrum:
     """All points of L + dual(Gamma) with sup-norm at most ``radius``."""
     radius = exact.as_rational(radius)
-    search = _search_radius(system, radius)
-    points: set[Vector] = set()
-    for gamma_point in lattice_points_in_box(system.Gamma_dual, search):
-        for l in system.freq_digits:
-            p = exact.vec_add(gamma_point, l)
-            if all(abs(c) <= radius for c in p):
+    gamma_rows, gamma_den = lattice_rows_in_box(system.Gamma_dual,
+                                                _search_radius(system, radius))
+    digits, digit_den = exact.over_common_denominator(system.freq_digits)
+    # every point over den = lcm of the two denominators, as integer rows
+    den = math.lcm(gamma_den, digit_den)
+    gamma_scale, digit_scale = den // gamma_den, den // digit_den
+    digits = [[digit_scale * c for c in l] for l in digits]
+    bound = math.floor(radius * den)
+    points = set()
+    for g in gamma_rows:
+        shifted = [gamma_scale * c for c in g]
+        for l in digits:
+            p = tuple([a + b for a, b in zip(shifted, l)])
+            if all(abs(c) <= bound for c in p):
                 points.add(p)
-    return TruncatedSpectrum(
-        tuple(sorted(points, key=lambda p: (sum(c * c for c in p), p)))
-    )
+    rows = sorted(points, key=lambda p: (sum([c * c for c in p]), p))
+    return TruncatedSpectrum(tuple(exact.from_common_denominator(rows, den)))
 
 
 def orthogonality_matrix(omega: BoxUnion, spectrum: TruncatedSpectrum) -> np.ndarray:

@@ -342,8 +342,8 @@ def no_box_enumeration(monkeypatch):
     def enumerated(*args, **kwargs):
         raise Enumerated
 
-    for module in (specpair.pair, specpair.operators):
-        monkeypatch.setattr(module, "lattice_points_in_box", enumerated)
+    monkeypatch.setattr(specpair.pair, "lattice_rows_in_box", enumerated)
+    monkeypatch.setattr(specpair.operators, "lattice_points_in_box", enumerated)
 
 
 # pair: (|L| * (2b+1)^d)^2 / 2 Gram cells, plus |{l' - l}| * (2c+1)^d distinct
@@ -402,7 +402,8 @@ def test_readme_states_each_budget():
     stated = re.findall(r"2\^(\d+)\b[^`]*?\(`([a-z]+)\.([A-Z_]+_BUDGET)`\)", text)
     assert {f"{module}.{name}" for _, module, name in stated} == {
         "cli.EVALUATION_BUDGET", "spectrum.SPECTRUM_BUDGET", "measure.ATOM_BUDGET",
-        "pair.MEMBERSHIP_COSET_BUDGET", "measure.QUADRATURE_BUDGET"}
+        "pair.MEMBERSHIP_COSET_BUDGET", "measure.QUADRATURE_BUDGET",
+        "lattice.BOX_BUDGET"}
     assert len(stated) == len(re.findall(r"`[a-z]+\.[A-Z_]+_BUDGET`", text))
     for power, module, name in stated:
         held = getattr(importlib.import_module(f"specpair.{module}"), name)

@@ -2,11 +2,13 @@ import dataclasses
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import specpair as sp
-from specpair import exact, measure
-from specpair.lattice import is_expansive, lattice_points_in_box, same_lattice
+from specpair import cli, exact, lattice, measure
+from specpair.lattice import (is_expansive, lattice_points_in_box, lattice_rows_in_box,
+                              same_lattice)
 
 
 def test_dual_of_integers_is_integers():
@@ -58,6 +60,24 @@ def test_same_lattice_examples():
     # the same determinant, neither inside the other
     wide, tall = sp.Lattice([[2, 0], [0, 1]]), sp.Lattice([[1, 0], [0, 2]])
     assert not same_lattice(wide, tall) and not same_lattice(tall, wide)
+    # one Hermite column, over two denominators
+    assert not same_lattice(sp.Lattice([[1]]), sp.Lattice([["1/2"]]))
+
+
+@pytest.mark.parametrize("basis, form", [
+    ([[1, 1], [0, 1]], (((1, 0), (0, 1)), 1)),
+    ([[1, 0], [5, 1]], (((1, 0), (0, 1)), 1)),
+    ([[12, -16], [4, -4]], (((4, 0), (0, 4)), 1)),
+    ([[2, 1], [0, 3]], (((1, 0), (3, 6)), 1)),
+    ([["1/4", "1/4", "1/4"], [0, "1/4", "1/4"], [0, 0, "1/4"]],
+     (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 4)),
+    ([["1/2", 0], ["1/3", "-1/3"]], (((3, 0), (0, 2)), 6)),
+    ([[-3]], (((3,),), 1)),
+])
+def test_hermite_form_examples(basis, form):
+    # columns generate den * lattice, lower triangular with a positive
+    # diagonal, each entry left of it in [0, its diagonal)
+    assert sp.Lattice(basis).hermite == form
 
 
 def test_inclusion_membership_consistency_random():
@@ -136,6 +156,69 @@ def test_lattice_points_in_box_sheared_basis():
     half = F(1, 2)
     assert points[:5] == [(0, 0), (half, half), (half, -half), (-half, half),
                           (-half, -half)]  # nearest first, positive side first
+    rows, den = lattice_rows_in_box(lat, 2)
+    assert den == 2 and rows[:5] == [(0, 0), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+    assert [tuple(F(n, den) for n in row) for row in rows] == points
+
+
+def test_box_radius_may_be_zero_or_rational():
+    lat = sp.Lattice([["1/2", 0], ["1/3", "-1/3"]])
+    assert lattice_points_in_box(lat, 0) == [(0, 0)]
+    assert lattice_points_in_box(lat, F(1, 3)) == [(0, 0), (0, F(1, 3)), (0, F(-1, 3))]
+    with pytest.raises(ValueError, match="negative"):
+        lattice_rows_in_box(lat, F(-1, 3))
+
+
+def test_box_budget_admits_every_box_the_cli_admits():
+    # each CLI charge is the cube count times a factor of at least 1
+    assert lattice.BOX_BUDGET >= cli.EVALUATION_BUDGET
+
+
+def test_box_budget_is_charged_on_the_cube(monkeypatch):
+    lat = sp.Lattice([[1, 0], [5, 1]])
+    # b = 6 * 4 + 1 from the inverse's row sums 1 and 6; the lattice is Z^2
+    assert lattice.box_candidates(lat, 4) == 51**2
+    monkeypatch.setattr(lattice, "BOX_BUDGET", 51**2)
+    assert len(lattice_points_in_box(lat, 4)) == 81
+    monkeypatch.setattr(lattice, "BOX_BUDGET", 51**2 - 1)
+    with pytest.raises(sp.BudgetExceeded, match=f"{51**2} box candidates exceed"):
+        lattice_points_in_box(lat, 4)
+
+
+def dilated_scale4x2():
+    """scale4x2 dilated by 1000: dual(K) = Z^2 / 1000."""
+    return sp.SimpleFactor(
+        K=sp.Lattice([[1000, 0], [0, 1000]]), A=sp.Lattice([[500, 0], [0, 500]]),
+        Gamma=sp.Lattice([[250, 0], [0, 250]]),
+        digits=[(0, 0), (500, 0), (0, 500), (500, 500)],
+        freq_digits=[(0, 0), ("1/1000", 0), (0, "1/1000"), ("1/1000", "1/1000")])
+
+
+def _one_atom_classify(system):
+    one_atom = measure.DiscreteMeasure(depth=0, base=1, points=np.zeros((1, 2)))
+    # 1 atom times 8003^2 * 14 evaluations passes the quadrature budget
+    return sp.classify_measure(one_atom, system.K, system.Gamma, system.freq_digits)
+
+
+@pytest.mark.parametrize("request_, candidates", [
+    (sp.relation_residuals, 64003**2),
+    (lambda system: sp.separation_witness(system, (0.0, 0.0), (0.5, 0.0)), 16003**2),
+    (lambda system: sp.separation_witnesses(system, [[0.0, 0.0]], [[0.5, 0.0]]),
+     16003**2),
+    (_one_atom_classify, 8003**2),
+], ids=["relation_residuals", "separation_witness", "separation_witnesses",
+        "classify_one_atom"])
+def test_library_boxes_are_charged_before_the_walk(monkeypatch, request_, candidates):
+    system = dilated_scale4x2()
+    assert sp.validate_simple_factor(system).ok
+
+    def walked(*args, **kwargs):
+        raise AssertionError("the box was walked before the budget check")
+
+    monkeypatch.setattr(lattice, "_triangular_walk", walked)
+    monkeypatch.setattr(sp.Lattice, "hermite", property(walked))
+    with pytest.raises(sp.BudgetExceeded, match=f"^{candidates} box candidates exceed"):
+        request_(system)
 
 
 def test_push_and_pull_keep_the_point_kind(scale4x2):

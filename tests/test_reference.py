@@ -68,6 +68,18 @@ entry whose zero test is the Fraction expansion ``pair`` used before it
 decided zeros on integer rows (``oracle_exact_zero``).  Coset representatives, read off a Hermite
 form, are held to the scan of [0, index)^d they replaced
 (``oracle_coset_representatives``).
+
+The box enumeration, which walks a lattice's Hermite form level by level,
+is held to the cube of coefficient vectors it replaced
+(``oracle_lattice_points_in_box``): the same list in the same order, as
+Fraction points and as integer rows over one denominator, on sheared and
+scaled lattices at integer and rational radii, 0 included, and on two
+shears and a conjugate lattice at radius 32 and shear3's dual lattices at
+radius 8; ``truncate_spectrum`` and the separation
+candidates, which read the rows, are held to the Fraction points and
+floats the oracle's box gives (``oracle_truncate_spectrum``).
+``same_lattice``, which compares Hermite forms, is held to containment
+with equal ``|det|``.
 """
 
 import cmath
@@ -86,7 +98,7 @@ import specpair as sp
 from specpair import exact, measure, pair, transform
 from specpair.boxes import Box, BoxUnion, numerators, overlapping_pair, subtract
 from specpair.cyclotomic import exp_sum_is_zero
-from specpair.lattice import same_lattice
+from specpair.lattice import lattice_points_in_box, lattice_rows_in_box, same_lattice
 from specpair.transform import TransformSettings, mask, mu_hat_value
 
 SYSTEMS = {
@@ -1660,3 +1672,134 @@ def test_coset_representatives_match_scan_oracle(pair_):
         mutual = all(b.contains(g) for g in a.generators) and all(
             a.contains(g) for g in b.generators)
         assert same_lattice(a, b) is mutual
+
+
+def oracle_lattice_points_in_box(lat, radius):
+    """The cube enumeration the package ran before it walked a Hermite
+    form: every coefficient vector in [-b, b]^d, b from the row sums of
+    the basis inverse, kept when its point lies in the box, nearest first
+    and, in a tie, in decreasing lexicographic order."""
+    bound = max(int(sum(abs(c) for c in row) * radius) + 1 for row in lat.inverse)
+    points = []
+    for z in itertools.product(range(-bound, bound + 1), repeat=lat.dim):
+        x = exact.mat_vec(lat.basis, tuple(Fraction(c) for c in z))
+        if all(abs(c) <= radius for c in x):
+            points.append(x)
+    points.sort(key=lambda x: (sum(c * c for c in x), tuple(-c for c in x)))
+    return points
+
+
+def oracle_truncate_spectrum(system, radius):
+    """truncate_spectrum's points as it found them on Fraction vectors,
+    over the oracle's box."""
+    radius = exact.as_rational(radius)
+    search = radius + max(abs(c) for l in system.freq_digits for c in l)
+    points = set()
+    for gamma_point in oracle_lattice_points_in_box(system.Gamma_dual, search):
+        for l in system.freq_digits:
+            p = exact.vec_add(gamma_point, l)
+            if all(abs(c) <= radius for c in p):
+                points.add(p)
+    return tuple(sorted(points, key=lambda p: (sum(c * c for c in p), p)))
+
+
+def assert_box_matches_oracle(lat, radius):
+    want = oracle_lattice_points_in_box(lat, radius)
+    points = lattice_points_in_box(lat, radius)
+    assert points == want
+    assert all(type(c) is Fraction for x in points for c in x)
+    rows, den = lattice_rows_in_box(lat, radius)
+    assert all(type(n) is int for row in rows for n in row)
+    assert [tuple(Fraction(n, den) for n in row) for row in rows] == want
+
+
+def _shear(draw, d):
+    """A unimodular integer matrix: up to three row operations r_i += k r_j."""
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 3)) if d > 1 else 0):
+        i, j = draw(st.sampled_from(list(itertools.permutations(range(d), 2))))
+        k = draw(st.integers(-3, 3))
+        m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+    return exact.as_matrix(m)
+
+
+@st.composite
+def sheared_lattices(draw, dim=None):
+    """S D T: a shear S of a diagonal scaling D, in a basis changed by a
+    unimodular T; dimension ``dim``, or 1 to 3."""
+    d = dim or draw(st.integers(1, 3))
+    scales = draw(st.lists(st.builds(Fraction, st.integers(1, 5), st.integers(1, 5)),
+                           min_size=d, max_size=d))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    scaling = [[s * c if i == j else 0 for j in range(d)]
+               for i, (s, c) in enumerate(zip(signs, scales))]
+    return sp.Lattice(exact.mat_mul(exact.mat_mul(_shear(draw, d), exact.as_matrix(scaling)),
+                                    _shear(draw, d)))
+
+
+BOX_RADII = st.one_of(st.just(0), st.integers(0, 3),
+                      st.builds(Fraction, st.integers(0, 12), st.integers(1, 5)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(sheared_lattices(), BOX_RADII)
+def test_box_enumeration_matches_cube_oracle(lat, radius):
+    assume(sp.lattice.box_candidates(lat, radius) <= 3000)
+    assert_box_matches_oracle(lat, radius)
+
+
+@pytest.mark.parametrize("lat, radius", [
+    (sp.Lattice([[1, 0], [5, 1]]), 32),
+    (sp.Lattice([[1, 3], [0, 1]]), 32),
+    (sp.Lattice([[12, -16], [4, -4]]), 32),
+    (DATA_SYSTEMS["shear3"].Gamma_dual, 8),
+    (DATA_SYSTEMS["shear3"].K_dual, 8),
+], ids=["shear-5", "shear-3", "conjugate", "shear3-gamma-dual", "shear3-k-dual"])
+def test_roadmap_boxes_match_cube_oracle(lat, radius):
+    assert_box_matches_oracle(lat, radius)
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_SYSTEMS))
+@pytest.mark.parametrize("radius", [0, 1, Fraction(5, 2), 4])
+def test_truncate_spectrum_matches_fraction_oracle(name, radius):
+    system = FLOAT_SYSTEMS[name]
+    points = sp.truncate_spectrum(system, radius).points
+    assert points == oracle_truncate_spectrum(system, radius)
+    assert all(type(c) is Fraction for p in points for c in p)
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_SYSTEMS))
+def test_dual_candidates_match_fraction_oracle(name):
+    system = FLOAT_SYSTEMS[name]
+    measure._dual_candidates.cache_clear()
+    got = measure._dual_candidates(system, 3)
+    want = [(s, exact.to_floats(s))
+            for s in oracle_lattice_points_in_box(system.K_dual, 3)]
+    assert [s for s, _ in got] == [s for s, _ in want]
+    assert repr([f for _, f in got]) == repr([f for _, f in want])
+
+
+@settings(deadline=None, max_examples=150)
+@given(sheared_lattices(), st.data())
+def test_same_lattice_is_containment_with_equal_det(a, data):
+    d = a.dim
+    kind = data.draw(st.sampled_from(("rebased", "scaled", "sublattice", "other")))
+    if kind == "rebased":
+        b = sp.Lattice(exact.mat_mul(a.basis, _shear(data.draw, d)))
+    elif kind == "scaled":
+        c = data.draw(st.builds(Fraction, st.integers(1, 4), st.integers(1, 4)))
+        b = sp.Lattice([[c * x for x in row] for row in a.basis])
+    elif kind == "sublattice":
+        e = data.draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+        b = sp.Lattice([[x * k for x, k in zip(row, e)] for row in a.basis])
+    else:
+        b = data.draw(sheared_lattices(dim=d))
+    for x, y in ((a, b), (b, a)):
+        inside = all(y.contains(g) for g in x.generators)
+        assert same_lattice(x, y) is (inside and abs(x.det) == abs(y.det))
+    h, den = a.hermite
+    assert all(h[i][j] == 0 for i in range(d) for j in range(i + 1, d))
+    assert all(0 <= h[i][j] < h[i][i] for i in range(d) for j in range(i))
+    assert math.gcd(den, *(x for row in h for x in row)) == 1
+    form = sp.Lattice([[Fraction(x, den) for x in row] for row in h])
+    assert abs(form.det) == abs(a.det) and all(a.contains(g) for g in form.generators)
