@@ -9,8 +9,9 @@ class NotASublattice(SpectralPairError):
     """A lattice claimed to be contained in another is not."""
 
 
-class UnknownDigit(SpectralPairError):
-    """A digit is not a member of the digit set it is supposed to index."""
+class UnknownDigit(SpectralPairError, ValueError):
+    """A digit is not a member of the digit set it is supposed to index, or
+    0 is missing from a digit set or a truncated spectrum."""
 
 
 class NotExpansive(SpectralPairError):

@@ -466,7 +466,7 @@ def validate_simple_factor(system: SimpleFactor) -> ValidationReport:
     residues (cyclotomic.roots_sum_is_zero), expansiveness on the
     characteristic polynomial.  The index [A : K] is |det K / det A|, read
     once K <= A is known.  The degenerate case K = A (index 1) is flagged,
-    not failed.
+    not failed, by same_lattice, as RelationReport flags it.
     """
     checks: list[CheckResult] = []
 
@@ -519,4 +519,5 @@ def validate_simple_factor(system: SimpleFactor) -> ValidationReport:
 
     checks.append(expansive_check(system.E))
 
-    return ValidationReport(checks=tuple(checks), degenerate=index == 1)
+    return ValidationReport(checks=tuple(checks),
+                            degenerate=same_lattice(system.K, system.A))

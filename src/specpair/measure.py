@@ -31,7 +31,7 @@ import numpy as np
 
 from . import exact
 from .errors import (BudgetExceeded, DepthTooLarge, IdenticalPoints, NonFinitePoint,
-                     NotExpansive)
+                     NotExpansive, UnknownDigit)
 from .exact import Vector
 from .lattice import SimpleFactor, is_expansive, lattice_rows_in_box
 
@@ -55,15 +55,16 @@ _SCALARS = (float, int, Fraction, numbers.Number)
 
 def build_ifs(system: SimpleFactor) -> SimpleFactor:
     """The datum itself, once it is checked to give a contraction system:
-    E must be expansive and 0 a digit.  The maps x -> E^{-1} x + b, one
-    per digit b, are read from the datum's own cached copies."""
+    E must be expansive (else NotExpansive) and 0 a digit (else
+    UnknownDigit).  The maps x -> E^{-1} x + b, one per digit b, are read
+    from the datum's own cached copies."""
     expansive, smallest = is_expansive(system.E)
     if not expansive:
         raise NotExpansive(
             f"eigenvalue modulus {smallest:.6g} <= 1; no invariant measure"
         )
     if exact.zero_vector(system.dim) not in system.digits:
-        raise ValueError("digit set must contain 0")
+        raise UnknownDigit("digit set must contain 0")
     return system
 
 

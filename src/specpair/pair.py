@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -29,7 +29,7 @@ from . import exact
 from .boxes import (Box, BoxUnion, Piece, as_boxes, numerators, overlapping_pair,
                     subtract, translate)
 from .cyclotomic import residue_sum_is_zero
-from .errors import BudgetExceeded, NotEmbeddable
+from .errors import BudgetExceeded, NotEmbeddable, UnknownDigit
 from .exact import Vector
 from .lattice import (Lattice, SimpleFactor, box_candidates, coset_representatives,
                       lattice_rows_in_box)
@@ -104,22 +104,33 @@ def indicator_transform(omega: BoxUnion, t) -> complex:
 
 @dataclass(frozen=True)
 class TruncatedSpectrum:
-    """A finite truncation of the spectrum L + dual(Gamma), 0 included."""
+    """A finite truncation of the spectrum L + dual(Gamma), 0 included;
+    ``rows`` / ``den``, derived once, are the points over their least
+    common denominator, and the checks run on them."""
 
     points: tuple[Vector, ...]
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = tuple(exact.as_vector(p) for p in self.points)
+        rows, den = exact.over_common_denominator(points)
         object.__setattr__(self, "points", points)
-        if len(set(points)) != len(points):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
+        if len(set(rows)) != len(rows):
             raise ValueError("spectrum points must be pairwise distinct")
-        if len(set(map(len, points))) > 1:
+        if len(set(map(len, rows))) > 1:
             raise ValueError("spectrum points must share one dimension")
-        if not points or exact.zero_vector(len(points[0])) not in points:
-            raise ValueError("a truncated spectrum must contain 0")
+        if all(any(row) for row in rows):
+            raise UnknownDigit("a truncated spectrum must contain 0")
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows[0])
 
 
 def _search_radius(system: SimpleFactor, radius: Fraction) -> Fraction:
@@ -173,19 +184,17 @@ def truncate_spectrum(system: SimpleFactor, radius) -> TruncatedSpectrum:
 def orthogonality_matrix(omega: BoxUnion, spectrum: TruncatedSpectrum) -> np.ndarray:
     """Normalized pairings: entry (i, j) is transform(lambda_j - lambda_i) / measure.
 
-    The points are put over one denominator; the upper triangle's
-    differences are rows of Python integers, each distinct row is decided
-    once by the exact zero test, and only the rows that do not vanish are
+    The upper triangle's differences are the spectrum's integer rows
+    subtracted, over its denominator; each distinct difference is decided
+    once by the exact zero test, and only the ones that do not vanish are
     evaluated in floats.  The lower triangle is the conjugate of the upper.
     Raises ValueError when the points and the union differ in dimension.
     """
-    if len(spectrum.points[0]) != omega.dim:
-        raise ValueError(f"dimension {len(spectrum.points[0])} does not match "
-                         f"the box union's dimension {omega.dim}")
+    _check_dims(omega, spectrum)
     measure = float(omega.measure)
-    rows, den = exact.over_common_denominator(spectrum.points)
-    n = len(rows)
-    points = np.array(rows, dtype=object)
+    den = spectrum.den
+    n = len(spectrum)
+    points = np.array(spectrum.rows, dtype=object)
     upper = np.triu_indices(n, 1)
     index: dict[tuple[int, ...], int] = {}
     diffs = zip(*(points[upper[1]] - points[upper[0]]).T.tolist())
@@ -245,8 +254,8 @@ def _embedding(boxes: Sequence[Box], cell: Vector) -> tuple[list[Piece], int]:
 
 
 def _check_dims(omega: BoxUnion, *others) -> None:
-    """Raise ValueError unless each lattice or union in ``others`` that is
-    not None has the union's dimension."""
+    """Raise ValueError unless each lattice, union or spectrum in
+    ``others`` that is not None has the union's dimension."""
     for other in others:
         if other is not None and other.dim != omega.dim:
             raise ValueError(f"dimension {other.dim} does not match the box "

@@ -6,7 +6,10 @@ Depth-n frequencies are the affine digit sums
 
 computed exactly and collision-checked (a collision means the datum is
 broken, not that two words share a frequency) as integer rows over one
-denominator, read as Fractions or floats only through views.  The
+denominator, read as Fractions or floats only through views.  Both
+probes of a point s, the completeness sums and the maximality scan, read
+s - xi from one builder: integer rows over one denominator when s is
+exact, floats when it is not.  The
 element at index i encodes its word in base N, most significant letter
 first, so the depth-(n-1) enumeration sits at the indices divisible by
 N -- the completeness sums inherit their monotonicity from that nesting.
@@ -21,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +37,7 @@ from .transform import (
     CHUNK_ROWS,
     TransformSettings,
     _exact_block,
-    mu_hat_value,
+    _exact_row,
     mu_hat_values,
 )
 
@@ -59,7 +61,7 @@ class SpectrumEnumeration:
 
     @cached_property
     def elements(self) -> tuple[Vector, ...]:
-        return tuple(tuple(Fraction(n, self.den) for n in row) for row in self.rows.tolist())
+        return tuple(exact.from_common_denominator(self.rows.tolist(), self.den))
 
     @cached_property
     def floats(self) -> np.ndarray:
@@ -106,6 +108,19 @@ def enumerate_spectrum(system: SimpleFactor, depth: int) -> SpectrumEnumeration:
     return enum
 
 
+def _differences(system: SimpleFactor, s, depth: int):
+    """The depth-``depth`` enumeration and s - xi at each of its
+    frequencies, in its order: integer rows and their denominator for an
+    exact s, an array of floats and None for any other."""
+    point, is_exact = exact.as_point(s, system.dim)
+    enum = enumerate_spectrum(system, depth)
+    if not is_exact:
+        return enum, np.array(point) - enum.floats, None
+    # s - xi = (k s den - k xi den) / (k den), k s den integral
+    (row,), k = exact.over_common_denominator((tuple(x * enum.den for x in point),))
+    return enum, np.array(row, dtype=object) - k * enum.rows, k * enum.den
+
+
 @dataclass(frozen=True)
 class CompletenessRow:
     depth: int
@@ -129,15 +144,11 @@ def completeness_table(
     depths = sorted(set(int(d) for d in depths))
     if not depths or depths[0] < 0:
         raise ValueError("depths must be nonnegative")
-    s, is_exact = exact.as_point(s, system.dim)
-    deepest = enumerate_spectrum(system, depths[-1])
-    if is_exact:
-        # s - xi = (k s den - k xi den) / (k den), k s den integral
-        (row,), k = exact.over_common_denominator((tuple(x * deepest.den for x in s),))
-        values = _exact_block(system, np.array(row, dtype=object) - k * deepest.rows,
-                              k * deepest.den, product_depth)
+    deepest, shifts, den = _differences(system, s, depths[-1])
+    if den is None:
+        values = mu_hat_values(system, shifts, settings).tolist()
     else:
-        values = mu_hat_values(system, np.array(s) - deepest.floats, settings).tolist()
+        values = _exact_block(system, shifts, den, product_depth)
     values = [abs(v) ** 2 for v in values]
     rows = []
     previous = 0.0
@@ -176,21 +187,21 @@ def maximality_probe(system: SimpleFactor, s, enum_depth: int):
     MemberOfSpectrum when s is already enumerated.
     """
     settings = TransformSettings()
-    point, is_exact = exact.as_point(s, system.dim)
-    enum = enumerate_spectrum(system, enum_depth)
-    if point in (enum.elements if is_exact else map(tuple, enum.floats)):
+    enum, shifts, den = _differences(system, s, enum_depth)
+    if (shifts == 0).all(axis=1).any():
         raise MemberOfSpectrum(f"{s!r} is in the depth-{enum_depth} enumeration")
     order = np.argsort(np.linalg.norm(enum.floats, axis=1), kind="stable").tolist()
-    if is_exact:
-        values = (mu_hat_value(system, exact.vec_sub(point, enum.elements[i]), settings)
+    if den is not None:
+        values = (_exact_row(system, shifts[i].tolist(), den, settings.product_depth)
                   for i in order)
     else:
         # a float probe is scanned one batch at a time, in the same order
-        shifted = np.array(point) - enum.floats[order]
+        shifted = shifts[order]
         values = itertools.chain.from_iterable(
             mu_hat_values(system, shifted[k:k + CHUNK_ROWS], settings).tolist()
             for k in range(0, len(order), CHUNK_ROWS))
     for i, value in zip(order, values):
         if abs(value) > WITNESS_THRESHOLD:
-            return Witness(xi=enum.elements[i], value=value)
+            xi, = exact.from_common_denominator([enum.rows[i].tolist()], enum.den)
+            return Witness(xi=xi, value=value)
     return AllOrthogonal(enum_depth=enum_depth, threshold=WITNESS_THRESHOLD)

@@ -10,7 +10,7 @@ against a depth-n refinement instead; the two paths share no code, which
 is what makes their agreement a meaningful check.
 
 At rational frequencies the product runs in one integer loop,
-``_exact_product``: each level's phases are integers p over one q, so the
+``_exact_row``: each level's phases are integers p over one q, so the
 mask's zeros (which carry all orthogonality statements downstream) are
 decided exactly, at every conductor, from the residues p mod q, and end
 the product as a literal zero.  A factor whose roots lie in one open half
@@ -19,12 +19,14 @@ go to ``cyclotomic.roots_sum_is_zero``, memoized per (sorted residues, q)
 in at most 4,096 entries: a product meets the same few residue patterns
 at most of its levels, so the cyclotomic recursion decides each once.
 
-A set of rational frequencies runs through ``_exact_block``: the same
-loop on integer rows over one denominator (``_exact_products`` puts
-Fraction points over theirs) in numpy object arrays, so each level is a
-few array operations, each value bit for bit the one ``_exact_product``
-gives.  A single point stays scalar: a batch of one costs several times
-the plain loop.
+The loop reads one integer row over a denominator (``_exact_product``
+puts a Fraction point over its least one).  A set of rational
+frequencies runs through ``_exact_block``: the same loop on integer rows
+over one denominator (``_exact_products`` puts Fraction points over
+theirs) in numpy object arrays, so each level is a few array
+operations, each value bit for bit the one ``_exact_row`` gives.  A
+single point stays scalar: a batch of one costs several times the plain
+loop.
 
 Float frequencies go through one batched kernel, ``mu_hat_values``: an
 (M, d) array of points runs the product level by level in numpy, each
@@ -95,18 +97,24 @@ def mask(system: SimpleFactor, t) -> complex:
 
 def _exact_product(system: SimpleFactor, freq: tuple, depth: int) -> complex:
     """The product of the masks at (E^T)^{-k} freq, k < depth, at an exact
-    frequency.
+    frequency: _exact_row on its numerators over their least denominator."""
+    (num,), den = exact.over_common_denominator((freq,))
+    return _exact_row(system, num, den, depth)
 
-    The frequency is pulled back as integer numerators over a growing
+
+def _exact_row(system: SimpleFactor, num, den: int, depth: int) -> complex:
+    """The depth-``depth`` product at the point num / den, for a sequence
+    ``num`` of integers.
+
+    The point is pulled back as integer numerators over a growing
     denominator, so each level's phases b.t are integers p over one q.  A
     level whose residues p mod q all vanish is a structural 1; one whose
     roots fail the half-plane test and whose root sum vanishes
     (roots_sum_is_zero on the sorted residues and q) ends the product as
     0j.  Any other factor is the float sum at p / q, which
     Python rounds correctly, so it equals float(Fraction(p, q)) bit for
-    bit.
+    bit.  ``den`` need not be the least denominator (see _exact_block).
     """
-    (num,), den = exact.over_common_denominator((freq,))
     digits, digit_den, pull, pull_den = system._integer_maps
     value = complex(1.0)
     for level in range(depth):
@@ -188,7 +196,7 @@ def _exact_products(system: SimpleFactor, freqs, depth: int) -> list[complex]:
 
 def _exact_block(system: SimpleFactor, rows, den: int, depth: int) -> list[complex]:
     """The depth-``depth`` product at each of the (M, d) integer rows, the
-    points rows / den, bit for bit the value _exact_product gives there.
+    points rows / den, bit for bit the value _exact_row gives at each.
 
     The rows run CHUNK_ROWS at a time, level by level, so each chunk's
     phases are integers p over one q, in numpy object arrays of Python

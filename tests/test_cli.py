@@ -148,6 +148,26 @@ def test_pair_on_sheared_k_basis_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key, value, argv", [
+    ("digits_L", [["1"], ["2"]], ["pair", "--box", "4"]),
+    ("digits_B", [["1/4"], ["1/2"]], ["measure", "--quadrature-depth", "2"]),
+    ("digits_B", [["1/4"], ["1/2"]], ["transform", "--s", "1", "--backend", "quadrature"]),
+    ("digits_B", [["1/4"], ["1/2"]], ["transform", "--s", "1", "--backend", "both"]),
+], ids=["pair", "measure", "transform-quadrature", "transform-both"])
+def test_data_missing_zero_is_one_error_line(tmp_path, capsys, key, value, argv):
+    # scale4 with no 0 among its frequency digits or its digits
+    loaded = parse_spec("scale4")
+    document = json.loads(dumps_spec(loaded.system, loaded.omega, loaded.d_prime))
+    document[key] = value
+    path = tmp_path / "no_zero.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--spec", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: UnknownDigit: ") and err.endswith("must contain 0\n")
+    assert err.count("\n") == 1
+
+
 def test_seed_belongs_to_pair_alone(capsys):
     assert run(capsys, "pair", "--spec", "scale4", "--box", "2", "--seed", "3")[0] == 0
     with pytest.raises(SystemExit):

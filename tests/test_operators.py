@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from specpair import cyclotomic
 from specpair.operators import ExponentialVector, apply_word, apply_word_adjoint
 from specpair.transform import TransformSettings
 
+DATA = Path(__file__).with_name("data")
 E0 = ExponentialVector.basis((F(0),))
 
 
@@ -120,6 +122,20 @@ def test_relation_residuals_degenerate():
     assert report.isometry == 0.0
     assert report.range_orthogonality == 0.0
     assert report.completeness == 0.0
+
+
+@pytest.mark.parametrize("source", [
+    *sp.builtin_names(),
+    *sorted(str(path) for path in DATA.glob("*.json")),
+    # K = A, the paper's open case, with Gamma = Z/2 and B = L = {0}
+    {"name": "k_equals_a", "dimension": 1, "K_basis": [["1"]], "A_basis": [["1"]],
+     "Gamma_basis": [["1/2"]], "digits_B": [["0"]], "digits_L": [["0"]]},
+], ids=lambda source: source["name"] if isinstance(source, dict) else Path(source).stem)
+def test_validation_and_relations_flag_one_degenerate_case(source):
+    loaded = sp.parse_spec(source, require_valid=False)
+    report = sp.relation_residuals(loaded.system, box_radius=1)
+    assert report.degenerate is loaded.report.degenerate
+    assert report.degenerate is isinstance(source, dict)
 
 
 def test_relation_residuals_rejects_an_empty_sample_box(scale4):

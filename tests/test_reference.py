@@ -804,6 +804,101 @@ def test_float_consumers_match_scalar_oracle(monkeypatch):
     assert_same_values([probe.value], [values[4]])
 
 
+def oracle_maximality_probe(system, s, enum_depth, threshold):
+    """maximality_probe as it stood before s - xi came from integer rows,
+    verbatim but for the threshold argument: membership by a Fraction or
+    float tuple, and the exact scan one mu_hat_value per Fraction
+    difference exact.vec_sub makes."""
+    settings_ = TransformSettings()
+    point, is_exact = exact.as_point(s, system.dim)
+    enum = sp.enumerate_spectrum(system, enum_depth)
+    if point in (enum.elements if is_exact else map(tuple, enum.floats)):
+        raise sp.MemberOfSpectrum(f"{s!r} is in the depth-{enum_depth} enumeration")
+    order = np.argsort(np.linalg.norm(enum.floats, axis=1), kind="stable").tolist()
+    if is_exact:
+        values = (mu_hat_value(system, exact.vec_sub(point, enum.elements[i]), settings_)
+                  for i in order)
+    else:
+        shifted = np.array(point) - enum.floats[order]
+        values = itertools.chain.from_iterable(
+            sp.mu_hat_values(system, shifted[k:k + transform.CHUNK_ROWS], settings_).tolist()
+            for k in range(0, len(order), transform.CHUNK_ROWS))
+    for i, value in zip(order, values):
+        if abs(value) > threshold:
+            return sp.spectrum.Witness(xi=enum.elements[i], value=value)
+    return sp.spectrum.AllOrthogonal(enum_depth=enum_depth, threshold=threshold)
+
+
+def maximality_cases(system):
+    """(label, probe, depth) for a datum: an exact and a float non-member,
+    three times the last frequency digit, an exact and a float member and,
+    for d > 1, the deepest frequency moved in its last coordinate only."""
+    depth = max(1, int(math.log(256, system.N)))
+    xi = sp.enumerate_spectrum(system, depth).elements[-1]
+    cases = [
+        ("third", (Fraction(1, 3),) * system.dim, depth),
+        ("float", tuple(0.3 + 0.1 * j for j in range(system.dim)), depth),
+        ("triple", tuple(3 * c for c in system.freq_digits[-1]), depth),
+        ("exact member", xi, depth),
+        ("float member", exact.to_floats(xi), depth),
+    ]
+    if system.dim > 1:
+        moved = xi[:-1] + (xi[-1] + Fraction(1, 7),)
+        cases += [("one coordinate", moved, depth),
+                  ("float one coordinate", exact.to_floats(moved), depth)]
+    return cases
+
+
+def probe_outcome(probe, system, s, depth, threshold):
+    """What the probe returned, as (type, xi, repr(value)), or what it raised."""
+    try:
+        found = probe(system, s, depth, threshold)
+    except sp.SpectralPairError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(found, sp.spectrum.Witness):
+        return type(found).__name__, found.xi, repr(found.value)
+    return type(found).__name__, repr(found)
+
+
+def package_maximality_probe(system, s, depth, threshold):
+    with mock.patch.object(sp.spectrum, "WITNESS_THRESHOLD", threshold):
+        return sp.maximality_probe(system, s, depth)
+
+
+@pytest.mark.parametrize("name", sorted(CONSUMER_SYSTEMS))
+def test_maximality_probe_matches_fraction_oracle(name):
+    """The probe on integer rows gives the result type, xi and value bits
+    the per-element Fraction scan gave, at both thresholds."""
+    system = CONSUMER_SYSTEMS[name]
+    for label, s, depth in maximality_cases(system):
+        for threshold in (sp.spectrum.WITNESS_THRESHOLD, 1.0):
+            got = probe_outcome(package_maximality_probe, system, s, depth, threshold)
+            want = probe_outcome(oracle_maximality_probe, system, s, depth, threshold)
+            assert got == want, (label, threshold)
+
+
+def test_maximality_oracle_cases_cover_each_outcome():
+    """Over the data, the cases above reach a witness at the nearest
+    frequency and a later one, AllOrthogonal, exact and float members, and
+    a 2-D probe that matches a frequency in one coordinate only."""
+    seen = set()
+    for system in CONSUMER_SYSTEMS.values():
+        nearest = sp.enumerate_spectrum(system, 0).elements[0]
+        for label, s, depth in maximality_cases(system):
+            for threshold in (sp.spectrum.WITNESS_THRESHOLD, 1.0):
+                outcome = probe_outcome(oracle_maximality_probe, system, s, depth,
+                                        threshold)
+                if outcome[0] == "Witness":
+                    seen.add("nearest witness" if outcome[1] == nearest else "later witness")
+                else:
+                    seen.add(label if outcome[0] == "MemberOfSpectrum" else outcome[0])
+                if (label.endswith("one coordinate") and system.dim == 2
+                        and outcome[0] != "MemberOfSpectrum"):
+                    seen.add("2-D one coordinate")
+    assert seen >= {"nearest witness", "later witness", "AllOrthogonal", "exact member",
+                    "float member", "2-D one coordinate"}
+
+
 def oracle_functional_equation_residual(system, t, settings_):
     """functional_equation_residual as it stood before the batch: one
     point's two transforms and its mask, one scalar call each."""

@@ -163,15 +163,15 @@ def test_enumeration_budget_is_checked_before_building(scale4, scale4x2, monkeyp
 ], ids=["scale4", "scale4x2", "n3"])
 def test_maximality_probe_scans_nearest_first(monkeypatch, name, depth, s):
     # the probe's order is the one a per-row norm key gave: by float norm,
-    # ties in enumeration order
+    # ties in enumeration order; each row is s - xi over the row denominator
     system = sp.parse_spec(name).system
     seen = []
 
-    def record(system_, t, settings):
-        seen.append(t)
+    def record(system_, num, den, depth_):
+        seen.append(tuple(F(n, den) for n in num))
         return 0j
 
-    monkeypatch.setattr(spectrum, "mu_hat_value", record)
+    monkeypatch.setattr(spectrum, "_exact_row", record)
     assert isinstance(sp.maximality_probe(system, s, depth), AllOrthogonal)
     enum = sp.enumerate_spectrum(system, depth)
     order = sorted(range(len(enum)),

@@ -160,7 +160,7 @@ def test_consumers_refuse_out_of_range_product_depths(scale4, monkeypatch, call,
     def no_transform(*args, **kwargs):
         raise AssertionError("transform evaluated before the depth check")
 
-    for module, name in ((sp.spectrum, "mu_hat_value"), (sp.spectrum, "_exact_block"),
+    for module, name in ((sp.spectrum, "_exact_row"), (sp.spectrum, "_exact_block"),
                          (sp.operators, "mu_hat_value"), (sp.operators, "_exact_products")):
         monkeypatch.setattr(module, name, no_transform)
     with pytest.raises(sp.BudgetExceeded, match="product depth"):
