@@ -58,24 +58,56 @@ def as_vector(values, dim: int | None = None) -> Vector:
     return vec
 
 
+def _point_entries(t, dim: int | None) -> tuple[tuple, bool]:
+    """The entries of a scalar, a 0-d array or a sequence, flagged True
+    when every one is exact, else as finite floats flagged False."""
+    if isinstance(t, (numbers.Number, str)):
+        t = (t,)
+    elif getattr(t, "ndim", None) == 0:
+        t = (t[()],)  # the numpy scalar it holds
+    if dim is not None and len(t) != dim:
+        raise ValueError(f"expected a vector of length {dim}, got {len(t)}")
+    if all(isinstance(v, _EXACT) for v in t):
+        return t, True
+    point = tuple(float(v) for v in t)
+    if not all(map(math.isfinite, point)):
+        raise NonFinitePoint(f"point {point!r} has a non-finite entry")
+    return point, False
+
+
 def as_point(t, dim: int | None = None) -> tuple[tuple, bool]:
-    """A scalar or a sequence as a point, exact when it can be.
+    """A scalar, a 0-d array or a sequence as a point, exact when it can be.
 
     The point is exact -- Fractions, flagged True -- when every entry is
     an integer (numpy integers included), a Fraction or a string like
     '3/4'; otherwise it is floats, flagged False.  A NaN or infinite
     entry raises NonFinitePoint.
     """
-    if isinstance(t, (numbers.Number, str)):
-        t = (t,)
-    if all(isinstance(v, _EXACT) for v in t):
-        return as_vector(t, dim), True
-    if dim is not None and len(t) != dim:
-        raise ValueError(f"expected a vector of length {dim}, got {len(t)}")
-    point = tuple(float(v) for v in t)
-    if not all(map(math.isfinite, point)):
-        raise NonFinitePoint(f"point {point!r} has a non-finite entry")
-    return point, False
+    entries, is_exact = _point_entries(t, dim)
+    return (as_vector(entries) if is_exact else entries), is_exact
+
+
+def as_point_row(t, dim: int | None = None) -> tuple[tuple, int | None]:
+    """as_point's reading of ``t`` with no Fraction built for an exact
+    point: (numerators, den), the point as one row of Python ints over its
+    least denominator, as over_common_denominator gives it; a float point
+    is (floats, None).  The same checks and errors as as_point."""
+    entries, is_exact = _point_entries(t, dim)
+    if not is_exact:
+        return entries, None
+    ratios = [_ratio(v) for v in entries]
+    den = math.lcm(*[d for _, d in ratios])
+    return tuple([n * (den // d) for n, d in ratios]), den
+
+
+def _ratio(value) -> tuple[int, int]:
+    """An exact entry as as_rational's numerator and denominator, with no
+    Fraction built for an integer."""
+    if not isinstance(value, Fraction):
+        if isinstance(value, (int, numbers.Integral)):
+            return int(value), 1
+        value = as_rational(value)
+    return value.numerator, value.denominator
 
 
 def over_common_denominator(rows) -> tuple[tuple[tuple[int, ...], ...], int]:

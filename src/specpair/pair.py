@@ -91,14 +91,15 @@ def indicator_transform(omega: BoxUnion, t) -> complex:
     Evaluates the per-axis closed form; at exact rational ``t`` a vanishing
     value is detected exactly and returned as literal complex zero.
     """
-    t, is_exact = exact.as_point(t, omega.dim)
-    if is_exact:
-        if all(v == 0 for v in t):
+    t, den = exact.as_point_row(t, omega.dim)
+    if den is not None:
+        if not any(t):
             return complex(float(omega.measure))
-        [row], den = exact.over_common_denominator([t])
         corners, _, corner_den = numerators(omega.boxes)
-        if _vanishes(corners, corner_den, row, den):
+        if _vanishes(corners, corner_den, t, den):
             return 0j
+        # n / den rounds correctly, so it is float(Fraction(n, den))
+        t = [n / den for n in t]
     return _closed_form(omega, tuple(map(float, t)))
 
 

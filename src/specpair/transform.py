@@ -19,14 +19,18 @@ go to ``cyclotomic.roots_sum_is_zero``, memoized per (sorted residues, q)
 in at most 4,096 entries: a product meets the same few residue patterns
 at most of its levels, so the cyclotomic recursion decides each once.
 
-The loop reads one integer row over a denominator (``_exact_product``
-puts a Fraction point over its least one).  A set of rational
-frequencies runs through ``_exact_block``: the same loop on integer rows
-over one denominator (``_exact_products`` puts Fraction points over
-theirs) in numpy object arrays, so each level is a few array
-operations, each value bit for bit the one ``_exact_row`` gives.  A
-single point stays scalar: a batch of one costs several times the plain
-loop.
+The loop reads one integer row over a denominator.  A single exact
+point, mu_hat_value's or mask's, is read straight into one row of ints
+over its least denominator (``exact.as_point_row``, no Fraction built)
+and stays scalar, since a batch of one costs several times the plain
+loop.  It runs through ``_row_product``, the loop memoized per
+(system, row, den, depth) in at most 4,096 entries: a command asks for
+the same points again and again (the differences of a frequency set
+repeat, and so does each Gram), so only a new point runs the loop.  A
+set of rational frequencies runs through ``_exact_block``: the same loop
+on integer rows over one denominator (``_exact_products`` puts Fraction
+points over theirs) in numpy object arrays, so each level is a few array
+operations, each value bit for bit the one ``_exact_row`` gives.
 
 Float frequencies go through one batched kernel, ``mu_hat_values``: an
 (M, d) array of points runs the product level by level in numpy, each
@@ -97,9 +101,20 @@ def mask(system: SimpleFactor, t) -> complex:
 
 def _exact_product(system: SimpleFactor, freq: tuple, depth: int) -> complex:
     """The product of the masks at (E^T)^{-k} freq, k < depth, at an exact
-    frequency: _exact_row on its numerators over their least denominator."""
+    frequency: _exact_row on its numerators over their least denominator,
+    with no memo (the tests' scalar reference)."""
     (num,), den = exact.over_common_denominator((freq,))
     return _exact_row(system, num, den, depth)
+
+
+@lru_cache(maxsize=1 << 12)
+def _row_product(system: SimpleFactor, row: tuple, den: int, depth: int) -> complex:
+    """_exact_row at one exact point, memoized per (system, row, den, depth):
+    a command meets the same few points again and again (each difference
+    of a frequency set recurs), and a key of Python ints hashes an order
+    of magnitude faster than one of Fractions.  Each entry holds its
+    system, as _cached_measure's do."""
+    return _exact_row(system, row, den, depth)
 
 
 def _exact_row(system: SimpleFactor, num, den: int, depth: int) -> complex:
@@ -254,7 +269,7 @@ def mu_hat_value(
     Backend "product" returns the truncated mask product; "quadrature"
     integrates against the cached refinement: _transforms_at on one point.
     """
-    return _transforms_at(system, [exact.as_point(t, system.dim)], settings)[0]
+    return _transforms_at(system, [exact.as_point_row(t, system.dim)], settings)[0]
 
 
 def mu_hat_values(
@@ -312,24 +327,31 @@ def functional_equation_residuals(
     three batches (the transforms at the pushed points, the masks there
     and the transforms at the points), each value bit for bit
     mu_hat_value's, then Python's complex abs(left - mask * right)."""
-    points = [exact.as_point(t, system.dim) for t in points]
-    pushed = [(system.push(freq), kind) for freq, kind in points]
+    freqs = [exact.as_point(t, system.dim)[0] for t in points]
+    pushed = [exact.as_point_row(system.push(freq)) for freq in freqs]
     return [abs(left - factor * right) for left, factor, right in zip(
         _transforms_at(system, pushed, settings),
         _transforms_at(system, pushed, _MASK),
-        _transforms_at(system, points, settings))]
+        _transforms_at(system, [exact.as_point_row(freq) for freq in freqs], settings))]
 
 
 def _transforms_at(system: SimpleFactor, points: list,
                    settings: TransformSettings) -> list[complex]:
-    """The transform at each of exact.as_point's (point, is_exact) pairs, in
+    """The transform at each of exact.as_point_row's (row, den) pairs, in
     order: the exact points of the product backend on the integer loop (a
-    lone point scalar), every other point in one mu_hat_values batch."""
-    looped = [is_exact and settings.backend == "product" for _, is_exact in points]
+    lone point through the memo _row_product), every other point in one
+    mu_hat_values batch."""
+    looped = [den is not None and settings.backend == "product" for _, den in points]
     if looped == [True]:
-        return [_exact_product(system, points[0][0], settings.product_depth)]
-    exacts = [point for (point, _), loop in zip(points, looped) if loop]
-    floats = [point for (point, _), loop in zip(points, looped) if not loop]
-    exact_values = iter(_exact_products(system, exacts, settings.product_depth))
+        return [_row_product(system, *points[0], settings.product_depth)]
+    exacts = [point for point, loop in zip(points, looped) if loop]
+    # n / den rounds correctly, so it is float(Fraction(n, den))
+    floats = [row if den is None else [n / den for n in row]
+              for (row, den), loop in zip(points, looped) if not loop]
+    exact_values = iter(())
+    if exacts:
+        den = math.lcm(*[d for _, d in exacts])
+        rows = [[n * (den // d) for n in row] for row, d in exacts]
+        exact_values = iter(_exact_block(system, rows, den, settings.product_depth))
     float_values = iter(mu_hat_values(system, floats, settings).tolist() if floats else ())
     return [next(exact_values if loop else float_values) for loop in looped]

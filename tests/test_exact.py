@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import specpair as sp
 from specpair import exact
@@ -149,3 +150,76 @@ def test_non_finite_points_are_rejected(call):
         call()
     assert isinstance(info.value, ValueError)
     assert isinstance(info.value, sp.SpectralPairError)
+
+
+# every exact kind as_point reads: ints, numpy ints, bools, Fractions and
+# "p/q" strings, over denominators that differ from entry to entry
+exact_entries = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+    st.builds(np.int8, st.integers(-128, 127)),
+    st.booleans(),
+    st.builds(F, st.integers(-10**20, 10**20), st.integers(1, 10**6)),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-10**6, 10**6), st.integers(1, 720)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(exact_entries, min_size=d, max_size=d)))
+def test_point_row_is_the_common_denominator_of_as_point(entries):
+    for t in (entries, tuple(entries)):
+        point, is_exact = exact.as_point(t, len(entries))
+        assert is_exact
+        (want,), den = exact.over_common_denominator((point,))
+        row, got_den = exact.as_point_row(t, len(entries))
+        assert (row, got_den) == (want, den)
+        assert all(type(n) is int for n in row) and type(got_den) is int
+    if len(entries) == 1:
+        assert exact.as_point_row(entries[0]) == (want, den)
+
+
+def test_point_row_reads_mixed_denominators_in_two_and_three_dimensions():
+    assert exact.as_point_row((F(1, 2), "2/3")) == ((3, 4), 6)
+    assert exact.as_point_row(["-5/4", np.int64(3), F(7, 6)], 3) == ((-15, 36, 14), 12)
+    assert exact.as_point_row((True, "6/4", 0)) == ((2, 3, 0), 2)
+    assert exact.as_point_row((0.5, F(1, 3))) == ((0.5, float(F(1, 3))), None)
+
+
+@pytest.mark.parametrize("t, dim, error", [
+    ((F(1), F(2)), 3, ValueError),
+    (("1/2",), 2, ValueError),
+    ((0.5, 0.25, 1.0), 2, ValueError),
+    (np.array([1, 2]), 1, ValueError),
+    ((float("nan"), 1), 2, sp.NonFinitePoint),
+    ((F(1, 2), float("inf")), 2, sp.NonFinitePoint),
+    ("one half", None, ValueError),
+    (("1/0",), 1, ValueError),
+    ((1, 2.5j), 2, TypeError),
+])
+def test_point_row_raises_what_as_point_raises(t, dim, error):
+    with pytest.raises(error) as want:
+        exact.as_point(t, dim)
+    with pytest.raises(error) as got:
+        exact.as_point_row(t, dim)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_zero_dimensional_arrays_read_as_the_scalar_they_hold(scale4):
+    system = scale4.system
+    assert exact.as_point(np.array(3)) == ((F(3),), True)
+    assert exact.as_point(np.array(-7, dtype=np.int8), 1) == ((F(-7),), True)
+    assert exact.as_point(np.array(F(1, 3), dtype=object)) == ((F(1, 3),), True)
+    assert exact.as_point(np.array(2.5)) == ((2.5,), False)
+    assert exact.as_point(np.array(True)) == ((1.0,), False)  # a bool dtype is no integer
+    assert exact.as_point_row(np.array(3), 1) == ((3,), 1)
+    with pytest.raises(sp.NonFinitePoint):
+        exact.as_point(np.array(float("nan")))
+    for value, scalar in ((np.array(3), 3), (np.array(F(1, 2), dtype=object), F(1, 2)),
+                          (np.array(0.3), 0.3)):
+        assert repr(sp.mu_hat_value(system, value)) == repr(sp.mu_hat_value(system, scalar))
+        assert repr(sp.mask(system, value)) == repr(sp.mask(system, scalar))
+        assert (repr(sp.completeness_table(system, value, [0, 2]))
+                == repr(sp.completeness_table(system, scalar, [0, 2])))
+        assert (repr(sp.indicator_transform(scale4.omega, value))
+                == repr(sp.indicator_transform(scale4.omega, scalar)))
+    assert sp.mu_hat_value(system, np.array(3)) == 0j

@@ -584,6 +584,35 @@ def test_classify_measure_matches_per_sample_fold(monkeypatch, name):
         sp.classify_measure(*args)])
 
 
+# every built-in datum, every datum under tests/data and the benchmark's families
+MEMO_SYSTEMS = {**EXACT_SYSTEMS, **CONSUMER_SYSTEMS}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(MEMO_SYSTEMS)),
+       st.tuples(*[rationals] * max(s.dim for s in MEMO_SYSTEMS.values())),
+       st.integers(2, 10**6))
+@example("scale4", (Fraction(1, 3),) * 3, 7)
+@example("scale4x2", (Fraction(1, 6), Fraction(3, 4), Fraction(0)), 5)
+def test_point_memo_keeps_the_scalar_loop_bits(name, coords, scale):
+    """mu_hat_value and mask at an exact point, memoized per point, equal
+    the unmemoized _exact_row bit for bit: at depths 1 and 30 at one point
+    and at the same point written over a larger denominator, whichever
+    the memo met first."""
+    system = MEMO_SYSTEMS[name]
+    t = coords[:system.dim]
+    (row,), den = exact.over_common_denominator((t,))
+    want = {depth: transform._exact_row(system, row, den, depth) for depth in (1, 30)}
+    written = [f"{x.numerator * scale}/{x.denominator * scale}" for x in t]
+    transform._row_product.cache_clear()
+    assert_same(mask(system, written), want[1])
+    assert_same(mu_hat_value(system, t), want[30])
+    assert_same(mask(system, t), want[1])
+    assert_same(mu_hat_value(system, written), want[30])
+    info = transform._row_product.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+
+
 @pytest.mark.parametrize("name, depth", [("scale4", None), ("tri2", 8)])
 def test_classify_measure_matches_per_point_quadrature(monkeypatch, name, depth):
     """classify_measure's batches of quadrature rows give the report the

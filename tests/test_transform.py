@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from specpair.measure import build_ifs, integrate_exponential, refine_measure
 from specpair.transform import TransformSettings
 
 DATA = Path(__file__).with_name("data")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_mask_values(scale4):
@@ -215,7 +219,8 @@ def test_mu_hat_values_quadrature_is_charged_atoms_times_rows(scale4x2, monkeypa
 def test_half_plane_exit_decides_every_nonzero_two_digit_factor(scale4, monkeypatch):
     # with N = 2 the half-plane test is complete, so the cyclotomic
     # recursion sees only the factors that vanish, and the memo sends it
-    # each of their patterns once
+    # each of their patterns once; the point memo is cleared before each
+    # call, since the sweep repeats points (F(2, 2) is F(1, 1))
     cyclotomic.roots_sum_is_zero.cache_clear()
     lookups, verdicts = [], []
 
@@ -227,14 +232,35 @@ def test_half_plane_exit_decides_every_nonzero_two_digit_factor(scale4, monkeypa
         verdicts.append(residue_sum_is_zero(weights, den))
         return verdicts[-1]
 
+    def fresh_value(t):
+        transform._row_product.cache_clear()
+        return sp.mu_hat_value(scale4.system, t)
+
     monkeypatch.setattr(transform, "roots_sum_is_zero", memo_spy)
     monkeypatch.setattr(cyclotomic, "residue_sum_is_zero", spy)
-    values = [sp.mu_hat_value(scale4.system, F(num, den))
-              for num in range(-64, 65) for den in (1, 2, 3, 8, 12, 3**25)]
+    points = [F(num, den) for num in range(-64, 65) for den in (1, 2, 3, 8, 12, 3**25)]
+    values = [fresh_value(t) for t in points]
     assert verdicts and all(verdicts)
     zero_keys = {key for key, zero in lookups if zero}
     assert len(verdicts) == len(zero_keys)
     assert values.count(0) == sum(zero for _, zero in lookups) > len(zero_keys)
+    # once a sweep has filled the point memo, a second one looks no roots up
+    assert [sp.mu_hat_value(scale4.system, t) for t in points] == values
+    del lookups[:]
+    assert [repr(sp.mu_hat_value(scale4.system, t)) for t in points] == list(map(repr, values))
+    assert lookups == []
+
+
+def test_point_memo_is_bounded_and_cleared_before_each_bench_pass():
+    memo = transform._row_product
+    assert memo.cache_info().maxsize == 4096 and callable(memo.cache_clear)
+    # the benchmark clears every lru cache it finds on the package's modules
+    # before each pass, so that each pass pays what a fresh command pays
+    code = ("import run, specpair.transform as t; "
+            "assert t._row_product in run.package_caches()")
+    path = os.pathsep.join(str(ROOT / part) for part in ("perfbench", "src"))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.mark.parametrize("name", ["scale4", "scale4x2", "tri2", "shear3"])
