@@ -81,7 +81,7 @@ def criterion_1_sigma_reproduction() -> CriterionResult:
     oracle_drift = 0.0
     for depth in depths:
         indices = enum.depth_slice(depth)
-        sigma_quad = math.fsum(sorted(terms[i] for i in indices))
+        sigma_quad = math.fsum(terms[i] for i in indices)
         oracle_drift = max(oracle_drift, abs(sigma_quad - GOLDEN_SIGMA[depth]))
 
     problems = []

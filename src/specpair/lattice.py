@@ -315,8 +315,10 @@ def box_candidates(lat: Lattice, radius) -> int:
 
 
 def lattice_rows_in_box(lat: Lattice, radius) -> tuple[list[tuple[int, ...]], int]:
-    """``lattice_points_in_box`` as integer rows over one denominator:
-    (rows, den), the points being row / den in the same order.
+    """Lattice points with sup-norm <= radius, nearest first, positive
+    first, as integer rows over one denominator: (rows, den), the points
+    being row / den.  Ties in norm go in decreasing lexicographic order,
+    so +1 comes ahead of -1.
 
     Raises ValueError on a negative radius, and BudgetExceeded, before
     anything is built, when box_candidates exceed BOX_BUDGET.
@@ -358,15 +360,6 @@ def _triangular_walk(hermite, bound: int) -> list[tuple[int, ...]]:
                                    for z in zs]
         rows, partials = grown_rows, grown_partials
     return rows
-
-
-def lattice_points_in_box(lat: Lattice, radius) -> list[Vector]:
-    """Lattice points with sup-norm <= radius, nearest first, positive first.
-
-    Ties in norm go in decreasing lexicographic order, so +1 comes ahead
-    of -1.  Raises as ``lattice_rows_in_box``.
-    """
-    return exact.from_common_denominator(*lattice_rows_in_box(lat, radius))
 
 
 def is_expansive(e: Matrix) -> tuple[bool, float]:

@@ -177,12 +177,12 @@ def _refined(points, pull, digits, steps: int) -> np.ndarray:
 def integrate_exponential(measure: DiscreteMeasure, t) -> complex:
     """The quadrature value of the transform: mean of e^{i 2 pi t.x}.
 
-    ``t`` is a point as exact.as_point reads it, or a float array of
-    length d, which skips that coercion; a non-finite entry raises
-    NonFinitePoint either way.  The value is integrate_exponentials' at
-    the one row ``t``.
+    ``t`` is a point as exact.as_point reads it (a 0-d array is the
+    scalar it holds), or a float array of length d, which skips that
+    coercion; a non-finite entry raises NonFinitePoint either way.  The
+    value is integrate_exponentials' at the one row ``t``.
     """
-    if not isinstance(t, np.ndarray):
+    if not isinstance(t, np.ndarray) or not t.ndim:
         t = np.array(exact.as_point(t, measure.dim)[0], dtype=float)
     return complex(integrate_exponentials(measure, t[None])[0])
 
@@ -343,9 +343,10 @@ def separation_witness(system: SimpleFactor, x, y, search_radius: int = 8):
     witness vector, or NoWitness when the box is exhausted.  Raises
     IdenticalPoints when x == y, NonFinitePoint when x - y is not finite.
     """
-    if isinstance(x, _SCALARS):
+    # a 0-d array's float() is the scalar it holds; tuples skip _SCALARS' slow ABC
+    if not isinstance(x, tuple) and (isinstance(x, _SCALARS) or getattr(x, "ndim", 1) == 0):
         x = (x,)
-    if isinstance(y, _SCALARS):
+    if not isinstance(y, tuple) and (isinstance(y, _SCALARS) or getattr(y, "ndim", 1) == 0):
         y = (y,)
     if len(x) != system.dim or len(y) != system.dim:
         raise ValueError(f"expected points of length {system.dim}")

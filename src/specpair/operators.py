@@ -21,10 +21,11 @@ delta, which the property tests pin down.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -41,14 +42,14 @@ from .lattice import (
     frequency_digit_check,
     frequency_map,
     inclusion_matrix,
-    lattice_points_in_box,
+    lattice_rows_in_box,
     same_lattice,
 )
 from .measure import DiscreteMeasure, check_quadrature_budget, integrate_exponentials
 from .transform import (
     TransformSettings,
     _cached_measure,
-    _exact_products,
+    _exact_block,
     _root_means,
     check_product_depth,
     mask,
@@ -187,31 +188,35 @@ def _residual_failures(report) -> tuple[str, ...]:
 def relation_evaluations(k_dual: Lattice, box_radius, freq_digits) -> int:
     """How many transform values the relation checks over the dual(K)
     points within ``box_radius`` make at most: an isometry pair and
-    |L|(|L| - 1) range overlaps per ``lattice_points_in_box`` candidate."""
+    |L|(|L| - 1) range overlaps per ``lattice_rows_in_box`` candidate."""
     digits = len(freq_digits)
     return box_candidates(k_dual, box_radius) * (2 + digits * (digits - 1))
 
 
 def _relation_maxima(samples, push, freq_digits, transforms, masks_at):
-    """Worst isometry, range-overlap and completeness residuals over the
-    exact samples; completeness is None when ``masks_at`` is None.
-
-    ``transforms`` and ``masks_at`` map an iterable of exact points to a
-    list of values, one per point, in order.
-    """
-    pushed = [push(u) for u in samples]
-    values = transforms(itertools.chain(pushed, samples))
-    n = len(samples)
-    isometry = max([0.0] + [abs(a - b) for a, b in zip(values[:n], values[n:])])
-    differences = [exact.vec_sub(lb, la)
-                   for la in freq_digits for lb in freq_digits if la != lb]
-    overlaps = transforms(exact.vec_add(p, difference)
-                          for p in pushed for difference in differences)
-    range_orth = max([0.0] + [abs(value) for value in overlaps])
+    """Worst isometry, range-overlap and completeness residuals (None
+    without ``masks_at``) over the samples u, lattice_rows_in_box's (rows,
+    den): u, E^T u, E^T u + l' - l and u - l as integer rows over
+    q = lcm(den e, f), the exact ``push`` E^T over e and ``freq_digits``
+    over f.  ``transforms`` and ``masks_at`` map a list of rows and q to
+    one value per row, in order."""
+    rows, den = samples
+    push, e = exact.over_common_denominator(push)
+    digits, f = exact.over_common_denominator(freq_digits)
+    q = math.lcm(den * e, f)
+    points = [[c * (q // den) for c in u] for u in rows]
+    pushed = [[sum(map(mul, m, u)) * (q // den // e) for m in push] for u in rows]
+    digits = [[c * (q // f) for c in l] for l in digits]
+    differences = [list(map(sub, lb, la)) for la in digits for lb in digits if la != lb]
+    n = len(rows)
+    values = transforms(pushed + points + [list(map(add, p, difference))
+                                           for p in pushed for difference in differences], q)
+    isometry = max([0.0] + [abs(a - b) for a, b in zip(values[:n], values[n:2 * n])])
+    range_orth = max([0.0] + [abs(value) for value in values[2 * n:]])
     if masks_at is None:
         return isometry, range_orth, None
-    masks = masks_at(exact.vec_sub(u, l) for u in samples for l in freq_digits)
-    per_sample = len(freq_digits)
+    masks = masks_at([list(map(sub, u, l)) for u in points for l in digits], q)
+    per_sample = len(digits)
     completeness = max([0.0] + [abs(sum(masks[i:i + per_sample]) - 1)
                                 for i in range(0, len(masks), per_sample)])
     return isometry, range_orth, completeness
@@ -230,18 +235,18 @@ def relation_residuals(
     literally 0.
     """
     check_product_depth(product_depth)
-    samples = lattice_points_in_box(system.K_dual, box_radius)
+    samples = lattice_rows_in_box(system.K_dual, box_radius)
     isometry, range_orth, completeness = _relation_maxima(
-        samples, system.push, system.freq_digits,
-        partial(_exact_products, system, depth=product_depth),
-        partial(_exact_products, system, depth=1),
+        samples, system.E_transpose, system.freq_digits,
+        partial(_exact_block, system, depth=product_depth),
+        partial(_exact_block, system, depth=1),
     )
     return RelationReport(
         isometry=isometry,
         range_orthogonality=range_orth,
         completeness=completeness,
         box_radius=box_radius,
-        sample_count=len(samples),
+        sample_count=len(samples[0]),
         degenerate=same_lattice(system.K, system.A),
     )
 
@@ -309,7 +314,7 @@ def classify_measure(
     k_dual = dual_lattice(K)
     check_quadrature_budget(atoms, relation_evaluations(k_dual, CLASSIFY_BOX_RADIUS,
                                                         freq_digits))
-    samples = lattice_points_in_box(k_dual, CLASSIFY_BOX_RADIUS)
+    samples = lattice_rows_in_box(k_dual, CLASSIFY_BOX_RADIUS)
     measure = (measure_source if isinstance(measure_source, DiscreteMeasure)
                else _cached_measure(measure_source, depth))
     e = expansion_matrix(K, gamma)
@@ -318,19 +323,21 @@ def classify_measure(
         expansive_check(e),
     ]
 
-    def transforms(points):
-        rows = np.array(list(points), dtype=float).reshape(-1, measure.dim)
-        return integrate_exponentials(measure, rows).tolist()
+    # n / q and each phase p / (b_den q) round correctly: float(Fraction)'s bits
+    def transforms(rows, q):
+        points = np.array([[n / q for n in row] for row in rows]).reshape(-1, measure.dim)
+        return integrate_exponentials(measure, points).tolist()
 
-    def digit_masks(points):
-        points = list(points)
-        phases = np.array([[float(exact.dot(b, s)) for s in points] for b in digits])
+    def digit_masks(rows, q):
+        b_rows, b_den = exact.over_common_denominator(digits)
+        phases = np.array([[sum(map(mul, b, row)) / (b_den * q) for row in rows]
+                           for b in b_rows])
         re, im = _root_means(phases, len(digits))
         return [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
 
     isometry, range_orth, completeness = _relation_maxima(
         samples,
-        partial(exact.mat_vec, exact.transpose(e)),
+        exact.transpose(e),
         freq_digits,
         transforms,
         None if digits is None else digit_masks,

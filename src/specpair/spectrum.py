@@ -112,13 +112,13 @@ def _differences(system: SimpleFactor, s, depth: int):
     """The depth-``depth`` enumeration and s - xi at each of its
     frequencies, in its order: integer rows and their denominator for an
     exact s, an array of floats and None for any other."""
-    point, is_exact = exact.as_point(s, system.dim)
+    row, den = exact.as_point_row(s, system.dim)
     enum = enumerate_spectrum(system, depth)
-    if not is_exact:
-        return enum, np.array(point) - enum.floats, None
-    # s - xi = (k s den - k xi den) / (k den), k s den integral
-    (row,), k = exact.over_common_denominator((tuple(x * enum.den for x in point),))
-    return enum, np.array(row, dtype=object) - k * enum.rows, k * enum.den
+    if den is None:
+        return enum, np.array(row) - enum.floats, None
+    q = math.lcm(den, enum.den)  # s - xi = (s q - xi q) / q
+    row = np.array([n * (q // den) for n in row], dtype=object)
+    return enum, row - (q // enum.den) * enum.rows, q
 
 
 @dataclass(frozen=True)

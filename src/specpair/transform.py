@@ -28,9 +28,9 @@ loop.  It runs through ``_row_product``, the loop memoized per
 the same points again and again (the differences of a frequency set
 repeat, and so does each Gram), so only a new point runs the loop.  A
 set of rational frequencies runs through ``_exact_block``: the same loop
-on integer rows over one denominator (``_exact_products`` puts Fraction
-points over theirs) in numpy object arrays, so each level is a few array
-operations, each value bit for bit the one ``_exact_row`` gives.
+on integer rows over one denominator, which its callers build, in numpy
+object arrays, so each level is a few array operations, each value bit
+for bit the one ``_exact_row`` gives.
 
 Float frequencies go through one batched kernel, ``mu_hat_values``: an
 (M, d) array of points runs the product level by level in numpy, each
@@ -202,11 +202,6 @@ def _float_product(
     re[zero] = 0.0
     im[zero] = 0.0
     return re, im
-
-
-def _exact_products(system: SimpleFactor, freqs, depth: int) -> list[complex]:
-    """_exact_block at the exact points of the iterable ``freqs``."""
-    return _exact_block(system, *exact.over_common_denominator(tuple(freqs)), depth)
 
 
 def _exact_block(system: SimpleFactor, rows, den: int, depth: int) -> list[complex]:

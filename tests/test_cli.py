@@ -363,7 +363,7 @@ def no_box_enumeration(monkeypatch):
         raise Enumerated
 
     monkeypatch.setattr(specpair.pair, "lattice_rows_in_box", enumerated)
-    monkeypatch.setattr(specpair.operators, "lattice_points_in_box", enumerated)
+    monkeypatch.setattr(specpair.operators, "lattice_rows_in_box", enumerated)
 
 
 # pair: (|L| * (2b+1)^d)^2 / 2 Gram cells, plus |{l' - l}| * (2c+1)^d distinct

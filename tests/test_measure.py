@@ -340,6 +340,28 @@ def test_separation_witness_takes_numpy_scalars(scale4, x, y):
     assert sp.separation_witness(system, np_x, y) == expected
 
 
+ZERO_D = [(0.1, np.array(0.1)), (1, np.array(1)), (F(1, 3), np.array(F(1, 3), dtype=object)),
+          (0.25, np.array(0.25, dtype=np.float32))]
+
+
+@pytest.mark.parametrize("x, x_array", ZERO_D)
+def test_separation_witness_reads_zero_dimensional_arrays(scale4, x, x_array):
+    system = scale4.system
+    for y in (0.3, 2):
+        expected = sp.separation_witness(system, x, y)
+        assert sp.separation_witness(system, x_array, np.array(y)) == expected
+        assert sp.separation_witness(system, x_array, y) == expected
+    with pytest.raises(sp.IdenticalPoints):
+        sp.separation_witness(system, x_array, x_array)
+
+
+@pytest.mark.parametrize("t, t_array", ZERO_D)
+def test_integrate_exponential_reads_zero_dimensional_arrays(scale4, t, t_array):
+    measure = sp.refine_measure(scale4.system, 3)
+    assert (repr(sp.integrate_exponential(measure, t_array))
+            == repr(sp.integrate_exponential(measure, t)))
+
+
 @pytest.mark.parametrize("name, x, y", [
     ("scale4", (0.1, 0.2), (0.3,)),
     ("scale4", (0.1,), (0.3, 0.2)),

@@ -217,7 +217,7 @@ def test_classify_budget_charges_a_measure_by_its_atoms(scale4, monkeypatch):
 
 def test_classify_charges_before_it_enumerates(monkeypatch):
     # scale4x2 dilated by 1000: dual(K) = Z^2 / 1000, so its radius-4 box has
-    # 8003^2 candidates, refused before lattice_points_in_box is entered
+    # 8003^2 candidates, refused before lattice_rows_in_box is entered
     system = sp.SimpleFactor(
         K=sp.Lattice([[1000, 0], [0, 1000]]), A=sp.Lattice([[500, 0], [0, 500]]),
         Gamma=sp.Lattice([[250, 0], [0, 250]]),
@@ -228,7 +228,7 @@ def test_classify_charges_before_it_enumerates(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated before the budget check")
 
-    monkeypatch.setattr(sp.operators, "lattice_points_in_box", no_enumeration)
+    monkeypatch.setattr(sp.operators, "lattice_rows_in_box", no_enumeration)
     with pytest.raises(sp.BudgetExceeded, match=f"16777216 atoms times {8003**2 * 14}"):
         sp.classify_measure(system, system.K, system.Gamma, system.freq_digits)
 

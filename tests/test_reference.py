@@ -13,12 +13,15 @@ with E = 2k, N = 3 with A = Z/3, and their 2-D products with N = 4), with
 numerators large enough that no level is a structural 1 and the product
 runs to full depth.
 
-The batched exact product ``_exact_products`` is held to the scalar
-``_exact_product`` row by row, and the consumers that use it or its
-integer-row entry ``_exact_block`` (``completeness_table``,
-``relation_residuals``, ``classify_measure``) to the per-row loop and
-per-sample fold they replaced (``per_row_products``, ``per_row_block``,
-``oracle_relation_maxima``).
+The batched exact product ``_exact_block`` is held to the scalar
+``_exact_product`` row by row, on Fraction points put over their least
+denominator; ``completeness_table`` to the per-row loop it replaced
+(``per_row_block``); and ``relation_residuals`` and ``classify_measure``,
+which build their points as integer rows over one denominator, to the
+Fraction fold they replaced (``oracle_relation_maxima``): the oracle's
+box, Fraction push, sums and differences, and one scalar value per
+point.  Two conjugate data (``conjugate``) put those rows over q = 9 and
+q = 2; every other datum has q = 1.
 
 The Fraction oracle gives up past a conductor limit, where the package
 now decides every sum exactly.  Where the oracle decides, its verdicts
@@ -72,7 +75,7 @@ form, are held to the scan of [0, index)^d they replaced
 The box enumeration, which walks a lattice's Hermite form level by level,
 is held to the cube of coefficient vectors it replaced
 (``oracle_lattice_points_in_box``): the same list in the same order, as
-Fraction points and as integer rows over one denominator, on sheared and
+integer rows over one denominator, on sheared and
 scaled lattices at integer and rational radii, 0 included, and on two
 shears and a conjugate lattice at radius 32 and shear3's dual lattices at
 radius 8; ``truncate_spectrum`` and the separation
@@ -98,7 +101,7 @@ import specpair as sp
 from specpair import exact, measure, pair, transform
 from specpair.boxes import Box, BoxUnion, numerators, overlapping_pair, subtract
 from specpair.cyclotomic import exp_sum_is_zero
-from specpair.lattice import lattice_points_in_box, lattice_rows_in_box, same_lattice
+from specpair.lattice import lattice_rows_in_box, same_lattice
 from specpair.transform import TransformSettings, mask, mu_hat_value
 
 SYSTEMS = {
@@ -465,7 +468,7 @@ def staged_zeros(system, levels=4):
 
 
 def assert_same_products(system, freqs, depth):
-    got = transform._exact_products(system, freqs, depth)
+    got = transform._exact_block(system, *exact.over_common_denominator(freqs), depth)
     want = [transform._exact_product(system, t, depth) for t in freqs]
     assert [repr(v) for v in got] == [repr(v) for v in want]
 
@@ -503,48 +506,121 @@ def test_exact_products_mix_zero_levels_and_full_depth(monkeypatch, name, chunk)
     monkeypatch.setattr(transform, "CHUNK_ROWS", chunk)
     for depth in (1, 30):
         assert_same_products(system, freqs, depth)
-    assert transform._exact_products(system, [], 30) == []
-    assert transform._exact_products(system, iter(()), 1) == []
+    assert transform._exact_block(system, [], 1, 30) == []
+    assert transform._exact_block(system, (), 6, 1) == []
 
 
-def oracle_relation_maxima(samples, push, freq_digits, transforms, masks_at):
-    """The per-sample fold operators._relation_maxima replaced, verbatim,
-    calling the batch callables one point at a time."""
-    def transform_(point):
-        return transforms([point])[0]
-
-    mask_at = None if masks_at is None else (lambda point: masks_at([point])[0])
+def oracle_relation_maxima(k_dual, radius, push, freq_digits, transform_, mask_):
+    """The relation residuals as the package folded them on Fraction
+    points, one sample at a time: the oracle's box, E^T u, E^T u + l' - l
+    and u - l as Fraction vectors, and one ``transform_`` or ``mask_``
+    value per point; also the sample count."""
     isometry = 0.0
     range_orth = 0.0
-    completeness = None if mask_at is None else 0.0
+    completeness = None if mask_ is None else 0.0
     differences = [exact.vec_sub(lb, la)
                    for la in freq_digits for lb in freq_digits if la != lb]
+    samples = oracle_lattice_points_in_box(k_dual, radius)
     for u in samples:
-        pushed = push(u)
+        pushed = exact.mat_vec(push, u)
         isometry = max(isometry, abs(transform_(pushed) - transform_(u)))
         for difference in differences:
             arg = exact.vec_add(pushed, difference)
             range_orth = max(range_orth, abs(transform_(arg)))
-        if mask_at is not None:
-            total = sum(mask_at(exact.vec_sub(u, l)) for l in freq_digits)
+        if mask_ is not None:
+            total = sum(mask_(exact.vec_sub(u, l)) for l in freq_digits)
             completeness = max(completeness, abs(total - 1))
-    return isometry, range_orth, completeness
+    return isometry, range_orth, completeness, len(samples)
 
 
-def per_row_products(system, freqs, depth):
-    return [transform._exact_product(system, t, depth) for t in freqs]
+def oracle_relation_residuals(system, radius, depth=30):
+    """relation_residuals from the Fraction fold, the scalar product
+    ``_exact_product`` at each point."""
+    isometry, range_orth, completeness, count = oracle_relation_maxima(
+        system.K_dual, radius, system.E_transpose, system.freq_digits,
+        lambda t: transform._exact_product(system, t, depth),
+        lambda t: transform._exact_product(system, t, 1))
+    return sp.RelationReport(isometry=isometry, range_orthogonality=range_orth,
+                             completeness=completeness, box_radius=radius,
+                             sample_count=count,
+                             degenerate=same_lattice(system.K, system.A))
+
+
+def oracle_classify_measure(measure_, K, gamma, freq_digits, digits=None):
+    """classify_measure on an explicit measure from the Fraction fold at
+    CLASSIFY_BOX_RADIUS: integrate_exponential at each Fraction point, and
+    each mask as the mean of cmath.exp(2j pi float(b.s)) over the digits."""
+    def mask_(s):
+        return sum(cmath.exp(2j * math.pi * float(exact.dot(b, s)))
+                   for b in digits) / len(digits)
+
+    k_dual, e = sp.dual_lattice(K), sp.lattice.expansion_matrix(K, gamma)
+    isometry, range_orth, completeness, _ = oracle_relation_maxima(
+        k_dual, sp.operators.CLASSIFY_BOX_RADIUS, exact.transpose(e), freq_digits,
+        lambda t: sp.integrate_exponential(measure_, t),
+        None if digits is None else mask_)
+    structure = (sp.lattice.frequency_digit_check(freq_digits, k_dual, sp.dual_lattice(gamma)),
+                 sp.lattice.expansive_check(e))
+    return sp.ConsistencyReport(structure=structure, isometry=isometry,
+                                range_orthogonality=range_orth, completeness=completeness)
 
 
 def per_row_block(system, rows, den, depth):
     """_exact_block as the scalar loop at each row's Fraction point."""
-    return per_row_products(
-        system, [tuple(Fraction(int(n), den) for n in row) for row in rows], depth)
+    return [transform._exact_product(system, tuple(Fraction(int(n), den) for n in row), depth)
+            for row in rows]
 
 
 CONSUMER_SYSTEMS = {
     **FLOAT_SYSTEMS,
     "middlethird": sp.parse_spec("middlethird", require_valid=False).system,
 }
+
+
+def conjugate(system, u):
+    """The datum conjugated by an invertible rational U: K, A, Gamma and
+    the digits B map to U., the frequency digits L to U^{-T}."""
+    u = exact.as_matrix(u)
+    u_inv_t = exact.transpose(sp.Lattice(u).inverse)
+
+    def lattice(lat):
+        return sp.Lattice(exact.mat_mul(u, lat.basis))
+
+    return sp.SimpleFactor(
+        K=lattice(system.K), A=lattice(system.A), Gamma=lattice(system.Gamma),
+        digits=[exact.mat_vec(u, b) for b in system.digits],
+        freq_digits=[exact.mat_vec(u_inv_t, l) for l in system.freq_digits])
+
+
+# valid data whose relation points need a denominator q > 1: every other
+# datum here has integer dual(K) samples, E^T and frequency digits
+CONJUGATE_SYSTEMS = {
+    # E^T = [[4, 0], [-4/3, 4]], dual(K) over 3, L over 3: q = 9
+    "scale4x2_sheared_u": conjugate(CONSUMER_SYSTEMS["scale4x2_sheared"], [[1, 1], [0, 3]]),
+    # E^T = 4 I, dual(K) and L over 2: q = 2
+    "scale4x2_u": conjugate(SYSTEMS["scale4x2"], [[1, 0], [0, 2]]),
+}
+# every built-in datum, every datum under tests/data, the benchmark's
+# families and the two conjugates
+RELATION_SYSTEMS = {**EXACT_SYSTEMS, **CONSUMER_SYSTEMS, **CONJUGATE_SYSTEMS}
+RELATION_RADII = (0, 1, 3, 6)
+
+
+def relation_denominator(system):
+    """The q the relation checks build their rows over."""
+    den = lattice_rows_in_box(system.K_dual, 0)[1]
+    e = exact.over_common_denominator(system.E_transpose)[1]
+    f = exact.over_common_denominator(system.freq_digits)[1]
+    return math.lcm(den * e, f)
+
+
+def test_conjugates_are_valid_and_need_a_denominator():
+    for system in RELATION_SYSTEMS.values():
+        assert (relation_denominator(system) == 1) is (system not in CONJUGATE_SYSTEMS.values())
+    sheared, diagonal = CONJUGATE_SYSTEMS.values()
+    assert sheared.E_transpose == ((4, 0), (Fraction(-4, 3), 4))
+    assert [relation_denominator(s) for s in (sheared, diagonal)] == [9, 2]
+    assert all(sp.validate_simple_factor(s).ok for s in (sheared, diagonal))
 
 
 @pytest.mark.parametrize("name, s, depths", [
@@ -554,34 +630,45 @@ CONSUMER_SYSTEMS = {
     ("scale4x2_sheared", (Fraction(1, 2), Fraction(1, 7)), range(5)),
     ("middlethird", (Fraction(3, 4),), range(7)),
     ("n3", (Fraction(1, 2),), range(6)),
+    ("scale4x2_sheared_u", (Fraction(1, 2), Fraction(1, 7)), range(5)),
+    ("scale4x2_u", (Fraction(1, 3), Fraction(-2, 5)), range(5)),
 ])
 def test_exact_consumers_match_per_row_oracle(monkeypatch, name, s, depths):
-    """completeness_table and relation_residuals through the batch equal
-    the per-row loop and per-sample fold they replaced, bit for bit."""
-    system = CONSUMER_SYSTEMS[name]
-    batched = (sp.completeness_table(system, s, depths),
-               sp.relation_residuals(system, box_radius=3))
+    """completeness_table through the batch equals the per-row loop it
+    replaced, and relation_residuals the Fraction fold, bit for bit."""
+    system = RELATION_SYSTEMS[name]
+    assert repr(sp.relation_residuals(system, box_radius=3)) == repr(
+        oracle_relation_residuals(system, 3))
+    batched = sp.completeness_table(system, s, depths)
     monkeypatch.setattr(sp.spectrum, "_exact_block", per_row_block)
-    monkeypatch.setattr(sp.operators, "_exact_products", per_row_products)
-    monkeypatch.setattr(sp.operators, "_relation_maxima", oracle_relation_maxima)
-    rows = sp.completeness_table(system, s, depths)
-    report = sp.relation_residuals(system, box_radius=3)
-    assert repr(batched[0]) == repr(rows)
-    assert repr(batched[1]) == repr(report)
+    assert repr(batched) == repr(sp.completeness_table(system, s, depths))
 
 
-@pytest.mark.parametrize("name", ["scale4", "middlethird", "scale4x2"])
+@pytest.mark.parametrize("name", sorted(RELATION_SYSTEMS))
+def test_relation_residuals_match_fraction_fold(name):
+    """The relation points built as integer rows over one q give the
+    report the Fraction fold gives, at radii 0 to 6, and at radius 3 at
+    product depth 7 too."""
+    system = RELATION_SYSTEMS[name]
+    for radius, depth in [(radius, 30) for radius in RELATION_RADII] + [(3, 7)]:
+        assert repr(sp.relation_residuals(system, radius, depth)) == repr(
+            oracle_relation_residuals(system, radius, depth))
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_SYSTEMS))
 def test_classify_measure_matches_per_sample_fold(monkeypatch, name):
-    system = CONSUMER_SYSTEMS[name]
-    measure_ = sp.refine_measure(sp.build_ifs(system), 6)
+    """classify_measure on an explicit measure, with and without digits,
+    gives the Fraction fold's report at radii 0 to 6; in three dimensions
+    up to 3, since shear3's radius-6 box is 127,000 quadrature rows a
+    call, about 20 s with the oracle."""
+    system = RELATION_SYSTEMS[name]
+    measure_ = sp.refine_measure(sp.build_ifs(system), 2)
     args = (measure_, system.K, system.Gamma, system.freq_digits)
-    monkeypatch.setattr(sp.operators, "CLASSIFY_BOX_RADIUS", 2)
-    batched = [sp.classify_measure(*args, digits=system.digits),
-               sp.classify_measure(*args)]
-    monkeypatch.setattr(sp.operators, "_relation_maxima", oracle_relation_maxima)
-    assert repr(batched) == repr([
-        sp.classify_measure(*args, digits=system.digits),
-        sp.classify_measure(*args)])
+    for radius in RELATION_RADII if system.dim < 3 else RELATION_RADII[:-1]:
+        monkeypatch.setattr(sp.operators, "CLASSIFY_BOX_RADIUS", radius)
+        for digits in (system.digits, None):
+            assert repr(sp.classify_measure(*args, digits=digits)) == repr(
+                oracle_classify_measure(*args, digits=digits))
 
 
 # every built-in datum, every datum under tests/data and the benchmark's families
@@ -628,9 +715,11 @@ def test_classify_measure_matches_per_point_quadrature(monkeypatch, name, depth)
     fold = sp.operators._relation_maxima
 
     def per_point(samples, push, freq_digits, transforms, masks_at):
-        return fold(samples, push, freq_digits,
-                    lambda points: [sp.integrate_exponential(measure_, p) for p in points],
-                    masks_at)
+        def transforms_(rows, q):
+            return [sp.integrate_exponential(measure_, [Fraction(n, q) for n in row])
+                    for row in rows]
+
+        return fold(samples, push, freq_digits, transforms_, masks_at)
 
     monkeypatch.setattr(sp.operators, "_relation_maxima", per_point)
     assert batched == repr(sp.classify_measure(*args, digits=system.digits))
@@ -1829,9 +1918,6 @@ def oracle_truncate_spectrum(system, radius):
 
 def assert_box_matches_oracle(lat, radius):
     want = oracle_lattice_points_in_box(lat, radius)
-    points = lattice_points_in_box(lat, radius)
-    assert points == want
-    assert all(type(c) is Fraction for x in points for c in x)
     rows, den = lattice_rows_in_box(lat, radius)
     assert all(type(n) is int for row in rows for n in row)
     assert [tuple(Fraction(n, den) for n in row) for row in rows] == want

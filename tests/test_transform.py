@@ -165,7 +165,7 @@ def test_consumers_refuse_out_of_range_product_depths(scale4, monkeypatch, call,
         raise AssertionError("transform evaluated before the depth check")
 
     for module, name in ((sp.spectrum, "_exact_row"), (sp.spectrum, "_exact_block"),
-                         (sp.operators, "mu_hat_value"), (sp.operators, "_exact_products")):
+                         (sp.operators, "mu_hat_value"), (sp.operators, "_exact_block")):
         monkeypatch.setattr(module, name, no_transform)
     with pytest.raises(sp.BudgetExceeded, match="product depth"):
         call(scale4.system, depth)
@@ -273,7 +273,7 @@ def test_scalar_loop_finds_the_batch_decisions(name):
             for row in itertools.product(range(-radius, radius + 1), repeat=system.dim)]
     memo = cyclotomic.roots_sum_is_zero
     memo.cache_clear()
-    batch = transform._exact_products(system, rows, 30)
+    batch = transform._exact_block(system, *exact.over_common_denominator(rows), 30)
     decided = memo.cache_info().misses
     scalar = [transform._exact_product(system, row, 30) for row in rows]
     assert [repr(v) for v in scalar] == [repr(v) for v in batch]
