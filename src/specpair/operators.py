@@ -286,7 +286,8 @@ def classify_measure(
     measure at the dual(K) points within CLASSIFY_BOX_RADIUS, with the
     expansion derived from K inside ``gamma`` -- nothing is taken from the
     measure's own provenance.  Residuals above RELATION_TOLERANCE fail.
-    Raises NotASublattice when K is not contained in ``gamma``, and
+    Raises NotASublattice when K is not contained in ``gamma``, ValueError
+    when a DiscreteMeasure's dimension is not K's, and
     BudgetExceeded, before the sample box is enumerated or anything is
     refined, when the atoms (N^depth of a SimpleFactor, or the measure's
     count) times ``relation_evaluations`` exceed measure.QUADRATURE_BUDGET.
@@ -304,6 +305,9 @@ def classify_measure(
             digits = measure_source.digits
         atoms = measure_source.N**depth
     elif isinstance(measure_source, DiscreteMeasure):
+        if measure_source.dim != K.dim:
+            raise ValueError(f"the measure's dimension {measure_source.dim} does not "
+                             f"match the lattices' dimension {K.dim}")
         atoms = measure_source.count
     else:
         raise TypeError("measure_source must be a SimpleFactor or DiscreteMeasure")

@@ -4,7 +4,8 @@ The closed-form transform of a box union factors per axis; at rational
 frequencies the numerator is a rational combination of roots of unity,
 so structural zeros (the orthogonality relations of the pair) are decided
 exactly through the cyclotomic test and reported as literal zeros, never
-as small numbers.
+as small numbers.  The Gram matrix runs that test once per residue class
+of its differences, not once per difference.
 
 Translation membership is exact on every lattice, decided modulo the
 largest sublattice with a diagonal basis.  Tiling is exact for rectangular
@@ -186,9 +187,13 @@ def orthogonality_matrix(omega: BoxUnion, spectrum: TruncatedSpectrum) -> np.nda
     """Normalized pairings: entry (i, j) is transform(lambda_j - lambda_i) / measure.
 
     The upper triangle's differences are the spectrum's integer rows
-    subtracted, over its denominator; each distinct difference is decided
-    once by the exact zero test, and only the ones that do not vanish are
-    evaluated in floats.  The lower triangle is the conjugate of the upper.
+    subtracted, over its denominator D, and deduplicated.  The exact zero
+    test reads a row only through which coordinates are 0 (they pick the
+    weights prod (hi - lo)) and the others mod D * C, C the corners'
+    denominator (they fix the phases n * c mod D * C), so rows that agree
+    there have one root-of-unity sum and one verdict: the test runs once
+    per such class.  Only the rows that do not vanish are evaluated in
+    floats.  The lower triangle is the conjugate of the upper.
     Raises ValueError when the points and the union differ in dimension.
     """
     _check_dims(omega, spectrum)
@@ -201,11 +206,17 @@ def orthogonality_matrix(omega: BoxUnion, spectrum: TruncatedSpectrum) -> np.nda
     diffs = zip(*(points[upper[1]] - points[upper[0]]).T.tolist())
     inverse = [index.setdefault(diff, len(index)) for diff in diffs]
     corners, _, corner_den = numerators(omega.boxes)
-    values = np.array([
-        0j if _vanishes(corners, corner_den, diff, den)
-        else _closed_form(omega, tuple(c / den for c in diff)) / measure
-        for diff in index
-    ], dtype=complex)[inverse]
+    modulus = den * corner_den
+    # one zero test per class; -1, never a residue, marks an exact zero coordinate
+    zero: dict[tuple[int, ...], bool] = {}
+    values = []
+    for diff in index:
+        key = tuple([c % modulus if c else -1 for c in diff])
+        if key not in zero:
+            zero[key] = _vanishes(corners, corner_den, diff, den)
+        values.append(0j if zero[key]
+                      else _closed_form(omega, tuple(c / den for c in diff)) / measure)
+    values = np.array(values, dtype=complex)[inverse]
     gram = np.eye(n, dtype=complex)
     gram[upper] = values
     gram[upper[::-1]] = values.conj()

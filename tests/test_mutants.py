@@ -19,4 +19,5 @@ def test_each_mutant_applies_once_and_names_existing_tests(mutant):
     assert mutant["kill"]
     for node in mutant["kill"]:
         path, _, name = node.partition("::")
+        name = name.partition("[")[0]  # a parametrized case names its test
         assert f"\ndef {name}(" in (ROOT / path).read_text(encoding="utf-8"), node

@@ -233,6 +233,23 @@ def test_classify_charges_before_it_enumerates(monkeypatch):
         sp.classify_measure(system, system.K, system.Gamma, system.freq_digits)
 
 
+@pytest.mark.parametrize("measured, lattices", [("scale4", "scale4x2"),
+                                                ("scale4x2", "scale4")])
+def test_classify_refuses_a_measure_of_another_dimension(measured, lattices, request,
+                                                         monkeypatch):
+    # reshaping the rows to the measure's dimension would fold 2-D samples
+    # into 1-D ones (or pair 1-D ones up) without a word
+    def refused(*args, **kwargs):
+        raise AssertionError("charged or enumerated before the dimension check")
+
+    monkeypatch.setattr(sp.operators, "check_quadrature_budget", refused)
+    monkeypatch.setattr(sp.operators, "lattice_rows_in_box", refused)
+    measure = sp.refine_measure(sp.build_ifs(request.getfixturevalue(measured).system), 4)
+    system = request.getfixturevalue(lattices).system
+    with pytest.raises(ValueError, match="does not match the lattices' dimension"):
+        sp.classify_measure(measure, system.K, system.Gamma, system.freq_digits)
+
+
 def test_classify_requires_sublattice(scale4):
     system = scale4.system
     with pytest.raises(sp.NotASublattice):

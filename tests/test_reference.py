@@ -1581,6 +1581,18 @@ def test_gram_rows_past_int64_match_oracle():
     assert_same_bytes(got, want)
 
 
+def test_gram_classes_keep_the_exact_zero_coordinates():
+    # over D = 1 and C = 2 the differences (2, 1) and (0, 1) agree mod D*C,
+    # but the transform vanishes at (2, 1) and not at (0, 1), whose first
+    # coordinate is exactly 0
+    omega = union(((0, 0), ("1/2", "1/2")))
+    spectrum = pair.TruncatedSpectrum(((0, 0), (2, 1), (0, 1)))
+    got = sp.orthogonality_matrix(omega, spectrum)
+    want = oracle_orthogonality_matrix(omega, spectrum)
+    assert want[0, 1] == 0 and want[0, 2] != 0
+    assert_same_bytes(got, want)
+
+
 def test_sampled_membership_verdict_follows_the_draws():
     # the shift maps all but a sliver of 1/500 of the union back onto it
     omega = union(((0, 0), (1, "1/4")), ((0, "1/2"), (1, "3/4")))
