@@ -215,9 +215,5 @@ def is_integral(values: Iterable[Fraction]) -> bool:
     return all(v.denominator == 1 for v in values)
 
 
-def to_floats(v: Sequence) -> tuple[float, ...]:
-    return tuple(float(x) for x in v)
-
-
 def matrix_to_floats(m: Matrix) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(x) for x in row) for row in m)

@@ -35,6 +35,9 @@ from .exact import Matrix, Vector
 # checked before it builds anything; the CLI's evaluation budget admits no
 # larger box
 BOX_BUDGET = 2**20
+# the longest mask product any transform runs; past it SimpleFactor looks
+# no further for a power of (E^T)^{-1} that halves every vector
+MAX_PRODUCT_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -264,6 +267,30 @@ class SimpleFactor:
         digits, digit_den = exact.over_common_denominator(self.digits)
         pull, pull_den = exact.over_common_denominator(self.E_transpose_inverse)
         return digits, digit_den, pull, pull_den
+
+    @cached_property
+    def _nonzero_box(self) -> tuple[Fraction, Fraction] | None:
+        """(C, r): the mask has no zero at any (E^T)^{-j} x, j >= 0, once
+        C |x|_inf < r.  None when there is no such box.
+
+        With P = (E^T)^{-1}, C = sup_j ||P^j||_inf, and r = 1 / (4 max_b
+        |b|_1): every |b.P^j x| <= |b|_1 C |x|_inf < 1/4, so every root of
+        the mask lies within a quarter turn of 1 and its real part is
+        positive.  Once ||P^p||_inf <= 1/2, each later power is bounded by
+        an earlier one, so C is the largest norm of P^0 .. P^p; when no
+        p <= MAX_PRODUCT_DEPTH has that bound, there is no box.  With every
+        digit 0 every factor is a structural 1, and there is no box either.
+        """
+        widest = max(sum(map(abs, b)) for b in self.digits)
+        if not widest:
+            return None
+        power, norms = exact.identity(self.dim), []
+        for _ in range(MAX_PRODUCT_DEPTH + 1):
+            norms.append(max(sum(map(abs, row)) for row in power))
+            if 2 * norms[-1] <= 1:
+                return max(norms), 1 / (4 * widest)
+            power = exact.mat_mul(self.E_transpose_inverse, power)
+        return None
 
     def push(self, s) -> tuple:
         """E^T s for a point from exact.as_point, keeping its kind: exact

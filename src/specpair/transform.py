@@ -19,6 +19,16 @@ go to ``cyclotomic.roots_sum_is_zero``, memoized per (sorted residues, q)
 in at most 4,096 entries: a product meets the same few residue patterns
 at most of its levels, so the cyclotomic recursion decides each once.
 
+Most levels need no test at all.  With P = (E^T)^{-1}, C = sup_j
+||P^j||_inf and r = 1 / (4 max_b |b|_1) (SimpleFactor._nonzero_box), a
+point x with C |x|_inf < r has |b.P^j x| < 1/4 for every digit b and
+every j >= 0: every root of every later factor lies within a quarter
+turn of 1, so no factor from there on vanishes.  Pulled back level by
+level, most points reach that box within a few levels; from there the
+loops take each factor's float value with no residue, sort or
+cyclotomic work, the same expression as before, so every value keeps
+its bits.
+
 The loop reads one integer row over a denominator.  A single exact
 point, mu_hat_value's or mask's, is read straight into one row of ints
 over its least denominator (``exact.as_point_row``, no Fraction built)
@@ -30,7 +40,8 @@ repeat, and so does each Gram), so only a new point runs the loop.  A
 set of rational frequencies runs through ``_exact_block``: the same loop
 on integer rows over one denominator, which its callers build, in numpy
 object arrays, so each level is a few array operations, each value bit
-for bit the one ``_exact_row`` gives.
+for bit the one ``_exact_row`` gives; once a chunk's rows all lie in the
+box, its remaining levels run in slabs of at most CHUNK_ROWS cells.
 
 Float frequencies go through one batched kernel, ``mu_hat_values``: an
 (M, d) array of points runs the product level by level in numpy, each
@@ -52,12 +63,12 @@ import numpy as np
 from . import exact
 from .cyclotomic import in_open_half_circle, roots_sum_is_zero
 from .errors import BudgetExceeded, NonFinitePoint
-from .lattice import SimpleFactor
+from .lattice import MAX_PRODUCT_DEPTH, SimpleFactor
 from .measure import DiscreteMeasure, build_ifs, integrate_exponentials, refine_measure
 
-MAX_PRODUCT_DEPTH = 200
-# rows per numpy pass in mu_hat_values and _exact_block; bounds the
-# (N, rows) phase arrays whatever the number of points
+# rows per numpy pass in mu_hat_values and _exact_block, and cells (levels
+# times rows) per slab of _exact_block's tail; bounds the (N, rows) phase
+# arrays whatever the number of points
 CHUNK_ROWS = 4096
 TWO_PI = 2 * math.pi
 
@@ -99,14 +110,6 @@ def mask(system: SimpleFactor, t) -> complex:
     return mu_hat_value(system, t, _MASK)
 
 
-def _exact_product(system: SimpleFactor, freq: tuple, depth: int) -> complex:
-    """The product of the masks at (E^T)^{-k} freq, k < depth, at an exact
-    frequency: _exact_row on its numerators over their least denominator,
-    with no memo (the tests' scalar reference)."""
-    (num,), den = exact.over_common_denominator((freq,))
-    return _exact_row(system, num, den, depth)
-
-
 @lru_cache(maxsize=1 << 12)
 def _row_product(system: SimpleFactor, row: tuple, den: int, depth: int) -> complex:
     """_exact_row at one exact point, memoized per (system, row, den, depth):
@@ -129,8 +132,18 @@ def _exact_row(system: SimpleFactor, num, den: int, depth: int) -> complex:
     0j.  Any other factor is the float sum at p / q, which
     Python rounds correctly, so it equals float(Fraction(p, q)) bit for
     bit.  ``den`` need not be the least denominator (see _exact_block).
+
+    Once the point lies in the system's nonzero box (C |t|_inf < r,
+    SimpleFactor._nonzero_box), it stays there at every later level, and
+    every phase lies within a quarter turn of 0: no factor can vanish,
+    and a phase whose residue is 0 is 0 itself, so the float sum is the
+    structural 1 bit for bit.  From there on the loop takes the float sum
+    with no residues, sort or half-plane test; its real part is a sum of
+    positive cosines, so it cannot round to 0 either.
     """
     digits, digit_den, pull, pull_den = system._integer_maps
+    box = _box_ratio(system)
+    inside = False
     value = complex(1.0)
     for level in range(depth):
         if level:
@@ -138,19 +151,30 @@ def _exact_row(system: SimpleFactor, num, den: int, depth: int) -> complex:
             den *= pull_den
         q = digit_den * den
         phases = [sum(map(mul, b, num)) for b in digits]
-        residues = sorted(p % q for p in phases)
-        if not residues[-1]:
-            factor = complex(1.0)
-        elif (not in_open_half_circle(residues, q)
-              and roots_sum_is_zero(tuple(residues), q)):
-            return 0j
-        else:
-            factor = sum(cmath.exp(2j * math.pi * (p / q)) for p in phases) / system.N
-            # the float sum of a nonzero root sum can still round to 0j
-            if factor == 0:
+        if not inside:
+            inside = box is not None and box[0] * max(map(abs, num)) < box[1] * den
+        if not inside:
+            residues = sorted(p % q for p in phases)
+            if not residues[-1]:
+                value *= complex(1.0)
+                continue
+            if (not in_open_half_circle(residues, q)
+                    and roots_sum_is_zero(tuple(residues), q)):
                 return 0j
+        factor = sum(cmath.exp(2j * math.pi * (p / q)) for p in phases) / system.N
+        # the float sum of a nonzero root sum can still round to 0j
+        if factor == 0:
+            return 0j
         value *= factor
     return value
+
+
+def _box_ratio(system: SimpleFactor) -> tuple[int, int] | None:
+    """C / r of the system's nonzero box as (numerator, denominator): a
+    point num / den lies in the box when numerator * max|num| <
+    denominator * den.  None when the system has no box."""
+    box = system._nonzero_box
+    return None if box is None else (box[0] / box[1]).as_integer_ratio()
 
 
 def _root_means(phases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,9 +239,15 @@ def _exact_block(system: SimpleFactor, rows, den: int, depth: int) -> list[compl
     which residues vanish, nor the half-plane test, nor roots_sum_is_zero's
     verdict, only its memo key.  A row leaves its chunk as 0j at an exact
     zero or at a float factor that rounds to 0j, as the scalar loop does.
+
+    At the first level where every live row of the chunk lies in the
+    nonzero box (see _exact_row), no later factor can vanish, and the
+    remaining levels run in _tail_product with no residue, sort, gap or
+    cyclotomic work.
     """
     digits, digit_den, pull, pull_den = system._integer_maps
     digits, pull = np.array(digits, dtype=object), np.array(pull, dtype=object)
+    box = _box_ratio(system)
     values = [0j] * len(rows)
     for start in range(0, len(rows), CHUNK_ROWS):
         num = np.array(rows[start:start + CHUNK_ROWS], dtype=object).T
@@ -226,7 +256,11 @@ def _exact_block(system: SimpleFactor, rows, den: int, depth: int) -> list[compl
         for level in range(depth):
             if level:
                 num = pull @ num
-            q = digit_den * den * pull_den**level
+            scale = den * pull_den**level
+            q = digit_den * scale
+            if box is not None and box[0] * np.abs(num).max() < box[1] * scale:
+                re, im = _tail_product(system, num, q, level, depth, re, im)
+                break
             phases = digits @ num
             residues = np.sort(phases % q, axis=0)
             one = residues[-1] == 0
@@ -238,8 +272,7 @@ def _exact_block(system: SimpleFactor, rows, den: int, depth: int) -> list[compl
                                for column in residues[:, undecided].T.tolist()]
             f_re, f_im = np.ones(len(live)), np.zeros(len(live))
             roots = ~(one | zero)
-            f_re[roots], f_im[roots] = _root_means(
-                (phases[:, roots] / q).astype(float), system.N)
+            f_re[roots], f_im[roots] = _phase_means(phases[:, roots], q, system.N)
             zero |= (f_re == 0) & (f_im == 0)
             re, im = re * f_re - im * f_im, re * f_im + im * f_re
             keep = ~zero
@@ -249,6 +282,56 @@ def _exact_block(system: SimpleFactor, rows, den: int, depth: int) -> list[compl
         for j, value_re, value_im in zip(live.tolist(), re.tolist(), im.tolist()):
             values[j] = complex(value_re, value_im)
     return values
+
+
+def _phase_means(phases: np.ndarray, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_root_means at the phases p / q of an (N, rows) object array of
+    integers p: each p / q is Python's correctly rounded int division, so
+    it is float(Fraction(p, q)).  ``q`` is an int or a row of ints, one
+    per column."""
+    return _root_means((phases / q).astype(float), n)
+
+
+def _tail_product(system: SimpleFactor, num: np.ndarray, q: int, level: int, depth: int,
+                  re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The running products re + i im of _exact_block's live rows, times
+    every factor from ``level`` to depth - 1, for numerators ``num`` at
+    ``level`` over q / digit_den that all lie in the nonzero box.
+
+    No factor vanishes there, so each is its float root mean, as the loop
+    computes it.  The phases of level + j are the cached rows
+    digits.pull^j (_level_phase_maps) times ``num``, over q pull_den^j.
+    Each batch takes as many levels as keep it within CHUNK_ROWS cells,
+    at least one, and the running product still multiplies them in level
+    order.
+    """
+    n, rows = system.N, num.shape[1]
+    pull_den = system._integer_maps[3]
+    maps = _level_phase_maps(system, depth)
+    step = max(1, CHUNK_ROWS // rows)
+    for first in range(0, depth - level, step):
+        count = min(step, depth - level - first)
+        phases = (maps[first * n:(first + count) * n] @ num).reshape(count, n, rows)
+        dens = np.repeat(np.array([q * pull_den**j for j in range(first, first + count)],
+                                  dtype=object), rows)
+        f_re, f_im = _phase_means(phases.transpose(1, 0, 2).reshape(n, count * rows), dens, n)
+        for k in range(0, count * rows, rows):
+            a, b = f_re[k:k + rows], f_im[k:k + rows]
+            re, im = re * a - im * b, re * b + im * a
+    return re, im
+
+
+@lru_cache(maxsize=64)
+def _level_phase_maps(system: SimpleFactor, depth: int) -> np.ndarray:
+    """The integer rows digits.pull^j, j < depth, stacked N rows per power
+    in an object array: the phases of the point pull^j num, for integer
+    numerators num.  Each entry holds its system, as _row_product's do."""
+    digits, _, pull, _ = system._integer_maps
+    maps, power = [], np.array(digits, dtype=object)
+    for _ in range(depth):
+        maps.append(power)
+        power = power @ np.array(pull, dtype=object)
+    return np.concatenate(maps)
 
 
 @lru_cache(maxsize=8)

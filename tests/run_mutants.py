@@ -1,8 +1,12 @@
 """Run the committed mutation check: each mutant in mutants.json against
 the tests that must catch it.
 
-    python tests/run_mutants.py [name ...]
+    python tests/run_mutants.py [name | file ...]
 
+With no argument every mutant runs.  An argument selects the mutant of
+that name, or every mutant of that file, named as in mutants.json
+(``src/specpair/transform.py``); an argument that selects nothing is an
+error (exit status 2).
 A mutant names a file of the repository, an exact old text that occurs
 there once, its replacement, and the pytest node ids that must fail.
 For each mutant, ``src`` and ``tests`` are copied to a temporary
@@ -55,8 +59,21 @@ def outcomes(mutant: dict) -> dict[str, int] | None:
         }
 
 
-def main(names: list[str]) -> int:
-    mutants = [m for m in load_mutants() if not names or m["name"] in names]
+def select(mutants: list[dict], args: list[str]) -> tuple[list[dict], list[str]]:
+    """The mutants that ``args`` name, by name or by file (all of them when
+    ``args`` is empty), in list order, and the arguments that name none."""
+    if not args:
+        return mutants, []
+    chosen = [m for m in mutants if m["name"] in args or m["file"] in args]
+    unknown = [a for a in args if not any(a in (m["name"], m["file"]) for m in mutants)]
+    return chosen, unknown
+
+
+def main(args: list[str]) -> int:
+    mutants, unknown = select(load_mutants(), args)
+    if unknown:
+        print(f"no mutant is named or lives in: {', '.join(unknown)}")
+        return 2
     bad = 0
     for mutant in mutants:
         codes = outcomes(mutant)

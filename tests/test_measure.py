@@ -41,7 +41,7 @@ def _contraction_norm(system):
 
 def _attractor_radius(system):
     """A ball radius containing every atom: max |b| / (1 - norm)."""
-    biggest = max(float(np.linalg.norm(exact.to_floats(b))) for b in system.digits)
+    biggest = max(float(np.linalg.norm(list(map(float, b)))) for b in system.digits)
     return biggest / (1.0 - _contraction_norm(system))
 
 
@@ -128,7 +128,7 @@ def test_word_decoding_matches_exact_atom(scale4x2):
         word = measure.word(index)
         assert len(word) == 3
         exact_point = _exact_atom(ifs, word)
-        assert np.allclose(measure.points[index], exact.to_floats(exact_point))
+        assert np.allclose(measure.points[index], tuple(map(float, exact_point)))
 
 
 def test_atoms_within_attractor_radius(scale4, scale4x2):

@@ -13,9 +13,14 @@ with E = 2k, N = 3 with A = Z/3, and their 2-D products with N = 4), with
 numerators large enough that no level is a structural 1 and the product
 runs to full depth.
 
-The batched exact product ``_exact_block`` is held to the scalar
-``_exact_product`` row by row, on Fraction points put over their least
-denominator; ``completeness_table`` to the per-row loop it replaced
+The batched exact product ``_exact_block`` is held row by row to the
+scalar loop as it stood before the nonzero box (``oracle_exact_product``,
+which tests every level for a zero), on Fraction points put over their
+least denominator, and so is the scalar ``_exact_row``; the box's
+constants (C, r) are pinned on three data, one of them non-normal, and
+checked in Fractions: every phase stays within a quarter turn from the
+first level in the box on.  ``completeness_table`` is held to the
+per-row loop it replaced
 (``per_row_block``); and ``relation_residuals`` and ``classify_measure``,
 which build their points as integer rows over one denominator, to the
 Fraction fold they replaced (``oracle_relation_maxima``): the oracle's
@@ -90,6 +95,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +106,7 @@ from unittest import mock
 import specpair as sp
 from specpair import exact, measure, pair, transform
 from specpair.boxes import Box, BoxUnion, numerators, overlapping_pair, subtract
-from specpair.cyclotomic import exp_sum_is_zero
+from specpair.cyclotomic import exp_sum_is_zero, in_open_half_circle, roots_sum_is_zero
 from specpair.lattice import lattice_rows_in_box, same_lattice
 from specpair.transform import TransformSettings, mask, mu_hat_value
 
@@ -449,10 +455,43 @@ def test_pinned_frequencies_match_fraction_oracle(name, t):
     assert_same(mask(system, t), oracle_mask(system, t))
 
 
+def oracle_exact_row(system, num, den, depth):
+    """The depth-``depth`` product at the point num / den, as the package's
+    _exact_row ran it before its nonzero box: every level's residues,
+    half-plane test and cyclotomic decision, at every level."""
+    digits, digit_den, pull, pull_den = system._integer_maps
+    value = complex(1.0)
+    for level in range(depth):
+        if level:
+            num = [sum(map(mul, row, num)) for row in pull]
+            den *= pull_den
+        q = digit_den * den
+        phases = [sum(map(mul, b, num)) for b in digits]
+        residues = sorted(p % q for p in phases)
+        if not residues[-1]:
+            factor = complex(1.0)
+        elif (not in_open_half_circle(residues, q)
+              and roots_sum_is_zero(tuple(residues), q)):
+            return 0j
+        else:
+            factor = sum(cmath.exp(2j * math.pi * (p / q)) for p in phases) / system.N
+            # the float sum of a nonzero root sum can still round to 0j
+            if factor == 0:
+                return 0j
+        value *= factor
+    return value
+
+
+def oracle_exact_product(system, freq, depth):
+    """oracle_exact_row at an exact frequency, over its least denominator."""
+    (num,), den = exact.over_common_denominator((freq,))
+    return oracle_exact_row(system, num, den, depth)
+
+
 def first_zero_level(system, t, depth=30):
     """The level at which the scalar product of ``t`` first vanishes, or None."""
     return next((k for k in range(depth)
-                 if transform._exact_product(system, t, k + 1) == 0), None)
+                 if oracle_exact_product(system, t, k + 1) == 0), None)
 
 
 def staged_zeros(system, levels=4):
@@ -469,7 +508,7 @@ def staged_zeros(system, levels=4):
 
 def assert_same_products(system, freqs, depth):
     got = transform._exact_block(system, *exact.over_common_denominator(freqs), depth)
-    want = [transform._exact_product(system, t, depth) for t in freqs]
+    want = [oracle_exact_product(system, t, depth) for t in freqs]
     assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
@@ -538,8 +577,8 @@ def oracle_relation_residuals(system, radius, depth=30):
     ``_exact_product`` at each point."""
     isometry, range_orth, completeness, count = oracle_relation_maxima(
         system.K_dual, radius, system.E_transpose, system.freq_digits,
-        lambda t: transform._exact_product(system, t, depth),
-        lambda t: transform._exact_product(system, t, 1))
+        lambda t: oracle_exact_product(system, t, depth),
+        lambda t: oracle_exact_product(system, t, 1))
     return sp.RelationReport(isometry=isometry, range_orthogonality=range_orth,
                              completeness=completeness, box_radius=radius,
                              sample_count=count,
@@ -567,7 +606,7 @@ def oracle_classify_measure(measure_, K, gamma, freq_digits, digits=None):
 
 def per_row_block(system, rows, den, depth):
     """_exact_block as the scalar loop at each row's Fraction point."""
-    return [transform._exact_product(system, tuple(Fraction(int(n), den) for n in row), depth)
+    return [oracle_exact_product(system, tuple(Fraction(int(n), den) for n in row), depth)
             for row in rows]
 
 
@@ -621,6 +660,91 @@ def test_conjugates_are_valid_and_need_a_denominator():
     assert sheared.E_transpose == ((4, 0), (Fraction(-4, 3), 4))
     assert [relation_denominator(s) for s in (sheared, diagonal)] == [9, 2]
     assert all(sp.validate_simple_factor(s).ok for s in (sheared, diagonal))
+
+
+# a non-normal conjugate: E' = [[12, -16], [4, -4]], a Jordan block with
+# eigenvalue 4, so sup_j ||(E'^T)^-j||_inf = 7/4 exceeds the spectral radius
+NON_NORMAL = conjugate(CONSUMER_SYSTEMS["scale4x2_sheared"], [[2, 1], [1, 1]])
+# every datum above and three conjugates, two of them over q > 1
+TAIL_SYSTEMS = {**RELATION_SYSTEMS, "scale4x2_sheared_v": NON_NORMAL}
+tail_rationals = st.builds(Fraction, st.integers(-4**12, 4**12), st.integers(1, 12))
+
+
+def line_system(gamma, digits):
+    """A 1-D datum K = Z, Gamma = Z / gamma with the given digits, its
+    frequency digits 0, 1, ...: built as is, valid or not."""
+    return sp.SimpleFactor(
+        K=sp.Lattice([[1]]), A=sp.Lattice([[Fraction(1, len(digits))]]),
+        Gamma=sp.Lattice([[Fraction(1, gamma)]]),
+        digits=[(b,) for b in digits], freq_digits=[(l,) for l in range(len(digits))])
+
+
+def test_nonzero_box_constants():
+    """(C, r): C = sup_j ||(E^T)^-j||_inf and r = 1 / (4 max_b |b|_1)."""
+    assert SYSTEMS["scale4"]._nonzero_box == (1, Fraction(1, 2))
+    assert SYSTEMS["scale4x2"]._nonzero_box == (1, Fraction(1, 4))
+    assert NON_NORMAL.E == ((12, -16), (4, -4))
+    assert NON_NORMAL._nonzero_box == (Fraction(7, 4), Fraction(1, 10))
+    # no power of (E^T)^-1 = 1 halves a vector; with B = {0} no factor can vanish
+    assert line_system(1, [0, Fraction(1, 2)])._nonzero_box is None
+    assert line_system(2, [0])._nonzero_box is None
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(TAIL_SYSTEMS)), st.data())
+def test_nonzero_tail_keeps_the_oracle_bits(name, data):
+    """_exact_block, with its slabs cut to three cells, and _exact_row give
+    the oracle's value, which tests every level, at every point."""
+    system = TAIL_SYSTEMS[name]
+    freqs = data.draw(st.lists(st.tuples(*[tail_rationals] * system.dim), max_size=8))
+    depth = data.draw(st.integers(1, 60))
+    want = [repr(oracle_exact_product(system, t, depth)) for t in freqs]
+    with mock.patch.object(transform, "CHUNK_ROWS", 3):
+        block = transform._exact_block(system, *exact.over_common_denominator(freqs), depth)
+    rows = [transform._exact_row(system, *exact.as_point_row(t), depth) for t in freqs]
+    assert [repr(v) for v in block] == want == [repr(v) for v in rows]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(sorted(TAIL_SYSTEMS)), st.data())
+def test_phases_stay_within_a_quarter_turn_from_the_box_on(name, data):
+    """In Fractions: from the first level where C |t|_inf < r, every
+    |b.t| < 1/4 at that level and each of the next 60."""
+    system = TAIL_SYSTEMS[name]
+    c, r = system._nonzero_box
+    t = data.draw(st.tuples(*[tail_rationals] * system.dim))
+    while c * max(map(abs, t)) >= r:
+        t = system.pull(t)
+    for _ in range(61):
+        assert all(abs(exact.dot(b, t)) < Fraction(1, 4) for b in system.digits)
+        t = system.pull(t)
+
+
+def test_nonzero_tail_edges(monkeypatch):
+    """B = {0}, which has no box; no rows; 4^40 at depth 30, which never
+    enters scale4's box; and 1/3, which enters it at level 0."""
+    calls, tail = [], transform._tail_product
+
+    def counted(*args):
+        calls.append(args[3])  # the level the tail starts at
+        return tail(*args)
+
+    monkeypatch.setattr(transform, "_tail_product", counted)
+    trivial = line_system(2, [0])
+    freqs = [(Fraction(k, 7),) for k in range(-9, 10)]
+    want = [oracle_exact_product(trivial, t, 30) for t in freqs]
+    assert want == [1 + 0j] * len(freqs)
+    assert transform._exact_block(trivial, *exact.over_common_denominator(freqs), 30) == want
+    assert [transform._exact_row(trivial, *exact.as_point_row(t), 30) for t in freqs] == want
+    system = SYSTEMS["scale4"]
+    assert transform._exact_block(system, [], 1, 30) == []
+    big = oracle_exact_product(system, (4**40,), 30)
+    assert_same(transform._exact_block(system, [(4**40,)], 1, 30)[0], big)
+    assert_same(transform._exact_row(system, (4**40,), 1, 30), big)
+    assert calls == []
+    assert_same(transform._exact_block(system, [(1,)], 3, 30)[0],
+                oracle_exact_product(system, (Fraction(1, 3),), 30))
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("name, s, depths", [
@@ -958,12 +1082,12 @@ def maximality_cases(system):
         ("float", tuple(0.3 + 0.1 * j for j in range(system.dim)), depth),
         ("triple", tuple(3 * c for c in system.freq_digits[-1]), depth),
         ("exact member", xi, depth),
-        ("float member", exact.to_floats(xi), depth),
+        ("float member", tuple(map(float, xi)), depth),
     ]
     if system.dim > 1:
         moved = xi[:-1] + (xi[-1] + Fraction(1, 7),)
         cases += [("one coordinate", moved, depth),
-                  ("float one coordinate", exact.to_floats(moved), depth)]
+                  ("float one coordinate", tuple(map(float, moved)), depth)]
     return cases
 
 
@@ -1113,7 +1237,7 @@ def test_quadrature_matches_complex_exp_oracle(name, depth):
     assert_same_values([sp.integrate_exponential(measure_, row) for row in rows], want)
     exact_t = (Fraction(-3, 7),) * system.dim
     assert_same_values([sp.integrate_exponential(measure_, exact_t)],
-                       [oracle_integrate_exponential(measure_, exact.to_floats(exact_t))])
+                       [oracle_integrate_exponential(measure_, tuple(map(float, exact_t)))])
     settings_ = TransformSettings(backend="quadrature", quadrature_depth=depth)
     assert_same_values(sp.mu_hat_values(system, points, settings_).tolist(), want)
     assert_same_values([mu_hat_value(system, t, settings_) for t in points[:3]], want[:3])
@@ -1995,7 +2119,7 @@ def test_dual_candidates_match_fraction_oracle(name):
     system = FLOAT_SYSTEMS[name]
     measure._dual_candidates.cache_clear()
     got = measure._dual_candidates(system, 3)
-    want = [(s, exact.to_floats(s))
+    want = [(s, tuple(map(float, s)))
             for s in oracle_lattice_points_in_box(system.K_dual, 3)]
     assert [s for s, _ in got] == [s for s, _ in want]
     assert repr([f for _, f in got]) == repr([f for _, f in want])

@@ -275,7 +275,7 @@ def test_scalar_loop_finds_the_batch_decisions(name):
     memo.cache_clear()
     batch = transform._exact_block(system, *exact.over_common_denominator(rows), 30)
     decided = memo.cache_info().misses
-    scalar = [transform._exact_product(system, row, 30) for row in rows]
+    scalar = [transform._exact_row(system, *exact.as_point_row(row), 30) for row in rows]
     assert [repr(v) for v in scalar] == [repr(v) for v in batch]
     info = memo.cache_info()
     assert 0 < decided == info.misses < info.hits
